@@ -3,9 +3,10 @@
 By default the loop kernels are compiled with numba's @njit. Setting the
 environment variable ``HPC_SENTINEL_NO_NUMBA=1`` (before import) selects the
 pure fallback path instead: vectorized numpy where the computation allows it
-(window counting, split search), the uncompiled loop where it is inherently
-sequential (the simulation stepper). Both paths produce identical results;
-``benchmarks/bench_kernels.py`` compares their speed.
+(window counting, split search over a whole batch of tree nodes), the
+uncompiled loop where it is inherently sequential (the simulation stepper).
+Both paths produce identical results. ``python3 perfbench/run.py --trace 1``
+reports the time spent in each kernel on real workloads.
 """
 
 import math
@@ -79,9 +80,12 @@ def _window_counts_numpy(cats, window):
 # orders splits identically to minimizing weighted Gini impurity. Scores are
 # integer fractions; exact cross-multiplied comparison keeps the search
 # bit-deterministic and makes the documented tie-break (lowest feature index,
-# then lowest threshold) exact. int64 products stay in range for node sizes
-# up to ~4000 rows; callers pass exact=False beyond that to fall back to
-# float64 comparison (still deterministic, same operation order).
+# then lowest threshold) exact. int64 products reach n^5 / 16, in range for
+# nodes up to EXACT_SPLIT_LIMIT rows; beyond that callers pass exact=False
+# to fall back to float64 comparison (still deterministic, same operation
+# order).
+EXACT_SPLIT_LIMIT = 4000
+
 
 def _best_split_loop(x, y, feats, exact):
     """Best (feature, integer threshold) split of a binary-labeled node.
@@ -141,54 +145,101 @@ def _best_split_loop(x, y, feats, exact):
     return best_feat, best_thr, (np.int64(1) if found else np.int64(0))
 
 
-def _best_split_numpy(x, y, feats, exact):
-    """Vectorized equivalent of :func:`_best_split_loop`.
+def _best_split_batch_numpy(x, y, sizes, exact=None):
+    """Best split of every node of a batch in one loop-free pass.
 
-    Prefix sums and cut detection are vectorized; the final candidate
-    comparison loops over distinct-value boundaries so the exact fraction
-    semantics (and tie-breaks) match the loop kernel bit for bit.
+    x stacks the nodes' rows of candidate columns, (rows, k) int64, node
+    i owning the next sizes[i] rows, and y holds their 0/1 labels. Node i
+    scores with exact integer fractions when exact[i] holds (default:
+    sizes[i] <= EXACT_SPLIT_LIMIT), else in float64. Returns int64 arrays
+    (column, threshold, found) with one entry per node, each equal to
+    what :func:`_best_split_loop` returns for that node's rows with
+    feats = arange(k).
     """
-    n = x.shape[0]
-    tot1 = int(y.sum())
-    tot0 = n - tot1
-    parent_num = tot0 * tot0 + tot1 * tot1
+    sizes = np.asarray(sizes, dtype=np.int64)
+    n_nodes = sizes.shape[0]
+    col_out = np.full(n_nodes, -1, dtype=np.int64)
+    thr_out = np.zeros(n_nodes, dtype=np.int64)
+    found_out = np.zeros(n_nodes, dtype=np.int64)
+    if x.size == 0:
+        return col_out, thr_out, found_out
+    k = x.shape[1]
+    y = np.asarray(y, dtype=np.int64)
+    row_node = np.repeat(np.arange(n_nodes), sizes)
+    tot1 = np.bincount(row_node, weights=y,
+                       minlength=n_nodes).astype(np.int64)
+    tot0 = sizes - tot1
+    parent = tot0 * tot0 + tot1 * tot1
+    if exact is None:
+        exact = sizes <= EXACT_SPLIT_LIMIT
+    exact = np.asarray(exact, dtype=bool)
 
-    best = None  # (num, den, feat, thr) with exact ints, or float score
-    best_f = -1.0
-    for f in feats:
-        col = x[:, f]
-        order = np.argsort(col, kind="stable")
-        sv = col[order]
-        sy = y[order]
-        cuts = np.nonzero(sv[:-1] != sv[1:])[0]
-        if cuts.size == 0:
-            continue
-        c1 = np.cumsum(sy)[cuts]
-        nl = cuts + 1
-        nr = n - nl
-        c0l = nl - c1
-        c1r = tot1 - c1
-        c0r = nr - c1r
-        num = (c0l * c0l + c1 * c1) * nr + (c0r * c0r + c1r * c1r) * nl
-        den = nl * nr
-        thr = (sv[cuts] + sv[cuts + 1]) // 2
-        for k in range(cuts.size):
-            if exact:
-                nk, dk = int(num[k]), int(den[k])
-                if nk * n <= parent_num * dk:
-                    continue
-                if best is None or nk * best[1] > best[0] * dk:
-                    best = (nk, dk, int(f), int(thr[k]))
-            else:
-                s = np.int64(num[k]) / np.int64(den[k])
-                if s <= parent_num / n:
-                    continue
-                if best is None or s > best_f:
-                    best = (0, 1, int(f), int(thr[k]))
-                    best_f = s
-    if best is None:
-        return np.int64(-1), np.int64(0), np.int64(0)
-    return np.int64(best[2]), np.int64(best[3]), np.int64(1)
+    # One segment per (node, column). One sort orders every segment by
+    # value: on one packed int64 key when the value range allows it (much
+    # faster than lexsort), else on both keys. Order among equal values
+    # does not matter.
+    vals = np.asarray(x, dtype=np.int64).ravel()
+    seg = (row_node[:, None] * k + np.arange(k)).ravel()
+    lo = int(vals.min())
+    span = int(vals.max()) - lo + 1
+    if n_nodes * k * span < 2**63:
+        order = np.argsort(seg * span + (vals - lo))
+    else:
+        order = np.lexsort((vals, seg))
+    sv = vals[order]
+    sseg = seg[order]
+    c1_all = np.cumsum(np.repeat(y, k)[order])
+    seg_len = np.repeat(sizes, k)
+    seg_start = np.cumsum(seg_len) - seg_len
+    base = np.concatenate(([0], c1_all))[seg_start]
+
+    # Cuts: adjacent sorted entries of one segment with distinct values.
+    cut = np.flatnonzero((sseg[:-1] == sseg[1:]) & (sv[:-1] != sv[1:]))
+    s = sseg[cut]
+    node = s // k
+    n = sizes[node]
+    nl = cut - seg_start[s] + 1
+    nr = n - nl
+    c1 = c1_all[cut] - base[s]
+    c0l = nl - c1
+    c1r = tot1[node] - c1
+    c0r = nr - c1r
+    num = (c0l * c0l + c1 * c1) * nr + (c0r * c0r + c1r * c1r) * nl
+    den = nl * nr
+    score = num / den
+    ex = exact[node]
+    keep = np.where(ex, num * n > parent[node] * den,
+                    score > parent[node] / n)
+    if not keep.any():
+        return col_out, thr_out, found_out
+    cut, s, node, num, den, score, ex = (
+        a[keep] for a in (cut, s, node, num, den, score, ex))
+
+    # Candidates are ordered by (node, column, threshold), so a node's
+    # first maximum is its tie-break winner. Rounding is monotone, so every
+    # exact maximum shares its node's float maximum: pick the first float
+    # maximum, then, in exact nodes, move to the first tied candidate that
+    # beats the pick until none does; each move raises the pick's score.
+    # (Distinct fractions can round alike only in nodes of ~2400+ rows.)
+    lead = np.diff(node, prepend=-1) != 0
+    top = np.maximum.reduceat(score, np.flatnonzero(lead))
+    tied = np.flatnonzero(score == top[np.cumsum(lead) - 1])
+    best = np.full(n_nodes, -1, dtype=np.int64)
+    while tied.size:
+        tnode = node[tied]
+        lead = np.diff(tnode, prepend=-1) != 0
+        best[tnode[lead]] = tied[lead]
+        tied = tied[ex[tied]]
+        pick = best[node[tied]]
+        tied = tied[num[tied] * den[pick] > num[pick] * den[tied]]
+
+    won = best[best >= 0]
+    at = cut[won]
+    wnode = node[won]
+    col_out[wnode] = s[won] % k
+    thr_out[wnode] = (sv[at] + sv[at + 1]) // 2
+    found_out[wnode] = 1
+    return col_out, thr_out, found_out
 
 
 # ---------------------------------------------------------------------------
@@ -379,16 +430,38 @@ if _want_numba():
         dispatch_update = njit(cache=True)(dispatch_update)
         frequency_step = njit(cache=True)(frequency_step)
         window_counts = njit(cache=True)(_window_counts_loop)
-        best_split = njit(cache=True, nogil=True)(_best_split_loop)
+        best_split = njit(cache=True)(_best_split_loop)
         simulate_core = njit(cache=True)(_simulate_loop)
         NUMBA_ENABLED = True
     except ImportError:
         pass
 
-if not NUMBA_ENABLED:
+if NUMBA_ENABLED:
+    def best_split_batch(x, y, sizes, exact=None):
+        """Per-node loop over the compiled :func:`best_split`; same
+        contract as :func:`_best_split_batch_numpy`."""
+        out = np.zeros((3, len(sizes)), dtype=np.int64)
+        feats = np.arange(x.shape[1], dtype=np.int64)
+        lo = 0
+        for i, n in enumerate(sizes):
+            ex = n <= EXACT_SPLIT_LIMIT if exact is None else exact[i]
+            out[:, i] = best_split(np.ascontiguousarray(x[lo:lo + n]),
+                                   np.asarray(y[lo:lo + n], dtype=np.int64),
+                                   feats, bool(ex))
+            lo += n
+        return out[0], out[1], out[2]
+else:
     window_counts = _window_counts_numpy
-    best_split = _best_split_numpy
+    best_split_batch = _best_split_batch_numpy
     simulate_core = _simulate_loop
+
+    def best_split(x, y, feats, exact):
+        """:func:`_best_split_loop` as a batch of one node."""
+        col, thr, found = best_split_batch(x[:, feats], y, [x.shape[0]],
+                                           [exact])
+        if not found[0]:
+            return np.int64(-1), np.int64(0), np.int64(0)
+        return np.int64(feats[col[0]]), thr[0], found[0]
 
 
 def backend():

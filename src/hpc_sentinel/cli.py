@@ -3,8 +3,7 @@
 Subcommands: extract, mutate, train, eval, rank, ablate, simulate,
 report, and the end-to-end reproduce pipeline. Exit codes: 0 success,
 2 usage error, 3 data error, 4 numeric divergence. Every subcommand is
-deterministic given its inputs, flags and --seed; parallelism is capped
-by the HPC_SENTINEL_THREADS environment variable.
+deterministic given its inputs, flags and --seed.
 """
 
 import argparse
@@ -28,7 +27,7 @@ class UsageError(Exception):
 def _load_map(path) -> CategoryMap:
     if path is None:
         return CategoryMap.default()
-    return CategoryMap.from_json(Path(path).read_text(encoding="utf-8"))
+    return CategoryMap.from_json(path)
 
 
 def _read_text(path, stage: str) -> str:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .asm import CATEGORY_BY_CODE, InstructionCategory
+from .asm import InstructionCategory
 from .errors import InconsistentFeatures
 
 DEFAULT_WINDOW = 50

@@ -1,17 +1,15 @@
 """Classifiers over counter datasets: decision tree, random forest, and a
 small neural network, plus splitting, balancing, and evaluation metrics.
 
-All three trainers are deterministic given (dataset, params, seed). The
-tree split search runs through the compiled kernel path when numba is
-active; forests train their trees in a thread pool when asked, with
-per-tree generators spawned from the master seed so parallel and serial
-runs produce identical models.
+All three trainers are deterministic given (dataset, params, seed). A
+forest grows all its trees in lockstep, batching the split searches of
+one node per tree into one kernel call; every tree draws from its own
+generator spawned from the master seed, so it equals the tree grown on
+its own. Trees and forests predict from one flattened node table.
 """
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,19 +19,14 @@ from .errors import (EmptyDataset, InconsistentFeatures, NonFiniteLoss,
                      SingleClass, TooFewSamples)
 from .hpc import Dataset
 
-# Node counts above this make the cross-multiplied integer Gini compare
-# overflow int64; larger nodes fall back to float64 scoring.
-EXACT_SPLIT_LIMIT = 4000
+# Row x candidate-column entries per split-search call: enough nodes to
+# amortize numpy's per-call cost, few enough to keep the search's working
+# set small.
+SPLIT_BATCH_ENTRIES = 8192
 
-
-def _threads(n_jobs=None) -> int:
-    if n_jobs is not None:
-        return max(1, int(n_jobs))
-    env = os.environ.get("HPC_SENTINEL_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
+# (row, tree) pairs advanced together per prediction step, for the same
+# reason.
+PREDICT_BLOCK_PAIRS = 8192
 
 
 # --- splitting and balancing -------------------------------------------------
@@ -212,17 +205,7 @@ class DecisionTreeModel:
         return walk(0)
 
     def predict(self, X) -> np.ndarray:
-        X = np.asarray(X)
-        out = np.zeros(X.shape[0], dtype=np.int64)
-        for r in range(X.shape[0]):
-            i = 0
-            while self.feature[i] >= 0:
-                if X[r, self.feature[i]] <= self.threshold[i]:
-                    i = self.left[i]
-                else:
-                    i = self.right[i]
-            out[r] = 1 if self.counts[i, 1] > self.counts[i, 0] else 0
-        return out
+        return _predict_trees([self], X)
 
     def to_dict(self):
         return {"kind": "dt", "params": self.params,
@@ -243,74 +226,156 @@ class DecisionTreeModel:
                    params=dict(d.get("params", {})))
 
 
-class _TreeBuilder:
-    def __init__(self, X, y, max_depth, min_samples_split, n_feats,
-                 feature_rng=None):
-        self.X = X
-        self.y = y
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.n_feats = n_feats
+def _predict_trees(trees, X) -> np.ndarray:
+    """Strict-majority vote of the trees on each row of X; a tied vote
+    stays benign, and a tree of one votes its leaf's majority.
+
+    The trees' nodes are concatenated into one table, leaves pointing at
+    themselves, and each numpy step moves a block of (row, tree) pairs
+    one level down, as in QuickScorer's flattened traversal.
+    """
+    X = np.asarray(X)
+    out = np.zeros(X.shape[0], dtype=np.int64)
+    if not trees:
+        return out
+    sizes = [t.n_nodes for t in trees]
+    roots = np.cumsum(sizes) - sizes
+    offset = np.repeat(roots, sizes)
+    feature = np.concatenate([t.feature for t in trees])
+    leaf = feature < 0
+    ids = np.arange(feature.shape[0])
+    left = np.where(leaf, ids,
+                    np.concatenate([t.left for t in trees]) + offset)
+    right = np.where(leaf, ids,
+                     np.concatenate([t.right for t in trees]) + offset)
+    feature = np.where(leaf, 0, feature)
+    threshold = np.concatenate([t.threshold for t in trees])
+    vote = np.concatenate([t.counts[:, 1] > t.counts[:, 0] for t in trees])
+    n_trees = len(trees)
+    step = max(1, PREDICT_BLOCK_PAIRS // n_trees)
+    for lo in range(0, X.shape[0], step):
+        xb = X[lo:lo + step]
+        row = np.repeat(np.arange(xb.shape[0]), n_trees)
+        node = np.tile(roots, xb.shape[0])
+        while not leaf[node].all():
+            go_left = xb[row, feature[node]] <= threshold[node]
+            node = np.where(go_left, left[node], right[node])
+        votes = vote[node].reshape(-1, n_trees).sum(axis=1)
+        out[lo:lo + step] = 2 * votes > n_trees
+    return out
+
+
+class _GrowingTree:
+    """Node arrays of one tree under construction and its stack of nodes
+    still to grow, each (rows, depth, parent, is_right, malicious rows)."""
+
+    def __init__(self, rows, c1, feature_rng):
         self.feature_rng = feature_rng
+        self.stack = [(rows, 0, -1, False, c1)]
         self.feature = []
         self.threshold = []
         self.left = []
         self.right = []
         self.counts = []
 
-    def _emit(self):
+    def emit(self, parent, is_right, counts) -> int:
+        node = len(self.feature)
         self.feature.append(-1)
         self.threshold.append(0)
         self.left.append(-1)
         self.right.append(-1)
-        self.counts.append((0, 0))
-        return len(self.feature) - 1
-
-    def _candidate_features(self):
-        total = self.X.shape[1]
-        if self.feature_rng is None or self.n_feats >= total:
-            return np.arange(total, dtype=np.int64)
-        picked = self.feature_rng.choice(total, size=self.n_feats,
-                                         replace=False)
-        return np.sort(picked).astype(np.int64)
-
-    def grow(self, idx, depth) -> int:
-        node = self._emit()
-        y_node = self.y[idx]
-        c1 = int(y_node.sum())
-        c0 = idx.shape[0] - c1
-        self.counts[node] = (c0, c1)
-        if (c0 == 0 or c1 == 0 or idx.shape[0] < self.min_samples_split
-                or (self.max_depth is not None and depth >= self.max_depth)):
-            return node
-        feats = self._candidate_features()
-        x_node = np.ascontiguousarray(self.X[idx])
-        exact = idx.shape[0] <= EXACT_SPLIT_LIMIT
-        f, t, found = _kernels.best_split(x_node, y_node, feats, exact)
-        if not found:
-            return node
-        go_left = self.X[idx, f] <= t
-        self.feature[node] = int(f)
-        self.threshold[node] = int(t)
-        self.left[node] = self.grow(idx[go_left], depth + 1)
-        self.right[node] = self.grow(idx[~go_left], depth + 1)
+        self.counts.append(counts)
+        if parent >= 0:
+            (self.right if is_right else self.left)[parent] = node
         return node
 
+    def model(self, feature_names, params) -> DecisionTreeModel:
+        return DecisionTreeModel(
+            feature=np.asarray(self.feature, dtype=np.int64),
+            threshold=np.asarray(self.threshold, dtype=np.int64),
+            left=np.asarray(self.left, dtype=np.int64),
+            right=np.asarray(self.right, dtype=np.int64),
+            counts=np.asarray(self.counts, dtype=np.int64),
+            feature_names=tuple(feature_names), params=params)
 
-def _grow_tree(X, y, feature_names, max_depth, min_samples_split,
-               n_feats=None, feature_rng=None, params=None):
-    b = _TreeBuilder(X, y, max_depth, min_samples_split,
-                     n_feats if n_feats is not None else X.shape[1],
-                     feature_rng)
-    b.grow(np.arange(X.shape[0]), 0)
-    return DecisionTreeModel(
-        feature=np.asarray(b.feature, dtype=np.int64),
-        threshold=np.asarray(b.threshold, dtype=np.int64),
-        left=np.asarray(b.left, dtype=np.int64),
-        right=np.asarray(b.right, dtype=np.int64),
-        counts=np.asarray(b.counts, dtype=np.int64),
-        feature_names=tuple(feature_names),
-        params=params or {})
+
+def _grow_trees(X, y, boots, feature_rngs, n_feats, max_depth,
+                min_samples_split, feature_names, params):
+    """Grow one tree per row-index vector in boots, all in lockstep.
+
+    Each round pops the next node of every tree, emitting leaves until it
+    reaches one that needs a split search, and searches those nodes
+    through batched kernel calls of at most SPLIT_BATCH_ENTRIES entries
+    (one node may exceed it alone). Children are pushed right then left,
+    so node ids and feature_rng draws follow each tree's preorder and
+    every tree equals the one grown on its own. A tree whose feature_rng
+    is None searches all features at every node; otherwise it draws
+    n_feats of them per node.
+    """
+    all_feats = np.arange(X.shape[1], dtype=np.int64)
+
+    def next_split(t):
+        while t.stack:
+            rows, depth, parent, is_right, c1 = t.stack.pop()
+            c0 = rows.shape[0] - c1
+            node = t.emit(parent, is_right, (c0, c1))
+            if (c0 == 0 or c1 == 0 or rows.shape[0] < min_samples_split
+                    or (max_depth is not None and depth >= max_depth)):
+                continue
+            if t.feature_rng is None:
+                feats = all_feats
+            else:
+                feats = t.feature_rng.choice(all_feats.shape[0],
+                                             size=n_feats, replace=False)
+                feats.sort()
+            return t, node, rows, feats, depth
+        return None
+
+    def split(batch):
+        sizes = np.array([item[2].shape[0] for item in batch])
+        rows = np.concatenate([item[2] for item in batch])
+        feats = np.array([item[3] for item in batch])
+        y_rows = y[rows]
+        cols, thrs, found = _kernels.best_split_batch(
+            X[rows[:, None], np.repeat(feats, sizes, axis=0)], y_rows, sizes)
+        f = feats[np.arange(len(batch)), cols]
+        go_left = X[rows, np.repeat(f, sizes)] <= np.repeat(thrs, sizes)
+        row_node = np.repeat(np.arange(len(batch)), sizes)
+        c1_left = np.bincount(row_node, weights=y_rows * go_left,
+                              minlength=len(batch)).astype(np.int64)
+        c1_right = np.bincount(row_node, weights=y_rows * ~go_left,
+                               minlength=len(batch)).astype(np.int64)
+        hi = 0
+        for (t, node, rows, _, depth), n, fi, thr, ok, l1, r1 in zip(
+                batch, sizes, f, thrs, found, c1_left, c1_right):
+            lo, hi = hi, hi + n
+            if not ok:
+                continue
+            g = go_left[lo:hi]
+            t.feature[node] = int(fi)
+            t.threshold[node] = int(thr)
+            t.stack.append((rows[~g], depth + 1, node, True, int(r1)))
+            t.stack.append((rows[g], depth + 1, node, False, int(l1)))
+
+    trees = [_GrowingTree(rows, int(y[rows].sum()), rng)
+             for rows, rng in zip(boots, feature_rngs)]
+    active = trees
+    while active:
+        batch, entries = [], 0
+        for t in active:
+            item = next_split(t)
+            if item is None:
+                continue
+            size = item[2].shape[0] * item[3].shape[0]
+            if batch and entries + size > SPLIT_BATCH_ENTRIES:
+                split(batch)
+                batch, entries = [], 0
+            batch.append(item)
+            entries += size
+        if batch:
+            split(batch)
+        active = [t for t in active if t.stack]
+    return [t.model(feature_names, params) for t in trees]
 
 
 def train_dt(train: Dataset, max_depth=None,
@@ -327,11 +392,10 @@ def train_dt(train: Dataset, max_depth=None,
     if min_samples_split < 2:
         raise ValueError("min_samples_split must be >= 2")
     X = train.matrix()
-    y = train.labels()
-    return _grow_tree(X, y, train.feature_names, max_depth,
-                      min_samples_split,
-                      params={"max_depth": max_depth,
-                              "min_samples_split": min_samples_split})
+    params = {"max_depth": max_depth, "min_samples_split": min_samples_split}
+    return _grow_trees(X, train.labels(), [np.arange(X.shape[0])], [None],
+                       X.shape[1], max_depth, min_samples_split,
+                       train.feature_names, params)[0]
 
 
 # --- random forest ------------------------------------------------------------
@@ -343,12 +407,7 @@ class RandomForestModel:
     params: dict = field(default_factory=dict)
 
     def predict(self, X) -> np.ndarray:
-        X = np.asarray(X)
-        votes = np.zeros(X.shape[0], dtype=np.int64)
-        for t in self.trees:
-            votes += t.predict(X)
-        # strict majority: a tied vote stays benign
-        return (2 * votes > len(self.trees)).astype(np.int64)
+        return _predict_trees(self.trees, X)
 
     def to_dict(self):
         return {"kind": "rf", "params": self.params,
@@ -376,37 +435,28 @@ def _resolve_max_features(max_features, total: int) -> int:
 
 def train_rf(train: Dataset, n_trees: int = 100, seed: int = 0,
              bootstrap: bool = True, max_features="sqrt", max_depth=None,
-             min_samples_split: int = 2, n_jobs=None) -> RandomForestModel:
+             min_samples_split: int = 2) -> RandomForestModel:
     """Bagged trees with per-split random feature subsets.
 
-    Every tree gets its own generator spawned from the master seed, so
-    the forest is identical whether trees are trained serially or across
-    the thread pool. max_features: "sqrt" (ceil of sqrt, the default),
-    an int, or None for all features.
+    Every tree gets its own generator spawned from the master seed, which
+    draws its bootstrap rows and then its feature subsets, so a tree does
+    not depend on the others. max_features: "sqrt" (ceil of sqrt, the
+    default), an int, or None for all features.
     """
     if len(train) == 0:
         raise EmptyDataset("random forest needs at least one sample")
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
     X = train.matrix()
-    y = train.labels()
     n, total = X.shape
     m = _resolve_max_features(max_features, total)
-    children = np.random.SeedSequence(seed).spawn(n_trees)
-
-    def one(child):
-        rng = np.random.default_rng(child)
-        idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        return _grow_tree(X[idx], y[idx], train.feature_names, max_depth,
-                          min_samples_split, n_feats=m,
-                          feature_rng=rng if m < total else None)
-
-    jobs = _threads(n_jobs)
-    if jobs > 1 and n_trees > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            trees = list(pool.map(one, children))
-    else:
-        trees = [one(c) for c in children]
+    rngs = [np.random.default_rng(c)
+            for c in np.random.SeedSequence(seed).spawn(n_trees)]
+    boots = [rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+             for rng in rngs]
+    trees = _grow_trees(X, train.labels(), boots,
+                        rngs if m < total else [None] * n_trees, m,
+                        max_depth, min_samples_split, train.feature_names, {})
     return RandomForestModel(
         trees=trees, feature_names=tuple(train.feature_names),
         params={"n_trees": n_trees, "seed": seed, "bootstrap": bootstrap,

@@ -2,6 +2,7 @@
 contract (0 ok, 2 usage, 3 bad data, 4 numeric divergence)."""
 
 import json
+from importlib import resources
 
 import pytest
 
@@ -48,6 +49,16 @@ def test_extract_header_and_rows(corpus_csv):
     assert lines[0].startswith("firmware_id,window_index,partial,a,b,l,n,s,aa,")
     assert lines[0].endswith(",label,attack_kind")
     assert len(lines) > 100
+
+
+def test_extract_with_shipped_map_equals_default(tmp_path, base_asm):
+    shipped = resources.files("hpc_sentinel.data") / "c28x_categories.json"
+    plain, mapped = tmp_path / "plain.csv", tmp_path / "mapped.csv"
+    assert run_cli("extract", "--label", "benign", "--out", str(plain),
+                   str(base_asm)) == 0
+    assert run_cli("extract", "--map", str(shipped), "--label", "benign",
+                   "--out", str(mapped), str(base_asm)) == 0
+    assert mapped.read_bytes() == plain.read_bytes()
 
 
 def test_train_eval_rank_chain(tmp_path, corpus_csv):

@@ -2,7 +2,8 @@
 
 The path is chosen at import time from HPC_SENTINEL_NO_NUMBA, so the
 alternate path runs in a subprocess and ships its results back through an
-npz file.
+npz file. The batched split search and the flattened tree predictor are
+also checked in-process against loop references.
 """
 
 import os
@@ -11,8 +12,11 @@ import sys
 import textwrap
 
 import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hpc_sentinel import _kernels
+from hpc_sentinel import _kernels, ml
 
 _COMPUTE = textwrap.dedent("""
     import sys
@@ -101,3 +105,126 @@ def test_window_counts_kernel_shapes():
     assert counts.shape == (3, 30)
     # last, partial window holds the lone trailing arithmetic code
     assert counts[2, 0] == 1 and counts[2].sum() == 1
+
+
+# --- batched split search against the loop kernel ---------------------------
+
+_HUGE = 2**60
+
+
+def _node(rng, n, k, style, labels):
+    if style == "ties":
+        x = rng.integers(0, 3, size=(n, k))
+    elif style == "wide":
+        x = rng.integers(-10**6, 10**6, size=(n, k))
+    elif style == "constant":
+        x = rng.integers(0, 5, size=(n, k))
+        x[:, rng.integers(0, k)] = 7
+    else:  # "huge": values near +-2^60, a few distinct per column
+        x = rng.choice([-1, 1]) * _HUGE + rng.integers(0, 4, size=(n, k))
+    if labels == "mixed":
+        y = rng.integers(0, 2, size=n)
+    else:
+        y = np.full(n, int(labels == "malicious"))
+    return x.astype(np.int64), y.astype(np.int64)
+
+
+@st.composite
+def _split_batches(draw):
+    """Random batches of nodes sharing a column count, optionally with
+    one node above EXACT_SPLIT_LIMIT."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        big = _kernels.EXACT_SPLIT_LIMIT + draw(st.integers(1, 40))
+        sizes.insert(draw(st.integers(0, len(sizes))), big)
+    nodes = []
+    for n in sizes:
+        style = draw(st.sampled_from(["ties", "wide", "constant", "huge"]))
+        labels = draw(st.sampled_from(["mixed", "mixed", "benign",
+                                       "malicious"]))
+        nodes.append(_node(rng, n, k, style, labels))
+    return nodes
+
+
+def _mixed_extremes():
+    # -2^60 and +2^60 nodes in one batch: too wide a value range for one
+    # packed sort key
+    rng = np.random.default_rng(5)
+    return [_node(rng, 9, 2, style, "mixed")
+            for style in ("huge", "ties", "huge", "huge", "wide")]
+
+
+@given(_split_batches())
+@example(_mixed_extremes())
+@settings(max_examples=60, deadline=None)
+def test_best_split_batch_matches_loop_per_node(nodes):
+    xs, ys = zip(*nodes)
+    sizes = [x.shape[0] for x in xs]
+    col, thr, found = _kernels.best_split_batch(
+        np.concatenate(xs), np.concatenate(ys), sizes)
+    for i, (x, y) in enumerate(nodes):
+        feats = np.arange(x.shape[1], dtype=np.int64)
+        want = _kernels._best_split_loop(
+            x, y, feats, x.shape[0] <= _kernels.EXACT_SPLIT_LIMIT)
+        assert (int(col[i]), int(thr[i]), int(found[i])) == \
+            tuple(int(v) for v in want), i
+
+
+# --- flattened prediction against a per-row walk -----------------------------
+
+def _random_tree(rng, n_features, max_depth):
+    feature, threshold, left, right, counts = [], [], [], [], []
+
+    def grow(depth):
+        i = len(feature)
+        feature.append(-1)
+        threshold.append(0)
+        left.append(-1)
+        right.append(-1)
+        counts.append(rng.integers(0, 3, size=2).tolist())  # ties included
+        if depth < max_depth and rng.random() < 0.7:
+            feature[i] = int(rng.integers(0, n_features))
+            threshold[i] = int(rng.integers(0, 10))
+            left[i] = grow(depth + 1)
+            right[i] = grow(depth + 1)
+        return i
+
+    grow(0)
+    return ml.DecisionTreeModel(
+        feature=np.array(feature), threshold=np.array(threshold),
+        left=np.array(left), right=np.array(right), counts=np.array(counts),
+        feature_names=tuple(f"f{j}" for j in range(n_features)))
+
+
+def _walk_vote(trees, X):
+    votes = [0] * len(X)
+    for t in trees:
+        f, th = t.feature.tolist(), t.threshold.tolist()
+        lt, rt, c = t.left.tolist(), t.right.tolist(), t.counts.tolist()
+        for r, row in enumerate(X.tolist()):
+            i = 0
+            while f[i] >= 0:
+                i = lt[i] if row[f[i]] <= th[i] else rt[i]
+            votes[r] += c[i][1] > c[i][0]
+    return [int(2 * v > len(trees)) for v in votes]
+
+
+@pytest.mark.parametrize("n_trees,n_rows,block", [
+    (1, 2 * ml.PREDICT_BLOCK_PAIRS + 5, ml.PREDICT_BLOCK_PAIRS),
+    (7, 3000, ml.PREDICT_BLOCK_PAIRS),
+    (20, 9, 16),    # more trees than pairs per block: one row per block
+])
+def test_flattened_predict_matches_row_walk(monkeypatch, n_trees, n_rows,
+                                            block):
+    monkeypatch.setattr(ml, "PREDICT_BLOCK_PAIRS", block)
+    rng = np.random.default_rng(n_trees)
+    trees = [_random_tree(rng, 4, 6) for _ in range(n_trees)]
+    X = rng.integers(0, 10, size=(n_rows, 4))
+    want = _walk_vote(trees, X)
+    forest = ml.RandomForestModel(trees=trees,
+                                  feature_names=trees[0].feature_names)
+    assert forest.predict(X).tolist() == want
+    if n_trees == 1:
+        assert trees[0].predict(X).tolist() == want

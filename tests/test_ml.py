@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpc_sentinel import hpc, ml
+from hpc_sentinel import _kernels, hpc, ml
 from hpc_sentinel.errors import (EmptyDataset, InconsistentFeatures,
                                  NonFiniteLoss, SingleClass, TooFewSamples)
 
@@ -205,14 +205,68 @@ def test_rf_degenerate_equals_dt(tiny_dataset):
     assert forest.predict(X).tolist() == dt.predict(X).tolist()
 
 
-def test_rf_parallel_equals_serial(tiny_dataset):
-    a = ml.train_rf(tiny_dataset, n_trees=12, seed=4, n_jobs=1)
-    b = ml.train_rf(tiny_dataset, n_trees=12, seed=4, n_jobs=4)
-    X = tiny_dataset.matrix()
-    assert a.predict(X).tolist() == b.predict(X).tolist()
-    for ta, tb in zip(a.trees, b.trees):
-        assert ta.feature.tolist() == tb.feature.tolist()
-        assert ta.threshold.tolist() == tb.threshold.tolist()
+def test_rf_parallel_equals_serial(monkeypatch):
+    # trees grown in lockstep equal trees grown one at a time from the
+    # same spawned generators, however the rounds are cut into kernel
+    # calls; random labels make the trees deep
+    rng = np.random.default_rng(11)
+    d = make_dataset(rng.integers(0, 10, size=(60, 30)),
+                     rng.integers(0, 2, size=60))
+    X, y = d.matrix(), d.labels()
+    m = ml._resolve_max_features("sqrt", X.shape[1])
+    alone = []
+    for child in np.random.SeedSequence(4).spawn(12):
+        tree_rng = np.random.default_rng(child)
+        boot = tree_rng.integers(0, X.shape[0], size=X.shape[0])
+        alone.append(ml._grow_trees(X, y, [boot], [tree_rng], m, None, 2,
+                                    d.feature_names, {})[0].to_dict())
+    assert min(len(t["feature"]) for t in alone) > 5
+    for batch_entries in (ml.SPLIT_BATCH_ENTRIES, 500):
+        monkeypatch.setattr(ml, "SPLIT_BATCH_ENTRIES", batch_entries)
+        forest = ml.train_rf(d, n_trees=12, seed=4)
+        assert [t.to_dict() for t in forest.trees] == alone
+
+
+def _recursive_tree(X, y, rows, rng, m):
+    """Depth-first reference grower: preorder node ids, one feature draw
+    per searched node, the loop split kernel."""
+    nodes = []
+
+    def grow(rows):
+        i = len(nodes)
+        c1 = int(y[rows].sum())
+        nodes.append([-1, 0, -1, -1, [rows.shape[0] - c1, c1]])
+        if 0 < c1 < rows.shape[0]:
+            feats = np.sort(rng.choice(X.shape[1], size=m, replace=False))
+            f, t, found = _kernels._best_split_loop(X[rows], y[rows], feats,
+                                                    True)
+            if found:
+                go_left = X[rows, f] <= t
+                nodes[i][:2] = [int(f), int(t)]
+                nodes[i][2] = grow(rows[go_left])
+                nodes[i][3] = grow(rows[~go_left])
+        return i
+
+    grow(rows)
+    return [list(column) for column in zip(*nodes)]
+
+
+def test_rf_trees_match_recursive_reference():
+    # node ids and feature draws follow each tree's preorder, as a
+    # recursive grower makes them
+    rng = np.random.default_rng(12)
+    d = make_dataset(rng.integers(0, 10, size=(50, 30)),
+                     rng.integers(0, 2, size=50))
+    X, y = d.matrix(), d.labels()
+    forest = ml.train_rf(d, n_trees=5, seed=9)
+    for tree, child in zip(forest.trees,
+                           np.random.SeedSequence(9).spawn(5)):
+        tree_rng = np.random.default_rng(child)
+        boot = tree_rng.integers(0, X.shape[0], size=X.shape[0])
+        want = _recursive_tree(X, y, boot, tree_rng, 6)
+        got = [tree.feature.tolist(), tree.threshold.tolist(),
+               tree.left.tolist(), tree.right.tolist(), tree.counts.tolist()]
+        assert got == want
 
 
 def test_rf_deterministic_and_seed_sensitive(tiny_dataset):
