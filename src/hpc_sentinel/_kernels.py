@@ -174,18 +174,11 @@ def _best_split_batch_numpy(x, y, sizes, exact=None):
         exact = sizes <= EXACT_SPLIT_LIMIT
     exact = np.asarray(exact, dtype=bool)
 
-    # One segment per (node, column). One sort orders every segment by
-    # value: on one packed int64 key when the value range allows it (much
-    # faster than lexsort), else on both keys. Order among equal values
-    # does not matter.
+    # One segment per (node, column); one sort orders every segment by
+    # value. Order among equal values does not matter.
     vals = np.asarray(x, dtype=np.int64).ravel()
     seg = (row_node[:, None] * k + np.arange(k)).ravel()
-    lo = int(vals.min())
-    span = int(vals.max()) - lo + 1
-    if n_nodes * k * span < 2**63:
-        order = np.argsort(seg * span + (vals - lo))
-    else:
-        order = np.lexsort((vals, seg))
+    order = np.lexsort((vals, seg))
     sv = vals[order]
     sseg = seg[order]
     c1_all = np.cumsum(np.repeat(y, k)[order])

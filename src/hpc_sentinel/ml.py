@@ -217,13 +217,34 @@ class DecisionTreeModel:
 
     @classmethod
     def from_dict(cls, d) -> "DecisionTreeModel":
-        return cls(feature=np.asarray(d["feature"], dtype=np.int64),
-                   threshold=np.asarray(d["threshold"], dtype=np.int64),
-                   left=np.asarray(d["left"], dtype=np.int64),
-                   right=np.asarray(d["right"], dtype=np.int64),
-                   counts=np.asarray(d["counts"], dtype=np.int64),
-                   feature_names=tuple(d["feature_names"]),
-                   params=dict(d.get("params", {})))
+        model = cls(feature=np.asarray(d["feature"], dtype=np.int64),
+                    threshold=np.asarray(d["threshold"], dtype=np.int64),
+                    left=np.asarray(d["left"], dtype=np.int64),
+                    right=np.asarray(d["right"], dtype=np.int64),
+                    counts=np.asarray(d["counts"], dtype=np.int64),
+                    feature_names=tuple(d["feature_names"]),
+                    params=dict(d.get("params", {})))
+        model._check()
+        return model
+
+    def _check(self):
+        """Reject a malformed node table. Prediction concatenates trees,
+        so a child index outside its tree would silently land in the next
+        one; children must follow their parent (preorder ids), which also
+        rules out cycles."""
+        if self.feature.ndim != 1 or self.n_nodes == 0:
+            raise ValueError("tree has no node table")
+        n = self.n_nodes
+        if any(a.shape != (n,) for a in (self.threshold, self.left,
+                                         self.right)) \
+                or self.counts.shape != (n, 2):
+            raise ValueError("tree node arrays differ in length")
+        if (self.feature >= len(self.feature_names)).any():
+            raise ValueError("tree feature index out of range")
+        inner = np.flatnonzero(self.feature >= 0)
+        for child in (self.left[inner], self.right[inner]):
+            if ((child <= inner) | (child >= n)).any():
+                raise ValueError("tree child index out of range")
 
 
 def _predict_trees(trees, X) -> np.ndarray:

@@ -173,6 +173,33 @@ def test_data_errors_exit_3(tmp_path, base_asm):
                    "--out", str(tmp_path / "s.csv")) == 3
 
 
+def test_eval_rejects_malformed_tree_exit_3(tmp_path, corpus_csv):
+    model = tmp_path / "dt.json"
+    assert run_cli("train", "--model", "dt", "--data", str(corpus_csv),
+                   "--seed", "9", "--out", str(model)) == 0
+    good = json.loads(model.read_text())
+    inner = next(i for i, f in enumerate(good["feature"]) if f >= 0)
+    n = len(good["feature"])
+    bad_child = json.loads(model.read_text())
+    bad_child["right"][inner] = n  # one past the last node
+    bad_counts = json.loads(model.read_text())
+    bad_counts["counts"].pop()
+    cycle = json.loads(model.read_text())
+    cycle["left"][inner] = inner
+    for i, obj in enumerate((bad_child, bad_counts, cycle)):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(obj))
+        assert run_cli("eval", "--model", str(path), "--data",
+                       str(corpus_csv),
+                       "--out", str(tmp_path / "r.json")) == 3, i
+    forest = tmp_path / "rf.json"
+    forest.write_text(json.dumps({"kind": "rf", "params": {},
+                                  "feature_names": good["feature_names"],
+                                  "trees": [good, bad_child]}))
+    assert run_cli("eval", "--model", str(forest), "--data", str(corpus_csv),
+                   "--out", str(tmp_path / "r.json")) == 3
+
+
 def test_numeric_divergence_exits_4(tmp_path, corpus_csv):
     assert run_cli("train", "--model", "nn", "--data", str(corpus_csv),
                    "--lr", "1e12", "--epochs", "60",

@@ -149,8 +149,7 @@ def _split_batches(draw):
 
 
 def _mixed_extremes():
-    # -2^60 and +2^60 nodes in one batch: too wide a value range for one
-    # packed sort key
+    # -2^60 and +2^60 nodes in one batch
     rng = np.random.default_rng(5)
     return [_node(rng, 9, 2, style, "mixed")
             for style in ("huge", "ties", "huge", "huge", "wide")]
