@@ -13,8 +13,6 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from . import _kernels, hpc, mgsim, ml, mutate, pca
 from .asm import CategoryMap, parse_listing
 from .errors import DataError, NumericError, SentinelError
@@ -82,35 +80,22 @@ def cmd_mutate(args) -> int:
 
 # --- train / eval -------------------------------------------------------------
 
-def _train_one(model: str, train_ds, seed: int, args):
-    if model == "dt":
-        return ml.train_dt(train_ds)
-    if model == "rf":
-        return ml.train_rf(train_ds, n_trees=args.trees, seed=seed)
-    if model == "nn":
-        return ml.train_nn(train_ds, hidden=args.hidden,
-                           epochs=args.epochs, lr=args.lr, seed=seed)
-    raise DataError(f"unknown model {model!r}")
-
-
 def cmd_train(args) -> int:
-    ds = hpc.Dataset.from_csv(args.data)
-    train_ds, _ = ml.split(ds, ml.SplitSpec(train_fraction=args.split,
-                                            seed=args.seed))
-    if args.balance:
-        train_ds = ml.balance(train_ds, seed=args.seed)
-    model = _train_one(args.model, train_ds, args.seed, args)
+    ds = hpc.read_dataset_csv(args.data)
+    hp = {"rf": {"n_trees": args.trees},
+          "nn": {"hidden": args.hidden, "epochs": args.epochs,
+                 "lr": args.lr}}.get(args.model, {})
+    model, report = ml.train_eval(args.model, ds, args.seed, args.split,
+                                  args.balance, **hp)
     ml.save_model(model, args.out)
-    print(f"wrote {args.out} ({args.model}, {len(train_ds)} training "
-          f"samples)")
+    print(f"wrote {args.out} ({args.model}, held-out accuracy "
+          f"{report.metrics.accuracy:.4f})")
     return 0
 
 
 def cmd_eval(args) -> int:
     model = ml.load_model(Path(args.model))
-    ds = hpc.Dataset.from_csv(args.data)
-    if tuple(model.feature_names) != tuple(ds.feature_names):
-        ds = ds.project(model.feature_names)
+    ds = hpc.read_dataset_csv(args.data).project(model.feature_names)
     report = ml.evaluate(model, ds)
     Path(args.out).write_text(json.dumps(report.as_dict(), indent=2) + "\n",
                               encoding="utf-8")
@@ -123,7 +108,7 @@ def cmd_eval(args) -> int:
 # --- rank / ablate ------------------------------------------------------------
 
 def cmd_rank(args) -> int:
-    ds = hpc.Dataset.from_csv(args.data)
+    ds = hpc.read_dataset_csv(args.data)
     ranking = pca.rank_features(ds, n_components=args.components)
     Path(args.out).write_text(ranking.to_json(), encoding="utf-8")
     top = ", ".join(ranking.top(3))
@@ -132,15 +117,9 @@ def cmd_rank(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    ds = hpc.Dataset.from_csv(args.data)
-    if args.exclusions == "all":
-        specs = pca.all_specs()
-    elif args.exclusions == "1":
-        specs = [pca.eliminate((c,)) for c in pca.CLASS_ORDER]
-    else:
-        import itertools
-        specs = [pca.eliminate(p)
-                 for p in itertools.combinations(pca.CLASS_ORDER, 2)]
+    ds = hpc.read_dataset_csv(args.data)
+    specs = [s for s in pca.all_specs() if args.exclusions == "all"
+             or len(s.excluded) == int(args.exclusions)]
     report = pca.run_ablation(ds, specs=specs, seed=args.seed,
                               balanced=args.balanced)
     report.to_csv(args.out)
@@ -276,10 +255,6 @@ BUNDLE_FILES = (BUNDLE_ASM + ("dataset.csv",) + BUNDLE_MODELS
                 + ("summary.md",))
 
 
-def _derived_seed(*key) -> int:
-    return int(np.random.SeedSequence(key).generate_state(1)[0])
-
-
 def _metrics_table(rows) -> list:
     out = ["| model | accuracy | precision | recall | fp rate | fn rate |",
            "|---|---|---|---|---|---|"]
@@ -302,22 +277,11 @@ def _ablation_table(rows) -> list:
 
 
 def _train_eval_all(ds, seed, balanced: bool, train_fraction: float = 0.7):
-    """Split, optional training-side balancing, all three models."""
-    results = {}
-    for i, name in enumerate(("dt", "rf", "nn")):
-        s = _derived_seed(seed, 1 if balanced else 0, i)
-        tr, te = ml.split(ds, ml.SplitSpec(train_fraction=train_fraction,
-                                           seed=s))
-        if balanced:
-            tr = ml.balance(tr, seed=s)
-        if name == "dt":
-            model = ml.train_dt(tr)
-        elif name == "rf":
-            model = ml.train_rf(tr, seed=s)
-        else:
-            model = ml.train_nn(tr, seed=s)
-        results[name] = (model, ml.evaluate(model, te))
-    return results
+    """Every model kind through ml.train_eval, each on its own seed."""
+    return {kind: ml.train_eval(kind, ds,
+                                ml.derive_seed(seed, int(balanced), i),
+                                train_fraction, balanced)
+            for i, kind in enumerate(ml.TRAINERS)}
 
 
 def cmd_reproduce(args) -> int:
@@ -336,7 +300,7 @@ def cmd_reproduce(args) -> int:
             base = _read_text(args.base, "mutate")
         else:
             base = mutate.synth_base_listing(seed=seed)
-        corpus = mutate.build_corpus(base, seed=seed)
+        corpus = mutate.build_corpus(base, seed=seed, cmap=cmap)
     except SentinelError as e:
         raise DataError(f"stage mutate: {e}") from e
     ids = ["benign"] + [k.value for k in mutate.AttackKind]
@@ -357,7 +321,7 @@ def cmd_reproduce(args) -> int:
                             train_fraction=args.split)
     bal = _train_eval_all(ds, seed, balanced=True,
                           train_fraction=args.split)
-    for name in ("dt", "rf", "nn"):
+    for name in ml.TRAINERS:
         ml.save_model(unbal[name][0], out / f"{name}_unbalanced.json")
         ml.save_model(bal[name][0], out / f"{name}_balanced.json")
 
@@ -366,9 +330,9 @@ def cmd_reproduce(args) -> int:
     (out / "ranking.json").write_text(ranking.to_json(), encoding="utf-8")
     top3 = ranking.top(3)
     top_ds = ds.project(top3)
-    top_unbal = _train_eval_all(top_ds, _derived_seed(seed, 3, 0),
+    top_unbal = _train_eval_all(top_ds, ml.derive_seed(seed, 3, 0),
                                 balanced=False, train_fraction=args.split)
-    top_bal = _train_eval_all(top_ds, _derived_seed(seed, 3, 1),
+    top_bal = _train_eval_all(top_ds, ml.derive_seed(seed, 3, 1),
                               balanced=True, train_fraction=args.split)
 
     stage("ablate")

@@ -7,13 +7,13 @@ windows and pairs touching an uncategorized instruction count nowhere.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _kernels
 from .asm import InstructionCategory
-from .errors import InconsistentFeatures
+from .errors import DataError, InconsistentFeatures
 
 DEFAULT_WINDOW = 50
 
@@ -24,6 +24,7 @@ FEATURE_NAMES = tuple(_CLASS_SYMBOLS) + tuple(
 
 LABEL_BENIGN = "benign"
 LABEL_MALICIOUS = "malicious"
+LABELS = (LABEL_BENIGN, LABEL_MALICIOUS)  # indexed by label code
 
 ATTACK_KINDS = ("mppt_dos", "inverter_dos", "input_array", "input_sine")
 
@@ -35,12 +36,6 @@ class HpcVector:
     counts: np.ndarray  # (30,) int64 in FEATURE_NAMES order
     window_len: int
     partial: bool = False
-
-    def __getitem__(self, name):
-        return int(self.counts[FEATURE_NAMES.index(name)])
-
-    def as_dict(self):
-        return {n: int(c) for n, c in zip(FEATURE_NAMES, self.counts)}
 
     def __eq__(self, other):
         if not isinstance(other, HpcVector):
@@ -88,128 +83,146 @@ def compute_bigram(prev, nxt):
     return prev.symbol + nxt.symbol
 
 
+# Row-aligned columns of a Dataset and their dtypes.
+_COLUMNS = {"X": np.int64, "y": np.int64, "firmware_id": str,
+            "window_index": np.int64, "partial": bool, "attack": str}
+
+
 @dataclass(frozen=True)
-class Sample:
-    firmware_id: str
-    window_index: int
-    features: HpcVector
-    label: str
-    attack_kind: str | None = None
+class Dataset:
+    """Labeled counter windows held as columns, one row per window.
+
+    X holds only the dataset's own features, in feature_names order. y is
+    1 for malicious rows; attack names the attack kind of a malicious row
+    and is "" on benign ones.
+    """
+
+    X: np.ndarray
+    y: np.ndarray
+    firmware_id: np.ndarray
+    window_index: np.ndarray
+    partial: np.ndarray
+    attack: np.ndarray
+    feature_names: tuple = FEATURE_NAMES
 
     def __post_init__(self):
-        if self.label not in (LABEL_BENIGN, LABEL_MALICIOUS):
-            raise ValueError(f"bad label {self.label!r}")
-        if (self.label == LABEL_BENIGN) != (self.attack_kind is None):
+        for name, dtype in _COLUMNS.items():
+            object.__setattr__(self, name,
+                               np.asarray(getattr(self, name), dtype=dtype))
+        object.__setattr__(self, "feature_names", tuple(self.feature_names))
+        n = len(self)
+        if self.X.shape != (n, len(self.feature_names)):
+            raise InconsistentFeatures(
+                f"feature matrix of shape {self.X.shape} does not hold {n} "
+                f"rows of {len(self.feature_names)} features")
+        if not ((self.y == 0) | (self.y == 1)).all():
+            raise ValueError("labels must be 0 (benign) or 1 (malicious)")
+        if ((self.y == 0) != (self.attack == "")).any():
             raise ValueError("benign samples carry no attack kind and "
                              "malicious samples require one")
 
-
-@dataclass
-class Dataset:
-    """Ordered labeled samples over a fixed feature-name list."""
-
-    samples: list = field(default_factory=list)
-    feature_names: tuple = FEATURE_NAMES
-
     def __len__(self):
-        return len(self.samples)
+        return self.y.shape[0]
 
     def matrix(self):
         """(n, F) int64 feature matrix in feature_names order."""
-        idx = [FEATURE_NAMES.index(n) for n in self.feature_names]
-        if not self.samples:
-            return np.zeros((0, len(idx)), dtype=np.int64)
-        return np.stack([s.features.counts[idx] for s in self.samples])
+        return self.X
 
     def labels(self):
         """(n,) int64 array, malicious = 1."""
-        return np.fromiter((1 if s.label == LABEL_MALICIOUS else 0
-                            for s in self.samples),
-                           dtype=np.int64, count=len(self.samples))
+        return self.y
 
     def class_counts(self):
-        y = self.labels()
-        return int((y == 0).sum()), int((y == 1).sum())
+        return int((self.y == 0).sum()), int((self.y == 1).sum())
 
     def project(self, feature_names):
-        """Same samples restricted to a feature subset (counts are shared,
-        the view is by feature_names)."""
+        """Same rows restricted to a feature subset, in the given order."""
         missing = [n for n in feature_names if n not in self.feature_names]
         if missing:
             raise InconsistentFeatures(f"features not in dataset: {missing}")
-        return Dataset(samples=list(self.samples),
-                       feature_names=tuple(feature_names))
+        cols = [self.feature_names.index(n) for n in feature_names]
+        return replace(self, X=self.X[:, cols], feature_names=feature_names)
 
     def subset(self, indices):
-        return Dataset(samples=[self.samples[i] for i in indices],
-                       feature_names=self.feature_names)
-
-    def to_csv(self, path):
-        write_dataset_csv(self, path)
-
-    @classmethod
-    def from_csv(cls, path):
-        return read_dataset_csv(path)
+        """Rows at the given indices, in that order (repeats allowed)."""
+        idx = np.asarray(indices, dtype=np.intp)
+        return replace(self, **{name: getattr(self, name)[idx]
+                                for name in _COLUMNS})
 
 
-def emit_dataset(runs, path=None, feature_names=FEATURE_NAMES):
+# Columns around the feature columns of a dataset CSV.
+_CSV_LEAD = ("firmware_id", "window_index", "partial")
+_CSV_TAIL = ("label", "attack_kind")
+
+
+def _from_rows(rows, feature_names):
+    """Dataset from rows in the CSV layout: firmware id, window index,
+    partial flag, one count per feature, label, attack kind ("" if
+    benign); fields may be strings or numbers."""
+    return Dataset(
+        X=np.array([r[3:-2] for r in rows], dtype=np.int64).reshape(
+            len(rows), len(feature_names)),
+        y=[LABELS.index(r[-2]) for r in rows],
+        firmware_id=[r[0] for r in rows], window_index=[r[1] for r in rows],
+        partial=np.array([r[2] for r in rows], dtype=np.int64) != 0,
+        attack=[r[-1] for r in rows], feature_names=feature_names)
+
+
+def emit_dataset(runs, path=None):
     """Assemble labeled windows from several firmware runs into one Dataset.
 
     runs: iterable of (firmware_id, label, attack_kind, windows). Row order
     follows input order. Writes CSV when path is given.
     """
-    samples = []
-    for firmware_id, label, attack_kind, windows in runs:
-        for w, vec in enumerate(windows):
-            if len(vec.counts) != len(FEATURE_NAMES):
-                raise InconsistentFeatures(
-                    f"{firmware_id}: window {w} has {len(vec.counts)} counters")
-            samples.append(Sample(firmware_id=firmware_id, window_index=w,
-                                  features=vec, label=label,
-                                  attack_kind=attack_kind))
-    ds = Dataset(samples=samples, feature_names=tuple(feature_names))
+    ds = _from_rows([[firmware_id, w, vec.partial, *vec.counts, label,
+                      attack_kind or ""]
+                     for firmware_id, label, attack_kind, windows in runs
+                     for w, vec in enumerate(windows)], FEATURE_NAMES)
     if path is not None:
         write_dataset_csv(ds, path)
     return ds
 
 
 def write_dataset_csv(ds, path):
-    header = (["firmware_id", "window_index", "partial"]
-              + list(ds.feature_names) + ["label", "attack_kind"])
-    idx = [FEATURE_NAMES.index(n) for n in ds.feature_names]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for s in ds.samples:
-            row = ([s.firmware_id, s.window_index, int(s.features.partial)]
-                   + [int(s.features.counts[i]) for i in idx]
-                   + [s.label, s.attack_kind or ""])
-            writer.writerow(row)
+        writer.writerow(_CSV_LEAD + ds.feature_names + _CSV_TAIL)
+        writer.writerows(
+            [fid, w, int(partial), *counts, LABELS[y], attack]
+            for fid, w, partial, counts, y, attack in zip(
+                ds.firmware_id.tolist(), ds.window_index.tolist(),
+                ds.partial.tolist(), ds.X.tolist(), ds.y.tolist(),
+                ds.attack.tolist()))
 
 
 def read_dataset_csv(path):
+    """Dataset from a CSV in write_dataset_csv's layout; a malformed file
+    raises DataError naming the file and the line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        try:
-            lo = header.index("partial") + 1
-            hi = header.index("label")
-        except ValueError:
-            raise InconsistentFeatures(f"{path}: not a dataset CSV") from None
-        names = tuple(header[lo:hi])
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: line 1: empty file, expected a "
+                            f"dataset CSV header")
+        if tuple(header[:3]) != _CSV_LEAD or tuple(header[-2:]) != _CSV_TAIL:
+            raise InconsistentFeatures(f"{path}: not a dataset CSV")
+        names = tuple(header[3:-2])
         unknown = [n for n in names if n not in FEATURE_NAMES]
         if unknown:
             raise InconsistentFeatures(f"{path}: unknown features {unknown}")
-        samples = []
+        if len(set(names)) != len(names):
+            raise InconsistentFeatures(f"{path}: repeated feature columns")
+        rows = []
         for row in reader:
-            counts = np.zeros(len(FEATURE_NAMES), dtype=np.int64)
-            for name, value in zip(names, row[lo:hi]):
-                counts[FEATURE_NAMES.index(name)] = int(value)
-            # True window length is not recoverable from counters alone
-            # (uncategorized instructions fill slots silently).
-            vec = HpcVector(counts=counts, window_len=-1,
-                            partial=bool(int(row[2])))
-            samples.append(Sample(
-                firmware_id=row[0], window_index=int(row[1]), features=vec,
-                label=row[hi], attack_kind=row[hi + 1] or None))
-    return Dataset(samples=samples, feature_names=names)
+            if len(row) != len(header):
+                raise DataError(f"{path}: line {reader.line_num}: "
+                                f"{len(row)} fields, the header has "
+                                f"{len(header)}")
+            if row[-2] not in LABELS:
+                raise DataError(f"{path}: line {reader.line_num}: bad label "
+                                f"{row[-2]!r}")
+            rows.append(row)
+    try:
+        return _from_rows(rows, names)
+    except ValueError as e:
+        raise DataError(f"{path}: {e}") from e

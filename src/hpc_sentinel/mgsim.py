@@ -22,6 +22,12 @@ from .errors import OutOfRangeVoltage
 
 NOMINAL_HZ = 60.0
 
+# Largest number of grid steps a scenario may ask for. A run holds about
+# 500 bytes per step (schedules, kernel output and one MgState each), so
+# this keeps a run under about 0.5 GB; ten minutes at the default 10 ms
+# step is 60,000 steps.
+MAX_STEPS = 1_000_000
+
 
 @dataclass(frozen=True)
 class PvModel:
@@ -194,6 +200,9 @@ class Scenario:
     def __post_init__(self):
         if self.duration_s <= 0 or self.grid_dt_s <= 0 or self.mppt_dt_s <= 0:
             raise ValueError("duration and timesteps must be positive")
+        if not self.duration_s / self.grid_dt_s <= MAX_STEPS:
+            raise ValueError(f"duration_s / grid_dt_s must not exceed "
+                             f"{MAX_STEPS} steps")
         sub = self.grid_dt_s / self.mppt_dt_s
         if abs(sub - round(sub)) > 1e-9 or round(sub) < 1:
             raise ValueError("grid_dt_s must be a whole multiple of "

@@ -6,6 +6,10 @@ forest grows all its trees in lockstep, batching the split searches of
 one node per tree into one kernel call; every tree draws from its own
 generator spawned from the master seed, so it equals the tree grown on
 its own. Trees and forests predict from one flattened node table.
+
+Every caller trains through fit, which dispatches on the model kind, or
+train_eval (split, optional balancing, fit, evaluate), and derives the
+seeds of its sub-runs with derive_seed.
 """
 
 import json
@@ -35,7 +39,6 @@ PREDICT_BLOCK_PAIRS = 8192
 class SplitSpec:
     train_fraction: float = 0.7
     seed: int = 0
-    stratified: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
@@ -43,11 +46,12 @@ class SplitSpec:
 
 
 def split(d: Dataset, spec: SplitSpec):
-    """Partition into (train, test); train gets floor(fraction * n) rows.
+    """Stratified partition into (train, test), each in dataset row order;
+    train gets floor(fraction * n) rows.
 
-    Stratified mode keeps each class's share within one sample of the
-    global fraction, using largest-remainder rounding so the total is
-    still exactly floor(fraction * n).
+    Each class's share stays within one sample of the global fraction,
+    using largest-remainder rounding so the total is still exactly
+    floor(fraction * n).
     """
     n = len(d)
     n_train = int(math.floor(spec.train_fraction * n))
@@ -56,28 +60,24 @@ def split(d: Dataset, spec: SplitSpec):
                             f"{spec.train_fraction}")
     rng = np.random.default_rng(spec.seed)
     y = d.labels()
-    if spec.stratified:
-        if (y == 0).sum() == 0 or (y == 1).sum() == 0:
-            raise TooFewSamples("stratified split needs both classes")
-        targets = {}
-        remainders = []
-        for c in (0, 1):
-            exact = spec.train_fraction * int((y == c).sum())
-            targets[c] = int(math.floor(exact))
-            remainders.append((-(exact - math.floor(exact)), c))
-        short = n_train - sum(targets.values())
-        for _, c in sorted(remainders)[:short]:
-            targets[c] += 1
-        train_idx = []
-        for c in (0, 1):
-            pool = np.flatnonzero(y == c)
-            picked = rng.permutation(pool.shape[0])[:targets[c]]
-            train_idx.extend(pool[picked].tolist())
-    else:
-        train_idx = rng.permutation(n)[:n_train].tolist()
-    train_set = set(train_idx)
-    test_idx = [i for i in range(n) if i not in train_set]
-    return d.subset(sorted(train_idx)), d.subset(test_idx)
+    if (y == 0).sum() == 0 or (y == 1).sum() == 0:
+        raise TooFewSamples("stratified split needs both classes")
+    targets = {}
+    remainders = []
+    for c in (0, 1):
+        exact = spec.train_fraction * int((y == c).sum())
+        targets[c] = int(math.floor(exact))
+        remainders.append((-(exact - math.floor(exact)), c))
+    short = n_train - sum(targets.values())
+    for _, c in sorted(remainders)[:short]:
+        targets[c] += 1
+    in_train = np.zeros(n, dtype=bool)
+    for c in (0, 1):
+        pool = np.flatnonzero(y == c)
+        picked = rng.permutation(pool.shape[0])[:targets[c]]
+        in_train[pool[picked]] = True
+    return (d.subset(np.flatnonzero(in_train)),
+            d.subset(np.flatnonzero(~in_train)))
 
 
 def balance(d: Dataset, seed: int = 0, downsample: bool = False) -> Dataset:
@@ -88,18 +88,17 @@ def balance(d: Dataset, seed: int = 0, downsample: bool = False) -> Dataset:
     if n0 == 0 or n1 == 0:
         raise SingleClass("balancing needs both classes present")
     if n0 == n1:
-        return d.subset(range(len(d)))
+        return d
     rng = np.random.default_rng(seed)
     minority = 0 if n0 < n1 else 1
     min_idx = np.flatnonzero(y == minority)
     maj_idx = np.flatnonzero(y != minority)
     if downsample:
         keep = rng.choice(maj_idx, size=min_idx.shape[0], replace=False)
-        order = sorted(min_idx.tolist() + keep.tolist())
-        return d.subset(order)
+        return d.subset(np.sort(np.concatenate([min_idx, keep])))
     extra = rng.choice(min_idx, size=maj_idx.shape[0] - min_idx.shape[0],
                        replace=True)
-    return d.subset(list(range(len(d))) + extra.tolist())
+    return d.subset(np.concatenate([np.arange(len(d)), extra]))
 
 
 # --- confusion counts and metrics -------------------------------------------
@@ -647,15 +646,46 @@ def evaluate(model, test: Dataset) -> EvalReport:
     y = test.labels()
     pred = model.predict(test.matrix())
     counts = ConfusionCounts.from_predictions(y, pred)
-    groups = {}
-    for i, s in enumerate(test.samples):
-        key = s.attack_kind or "benign"
-        groups.setdefault(key, []).append(i)
-    by_attack = {k: ConfusionCounts.from_predictions(y[v], pred[v])
-                 for k, v in sorted(groups.items())}
+    group = np.where(test.attack == "", "benign", test.attack)
+    by_attack = {k: ConfusionCounts.from_predictions(y[group == k],
+                                                     pred[group == k])
+                 for k in sorted(set(group.tolist()))}
     return EvalReport(counts=counts, metrics=Metrics.from_counts(counts),
                       predictions=tuple(int(p) for p in pred),
                       by_attack=by_attack)
+
+
+def derive_seed(*key) -> int:
+    """Seed of one derived stream: the first 32-bit word of the
+    SeedSequence built from key, a tuple of non-negative ints."""
+    return int(np.random.SeedSequence(key).generate_state(1)[0])
+
+
+TRAINERS = ("dt", "rf", "nn")
+
+
+def fit(kind: str, train: Dataset, seed: int = 0, **hp):
+    """Train a model of the given kind ("dt", "rf" or "nn"); hp are the
+    trainer's keyword arguments. The decision tree ignores the seed."""
+    if kind == "dt":
+        return train_dt(train, **hp)
+    if kind == "rf":
+        return train_rf(train, seed=seed, **hp)
+    if kind == "nn":
+        return train_nn(train, seed=seed, **hp)
+    raise ValueError(f"unknown model {kind!r}")
+
+
+def train_eval(kind: str, ds: Dataset, seed: int,
+               train_fraction: float = 0.7, balanced: bool = False, **hp):
+    """Split ds, optionally balance the training side, fit a model and
+    score it on the held-out side; one seed drives all three. Returns
+    (model, EvalReport)."""
+    tr, te = split(ds, SplitSpec(train_fraction=train_fraction, seed=seed))
+    if balanced:
+        tr = balance(tr, seed=seed)
+    model = fit(kind, tr, seed, **hp)
+    return model, evaluate(model, te)
 
 
 _MODEL_KINDS = {"dt": DecisionTreeModel, "rf": RandomForestModel,

@@ -158,12 +158,14 @@ def _payload_salt(template: InjectionTemplate) -> int:
     return list(AttackKind).index(template.attack)
 
 
-def build_corpus(base: str, templates=None, seed: int = 0) -> dict:
-    """Base plus one mutant per attack, keyed by firmware id."""
+def build_corpus(base: str, templates=None, seed: int = 0,
+                 cmap: CategoryMap | None = None) -> dict:
+    """Base plus one mutant per attack, keyed by firmware id; payloads are
+    checked against cmap (default: the built-in map)."""
     templates = templates or default_templates()
     out = {"benign": base}
     for kind in AttackKind:
-        out[kind.value] = inject(base, templates[kind], seed)
+        out[kind.value] = inject(base, templates[kind], seed, cmap)
     return out
 
 

@@ -55,17 +55,13 @@ class FeatureRanking:
                    n_components=int(d["n_components"]))
 
 
-def pca_eig(X, standardize: bool = False):
-    """Centered (optionally scaled) covariance eigenpairs, eigenvalues
-    descending, each vector's largest-magnitude component made positive."""
+def pca_eig(X):
+    """Centered covariance eigenpairs, eigenvalues descending, each
+    vector's largest-magnitude component made positive."""
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] < 2:
         raise DegenerateCovariance("need at least two samples")
     Xc = X - X.mean(axis=0)
-    if standardize:
-        sd = Xc.std(axis=0, ddof=1)
-        sd[sd == 0.0] = 1.0
-        Xc = Xc / sd
     cov = (Xc.T @ Xc) / (X.shape[0] - 1)
     if not np.any(np.diag(cov) > 0.0):
         raise DegenerateCovariance("every feature is constant")
@@ -80,14 +76,13 @@ def pca_eig(X, standardize: bool = False):
     return vals, vecs
 
 
-def rank_features(d: Dataset, n_components: int = 3,
-                  standardize: bool = False) -> FeatureRanking:
+def rank_features(d: Dataset, n_components: int = 3) -> FeatureRanking:
     """Score every feature by sum over the top components of
     eigenvalue * |loading|, then sort descending (ties keep dataset
     feature order)."""
     if n_components < 1:
         raise ValueError("n_components must be >= 1")
-    vals, vecs = pca_eig(d.matrix(), standardize=standardize)
+    vals, vecs = pca_eig(d.matrix())
     k = min(n_components, vals.shape[0])
     w = np.clip(vals[:k], 0.0, None)
     scores = np.abs(vecs[:, :k]) @ w
@@ -169,42 +164,25 @@ class AblationReport:
                             repr(m.fp_rate), repr(m.fn_rate)])
 
 
-_TRAINERS = ("dt", "rf", "nn")
-
-
-def _train_eval_cell(d: Dataset, model: str, seed: int,
-                     train_fraction: float, balanced: bool):
-    tr, te = ml.split(d, ml.SplitSpec(train_fraction=train_fraction,
-                                      seed=seed))
-    if balanced:
-        tr = ml.balance(tr, seed=seed)
-    if model == "dt":
-        fitted = ml.train_dt(tr)
-    elif model == "rf":
-        fitted = ml.train_rf(tr, seed=seed)
-    elif model == "nn":
-        fitted = ml.train_nn(tr, seed=seed)
-    else:
-        raise ValueError(f"unknown model {model!r}")
-    return ml.evaluate(fitted, te)
-
-
-def run_ablation(d: Dataset, models=_TRAINERS, specs=None, seed: int = 0,
+def run_ablation(d: Dataset, models=ml.TRAINERS, specs=None, seed: int = 0,
                  train_fraction: float = 0.7,
                  balanced: bool = False) -> AblationReport:
     """Train and score every model on every eliminated feature set.
 
-    Each (spec, model) cell derives its own seed from the master so
-    cells are independent of grid order.
+    Each (spec, model) cell derives its own seed from the master and the
+    cell's place in the full grid (the spec's index in all_specs(), with
+    eliminate(()) after them, and the model's index in ml.TRAINERS), so a
+    cell scores the same whatever grid it is run in.
     """
-    specs = all_specs() if specs is None else list(specs)
+    grid = all_specs() + [eliminate(())]
+    specs = grid[:-1] if specs is None else list(specs)
     report = AblationReport()
-    for i, spec in enumerate(specs):
+    for spec in specs:
         proj = d.project(spec.features)
-        for j, model in enumerate(models):
-            cell_seed = int(np.random.SeedSequence(
-                (seed, i, j)).generate_state(1)[0])
-            rep = _train_eval_cell(proj, model, cell_seed, train_fraction,
+        for model in models:
+            cell_seed = ml.derive_seed(seed, grid.index(spec),
+                                       ml.TRAINERS.index(model))
+            _, rep = ml.train_eval(model, proj, cell_seed, train_fraction,
                                    balanced)
             report.rows.append(AblationRow(
                 spec_name=spec.name, excluded=spec.excluded, model=model,

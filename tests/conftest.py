@@ -13,20 +13,19 @@ def _warm_kernels():
     _kernels.warmup()
 
 
-def make_dataset(X, y, attack="mppt_dos", feature_names=None):
-    """Dataset from a dense matrix: row i becomes one 50-long window sample."""
-    names = tuple(feature_names) if feature_names else hpc.FEATURE_NAMES
-    X = np.asarray(X)
-    samples = []
-    for i, (row, label) in enumerate(zip(X, y)):
-        counts = np.zeros(len(hpc.FEATURE_NAMES), dtype=np.int64)
-        counts[: len(row)] = np.asarray(row, dtype=np.int64)
-        vec = hpc.HpcVector(counts=counts, window_len=50, partial=False)
-        if int(label) == 1:
-            samples.append(hpc.Sample(f"fw{i}", i, vec, "malicious", attack))
-        else:
-            samples.append(hpc.Sample(f"fw{i}", i, vec, "benign", None))
-    return hpc.Dataset(samples)
+def make_dataset(X, y, attack="mppt_dos", feature_names=hpc.FEATURE_NAMES):
+    """Dataset from a dense matrix: row i becomes window i of firmware fw<i>,
+    zero-padded to the given features."""
+    X = np.asarray(X, dtype=np.int64)
+    padded = np.zeros((len(y), len(feature_names)), dtype=np.int64)
+    padded[:, :X.shape[1]] = X
+    y = np.asarray(y, dtype=np.int64)
+    return hpc.Dataset(X=padded, y=y,
+                       firmware_id=[f"fw{i}" for i in range(len(y))],
+                       window_index=np.arange(len(y)),
+                       partial=np.zeros(len(y), dtype=bool),
+                       attack=np.where(y == 1, attack, ""),
+                       feature_names=feature_names)
 
 
 @pytest.fixture

@@ -29,14 +29,13 @@ from test_pca import jacobi_eigh
 def corpus_dataset():
     base = mutate.synth_base_listing(seed=42)
     corpus = mutate.build_corpus(base, seed=42)
-    samples = []
+    runs = []
     for kind, text in sorted(corpus.items()):
         vecs = hpc.extract_windows(parse_listing(text))
         label = "benign" if kind == "benign" else "malicious"
         attack = None if kind == "benign" else kind
-        for i, v in enumerate(vecs):
-            samples.append(hpc.Sample(kind, i, v, label, attack))
-    return hpc.Dataset(samples)
+        runs.append((kind, label, attack, vecs))
+    return hpc.emit_dataset(runs)
 
 
 def test_criterion_01_worked_example_exact():
@@ -47,8 +46,8 @@ def test_criterion_01_worked_example_exact():
     v = vecs[0]
     expected = {"la": 2, "an": 2, "na": 2, "ab": 2, "bl": 1,
                 "l": 2, "a": 4, "n": 2, "b": 2}
-    for name in hpc.FEATURE_NAMES:
-        assert v[name] == expected.get(name, 0), name
+    for name, count in zip(hpc.FEATURE_NAMES, v.counts):
+        assert count == expected.get(name, 0), name
     assert elapsed < 1.0
     print(f"criterion 1 PASS: worked-example counters exact "
           f"({elapsed * 1e3:.1f} ms)")

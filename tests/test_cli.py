@@ -2,12 +2,18 @@
 contract (0 ok, 2 usage, 3 bad data, 4 numeric divergence)."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from hpc_sentinel import cli
+from hpc_sentinel import cli, mgsim
 from hpc_sentinel.mutate import synth_base_listing
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*argv):
@@ -104,6 +110,19 @@ def test_ablate_row_count(tmp_path, corpus_csv):
     assert len(out.read_text().splitlines()) == 1 + 15
 
 
+def test_ablate_cells_independent_of_grid(tmp_path, corpus_csv):
+    # a cell's seed follows its place in the full grid, so the two-class
+    # run repeats the two-class rows of the full sweep
+    rows = {}
+    for which in ("2", "all"):
+        out = tmp_path / f"abl_{which}.csv"
+        assert run_cli("ablate", "--data", str(corpus_csv), "--exclusions",
+                       which, "--seed", "2", "--out", str(out)) == 0
+        rows[which] = out.read_text().splitlines()
+    assert len(rows["2"]) == 1 + 30
+    assert rows["2"] == rows["all"][:1] + rows["all"][16:]
+
+
 def test_simulate_named_and_file_scenarios(tmp_path):
     out = tmp_path / "sim.csv"
     assert run_cli("simulate", "--scenario", "nominal",
@@ -161,6 +180,16 @@ def test_data_errors_exit_3(tmp_path, base_asm):
                    "f,0,0,1,benign,\n")
     assert run_cli("rank", "--data", str(bad),
                    "--out", str(tmp_path / "r.json")) == 3
+    # a short row, and an empty file
+    short = tmp_path / "short.csv"
+    short.write_text("firmware_id,window_index,partial,a,b,label,attack_kind\n"
+                     "f,0,0,1,2,benign,\n"
+                     "f,1,0,3\n")
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    for data in (short, empty):
+        assert run_cli("rank", "--data", str(data),
+                       "--out", str(tmp_path / "r.json")) == 3, data
     # mutate with an anchorless base listing
     flat = tmp_path / "flat.asm"
     flat.write_text("008000 a501 MOV AL,@VarA\n")
@@ -171,6 +200,31 @@ def test_data_errors_exit_3(tmp_path, base_asm):
     bad_json.write_text("{not json")
     assert run_cli("simulate", "--scenario-file", str(bad_json),
                    "--out", str(tmp_path / "s.csv")) == 3
+
+
+def test_oversized_scenario_rejected_before_running(tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("run_scenario reached")
+
+    monkeypatch.setattr(mgsim, "run_scenario", never)
+    spec = mgsim.named_scenario("nominal").to_dict()
+    spec["duration_s"] = 1e12
+    sc_file = tmp_path / "huge.json"
+    sc_file.write_text(json.dumps(spec))
+    assert run_cli("simulate", "--scenario-file", str(sc_file),
+                   "--out", str(tmp_path / "s.csv")) == 3
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_reproduce_checks_payloads_against_map(tmp_path):
+    # the mppt_dos payload uses CMPB; a map without it must stop the run
+    shipped = resources.files("hpc_sentinel.data") / "c28x_categories.json"
+    cmap = json.loads(shipped.read_text(encoding="utf-8"))
+    del cmap["categories"]["CMPB"]
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(cmap))
+    assert run_cli("reproduce", "--map", str(path),
+                   "--out", str(tmp_path / "bundle")) == 3
 
 
 def test_eval_rejects_malformed_tree_exit_3(tmp_path, corpus_csv):
@@ -204,6 +258,21 @@ def test_numeric_divergence_exits_4(tmp_path, corpus_csv):
     assert run_cli("train", "--model", "nn", "--data", str(corpus_csv),
                    "--lr", "1e12", "--epochs", "60",
                    "--out", str(tmp_path / "nn.json")) == 4
+
+
+def test_tracer_wraps_every_hook(tmp_path, corpus_csv):
+    # the benchmark's tracer looks its hooks up by name before the command
+    # runs, so renaming a traced function fails here
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "tracer.py"), str(spans),
+         "--", "rank", "--data", str(corpus_csv),
+         "--out", str(tmp_path / "rank.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    names = {span[0] for span in json.loads(spans.read_text())["spans"]}
+    assert "hpc.matrix" in names
 
 
 def test_reproduce_smoke(tmp_path):

@@ -68,8 +68,8 @@ def test_worked_example_exact_counts():
     assert v.partial and v.window_len == 10
     expected = {"l": 2, "a": 4, "n": 2, "b": 2,
                 "la": 2, "an": 2, "na": 2, "ab": 2, "bl": 1}
-    for name in hpc.FEATURE_NAMES:
-        assert v[name] == expected.get(name, 0), name
+    for name, count in zip(hpc.FEATURE_NAMES, v.counts):
+        assert count == expected.get(name, 0), name
 
 
 def test_feature_name_order():
@@ -168,64 +168,58 @@ def test_compute_bigram_names():
     assert hpc.compute_bigram(IC.STORE, IC.OTHER) is None
 
 
-# --- sample and dataset containers --------------------------------------------
+# --- dataset container ---------------------------------------------------------
 
-def _vec(seed=0):
+def _dataset(labels, attacks, seed=0, partial=None):
     rng = np.random.default_rng(seed)
-    return hpc.HpcVector(rng.integers(0, 9, N_FEATURES).astype(np.int64), 50, False)
+    n = len(labels)
+    return hpc.Dataset(X=rng.integers(0, 9, (n, N_FEATURES)), y=labels,
+                       firmware_id=[f"f{i}" for i in range(n)],
+                       window_index=list(range(n)),
+                       partial=partial or [False] * n, attack=attacks)
 
 
 def test_sample_label_attack_consistency():
-    hpc.Sample("f", 0, _vec(), "benign", None)
-    hpc.Sample("f", 0, _vec(), "malicious", "mppt_dos")
+    _dataset([0], [""])
+    _dataset([1], ["mppt_dos"])
     with pytest.raises(ValueError):
-        hpc.Sample("f", 0, _vec(), "benign", "mppt_dos")
+        _dataset([0], ["mppt_dos"])
     with pytest.raises(ValueError):
-        hpc.Sample("f", 0, _vec(), "malicious", None)
+        _dataset([1], [""])
     with pytest.raises(ValueError):
-        hpc.Sample("f", 0, _vec(), "suspicious", None)
+        _dataset([2], [""])
 
 
 def test_dataset_matrix_and_labels():
-    ds = hpc.Dataset([
-        hpc.Sample("a", 0, _vec(1), "benign", None),
-        hpc.Sample("b", 0, _vec(2), "malicious", "inverter_dos"),
-    ])
+    ds = _dataset([0, 1], ["", "inverter_dos"])
     assert ds.matrix().shape == (2, N_FEATURES)
     assert ds.labels().tolist() == [0, 1]
     assert ds.class_counts() == (1, 1)
 
 
 def test_dataset_project_subsets_columns():
-    ds = hpc.Dataset([hpc.Sample("a", 0, _vec(1), "benign", None)])
+    ds = _dataset([0], [""], seed=1)
     sub = ds.project(("a", "la", "ss"))
     assert sub.feature_names == ("a", "la", "ss")
-    src = ds.samples[0].features
-    assert sub.matrix()[0].tolist() == [src["a"], src["la"], src["ss"]]
+    src = ds.matrix()[0]
+    assert sub.matrix()[0].tolist() == [
+        src[hpc.FEATURE_NAMES.index(n)] for n in ("a", "la", "ss")]
     with pytest.raises(InconsistentFeatures):
         ds.project(("a", "zz"))
 
 
 def test_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(5)
-    samples = []
-    for i in range(6):
-        counts = rng.integers(0, 40, N_FEATURES).astype(np.int64)
-        vec = hpc.HpcVector(counts, 50, i == 5)
-        if i % 2:
-            samples.append(hpc.Sample("m", i, vec, "malicious", "input_sine"))
-        else:
-            samples.append(hpc.Sample("b", i, vec, "benign", None))
-    ds = hpc.Dataset(samples)
+    ds = _dataset([i % 2 for i in range(6)],
+                  ["input_sine" if i % 2 else "" for i in range(6)], seed=5,
+                  partial=[i == 5 for i in range(6)])
     path = tmp_path / "data.csv"
     hpc.write_dataset_csv(ds, path)
     back = hpc.read_dataset_csv(path)
     assert back.feature_names == ds.feature_names
     assert np.array_equal(back.matrix(), ds.matrix())
     assert back.labels().tolist() == ds.labels().tolist()
-    assert [s.attack_kind for s in back.samples] == [s.attack_kind for s in ds.samples]
-    assert [s.features.partial for s in back.samples] == \
-           [s.features.partial for s in ds.samples]
+    assert back.attack.tolist() == ds.attack.tolist()
+    assert back.partial.tolist() == ds.partial.tolist()
 
 
 def test_csv_rejects_unknown_feature_columns(tmp_path):

@@ -194,7 +194,7 @@ def test_rf_vote_tie_goes_benign(tiny_dataset):
         trees=(_leaf_tree(0, names), _leaf_tree(1, names)),
         feature_names=tuple(names), params={})
     preds = forest.predict(tiny_dataset.matrix())
-    assert preds.tolist() == [0] * len(tiny_dataset.samples)
+    assert preds.tolist() == [0] * len(tiny_dataset)
 
 
 def test_rf_degenerate_equals_dt(tiny_dataset):
@@ -371,7 +371,7 @@ def test_nn_deterministic(tiny_dataset):
 
 def test_nn_empty_dataset_rejected():
     with pytest.raises(EmptyDataset):
-        ml.train_nn(hpc.Dataset([]))
+        ml.train_nn(make_dataset(np.zeros((0, 30)), []))
 
 
 # --- split and balance -------------------------------------------------------------
@@ -386,7 +386,7 @@ def _mixed_dataset(n_benign, n_malicious, seed=0):
 def test_split_stratified_quotas():
     ds = _mixed_dataset(10, 6)
     train, test = ml.split(ds, ml.SplitSpec(0.7, seed=1))
-    assert len(train.samples) + len(test.samples) == 16
+    assert len(train) + len(test) == 16
     tb, tm = train.class_counts()
     assert tb == 7 and tm == 4  # round(0.7*10), largest-remainder of 0.7*6
     assert test.class_counts() == (3, 2)
@@ -396,10 +396,10 @@ def test_split_deterministic_and_disjoint():
     ds = _mixed_dataset(12, 12)
     t1, e1 = ml.split(ds, ml.SplitSpec(0.7, seed=5))
     t2, e2 = ml.split(ds, ml.SplitSpec(0.7, seed=5))
-    key = lambda s: (s.firmware_id, s.window_index)
-    assert [key(s) for s in t1.samples] == [key(s) for s in t2.samples]
-    assert [key(s) for s in e1.samples] == [key(s) for s in e2.samples]
-    assert set(map(key, t1.samples)).isdisjoint(map(key, e1.samples))
+    keys = lambda d: list(zip(d.firmware_id.tolist(), d.window_index.tolist()))
+    assert keys(t1) == keys(t2)
+    assert keys(e1) == keys(e2)
+    assert set(keys(t1)).isdisjoint(keys(e1))
 
 
 def test_split_needs_both_classes():
@@ -419,8 +419,8 @@ def test_balance_upsamples_minority():
     bal = ml.balance(ds, seed=0)
     assert bal.class_counts() == (10, 10)
     # upsampling only repeats existing samples
-    key = lambda s: (s.firmware_id, s.window_index)
-    assert set(map(key, bal.samples)) <= set(map(key, ds.samples))
+    keys = lambda d: list(zip(d.firmware_id.tolist(), d.window_index.tolist()))
+    assert set(keys(bal)) <= set(keys(ds))
 
 
 def test_balance_downsamples_majority():
@@ -431,10 +431,10 @@ def test_balance_downsamples_majority():
 
 def test_balance_deterministic():
     ds = _mixed_dataset(9, 3)
-    key = lambda s: (s.firmware_id, s.window_index)
+    keys = lambda d: list(zip(d.firmware_id.tolist(), d.window_index.tolist()))
     a = ml.balance(ds, seed=2)
     b = ml.balance(ds, seed=2)
-    assert [key(s) for s in a.samples] == [key(s) for s in b.samples]
+    assert keys(a) == keys(b)
 
 
 def test_balance_single_class_rejected():
