@@ -137,10 +137,9 @@ def cmd_simulate(args) -> int:
         scenario = mgsim.named_scenario(args.scenario)
     if args.pno_variant:
         scenario.pno_variant = args.pno_variant
-    states = mgsim.run_scenario(scenario, args.out)
-    mean_pv = sum(s.pv_kw for s in states) / len(states)
-    print(f"wrote {args.out} ({len(states)} steps, mean pv "
-          f"{mean_pv:.1f} kW)")
+    trace = mgsim.run_scenario(scenario, args.out)
+    print(f"wrote {args.out} ({len(trace)} steps, mean pv "
+          f"{trace.pv_kw.mean():.1f} kW)")
     return 0
 
 
@@ -285,6 +284,8 @@ def _train_eval_all(ds, seed, balanced: bool, train_fraction: float = 0.7):
 
 
 def cmd_reproduce(args) -> int:
+    if args.window < 1:
+        raise UsageError("--window must be >= 1")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seed = args.seed
@@ -342,11 +343,9 @@ def cmd_reproduce(args) -> int:
     stage("simulate")
     sim_stats = []
     for name, fname in zip(mgsim.SCENARIO_NAMES, BUNDLE_SIMS):
-        states = mgsim.run_scenario(mgsim.named_scenario(name), out / fname)
-        pv = [s.pv_kw for s in states]
-        fr = [s.freq_hz for s in states]
-        sim_stats.append((name, sum(pv) / len(pv), min(fr), max(fr),
-                          states[-1].ess_kwh))
+        trace = mgsim.run_scenario(mgsim.named_scenario(name), out / fname)
+        sim_stats.append((name, trace.pv_kw.mean(), trace.freq_hz.min(),
+                          trace.freq_hz.max(), trace.ess_kwh[-1]))
 
     stage("summary")
     n0, n1 = ds.class_counts()

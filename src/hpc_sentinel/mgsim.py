@@ -13,7 +13,7 @@ import csv
 import enum
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -22,11 +22,16 @@ from .errors import OutOfRangeVoltage
 
 NOMINAL_HZ = 60.0
 
-# Largest number of grid steps a scenario may ask for. A run holds about
-# 500 bytes per step (schedules, kernel output and one MgState each), so
-# this keeps a run under about 0.5 GB; ten minutes at the default 10 ms
-# step is 60,000 steps.
+# Largest number of grid steps a scenario may ask for. A run peaks at
+# about 350 bytes per step (schedules, trace columns and, while the CSV is
+# written, one Python float per cell), so this keeps a run under about
+# 0.35 GB; ten minutes at the default 10 ms step is 60,000 steps.
 MAX_STEPS = 1_000_000
+
+# Largest number of tracker updates (grid steps x substeps) a scenario may
+# ask for. The pure kernel loops over them in Python, so this keeps a run
+# to about half a minute; ten minutes at the default steps is 600,000.
+MAX_TRACKER_UPDATES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -107,19 +112,26 @@ def pno_step(state: MpptState, v_rt: float, i_rt: float,
     return replace(state, p_i=p_i, v_i=v_i, i_ref=i_ref)
 
 
-@dataclass(frozen=True)
-class MgState:
-    """One simulation step of the islanded grid."""
+@dataclass(frozen=True, eq=False)
+class MgTrace:
+    """Per-step columns of one simulation run of the islanded grid:
+    float64 arrays, except the two flags, which are bool."""
 
-    time_s: float
-    freq_hz: float
-    pv_kw: float
-    diesel_kw: float
-    ess_kw: float
-    ess_kwh: float
-    load_kw: float
-    inverter_online: bool
-    mppt_enabled: bool
+    time_s: np.ndarray
+    freq_hz: np.ndarray
+    pv_kw: np.ndarray
+    diesel_kw: np.ndarray
+    ess_kw: np.ndarray
+    ess_kwh: np.ndarray
+    load_kw: np.ndarray
+    inverter_online: np.ndarray
+    mppt_enabled: np.ndarray
+
+    def __len__(self):
+        return self.time_s.shape[0]
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(MgTrace))
 
 
 class AttackName(enum.Enum):
@@ -203,16 +215,32 @@ class Scenario:
         if not self.duration_s / self.grid_dt_s <= MAX_STEPS:
             raise ValueError(f"duration_s / grid_dt_s must not exceed "
                              f"{MAX_STEPS} steps")
+        if self.n_steps < 1:
+            raise ValueError("duration_s must cover at least one grid step")
+        if not self.duration_s / self.mppt_dt_s <= MAX_TRACKER_UPDATES:
+            raise ValueError(f"duration_s / mppt_dt_s must not exceed "
+                             f"{MAX_TRACKER_UPDATES} tracker updates")
         sub = self.grid_dt_s / self.mppt_dt_s
         if abs(sub - round(sub)) > 1e-9 or round(sub) < 1:
             raise ValueError("grid_dt_s must be a whole multiple of "
                              "mppt_dt_s")
         if self.pno_variant not in ("literal", "symmetric"):
             raise ValueError(f"unknown tracker variant {self.pno_variant!r}")
+        # The frequency model divides by s_base_kw and damping and the
+        # diesel ramp by diesel_tau_s: zero gives NaN traces, and a
+        # negative value an unstable or sign-flipped response.
+        if not (self.s_base_kw > 0 and self.damping > 0
+                and self.diesel_tau_s > 0):
+            raise ValueError("s_base_kw, damping and diesel_tau_s must be "
+                             "positive")
+        if not isinstance(self.irradiance, dict):
+            raise ValueError("irradiance must be a JSON object")
         times = [t for t, _ in self.load_schedule]
         if not self.load_schedule or times != sorted(times):
             raise ValueError("load_schedule must be non-empty and "
                              "time-sorted")
+        if not all(kw >= 0 for _, kw in self.load_schedule):
+            raise ValueError("load_schedule loads must be non-negative")
         starts = [w[0] for w in self.attack_schedule]
         if starts != sorted(starts):
             raise ValueError("attack_schedule must be time-sorted")
@@ -320,14 +348,12 @@ def _compile_schedules(s: Scenario):
     n = s.n_steps
     times = np.arange(n, dtype=np.float64) * s.grid_dt_s
     pts = sorted(s.load_schedule)
-    load = np.empty(n, dtype=np.float64)
-    level = pts[0][1]
-    j = 0
-    for k in range(n):
-        while j < len(pts) and pts[j][0] <= times[k] + 1e-12:
-            level = pts[j][1]
-            j += 1
-        load[k] = level
+    # Step function: each step takes the level of the last breakpoint at
+    # or before it, and steps before the first breakpoint take its level.
+    last = np.searchsorted([t for t, _ in pts], times + 1e-12,
+                           side="right") - 1
+    load = np.array([kw for _, kw in pts],
+                    dtype=np.float64)[np.maximum(last, 0)]
     irr = _irradiance_series(s.irradiance, times)
     mppt_on = np.ones(n, dtype=np.uint8)
     inv_on = np.ones(n, dtype=np.uint8)
@@ -345,8 +371,8 @@ def _compile_schedules(s: Scenario):
     return times, load, irr, mppt_on, inv_on, pert_amp, pert_freq
 
 
-def run_scenario(s: Scenario, out_path=None):
-    """Simulate the scenario and return the list of per-step MgState.
+def run_scenario(s: Scenario, out_path=None) -> MgTrace:
+    """Simulate the scenario and return its per-step MgTrace.
 
     The loop is fixed-step and seedless, so the same Scenario always
     produces byte-identical CSV output.
@@ -363,32 +389,27 @@ def run_scenario(s: Scenario, out_path=None):
     out = _kernels.simulate_core(s.n_steps, s.substeps, s.grid_dt_s,
                                  s.mppt_dt_s, load, irr, mppt_on, inv_on,
                                  pert_amp, pert_freq, params)
-    states = [MgState(time_s=float(times[k]), freq_hz=float(out[k, 0]),
-                      pv_kw=float(out[k, 1]), diesel_kw=float(out[k, 2]),
-                      ess_kw=float(out[k, 3]), ess_kwh=float(out[k, 4]),
-                      load_kw=float(load[k]),
-                      inverter_online=bool(inv_on[k]),
-                      mppt_enabled=bool(mppt_on[k]))
-              for k in range(s.n_steps)]
+    trace = MgTrace(time_s=times, freq_hz=out[:, 0], pv_kw=out[:, 1],
+                    diesel_kw=out[:, 2], ess_kw=out[:, 3], ess_kwh=out[:, 4],
+                    load_kw=load, inverter_online=inv_on.astype(bool),
+                    mppt_enabled=mppt_on.astype(bool))
     if out_path is not None:
-        write_states_csv(states, out_path)
-    return states
+        write_states_csv(trace, out_path)
+    return trace
 
 
-CSV_COLUMNS = ("time_s", "freq_hz", "pv_kw", "diesel_kw", "ess_kw",
-               "ess_kwh", "load_kw", "inverter_online", "mppt_enabled")
-
-
-def write_states_csv(states, path):
+def write_states_csv(trace: MgTrace, path):
+    """One row per step in CSV_COLUMNS order: time_s to the microsecond,
+    the other floats as the csv module writes them (repr, so they read
+    back bit for bit) and the two flags as 0/1."""
+    times = map("{:.6f}".format, trace.time_s.tolist())
+    floats = [getattr(trace, name).tolist() for name in CSV_COLUMNS[1:-2]]
+    flags = [getattr(trace, name).astype(int).tolist()
+             for name in CSV_COLUMNS[-2:]]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(CSV_COLUMNS)
-        for st in states:
-            w.writerow([f"{st.time_s:.6f}", repr(st.freq_hz),
-                        repr(st.pv_kw), repr(st.diesel_kw),
-                        repr(st.ess_kw), repr(st.ess_kwh),
-                        repr(st.load_kw), int(st.inverter_online),
-                        int(st.mppt_enabled)])
+        w.writerows(zip(times, *floats, *flags))
 
 
 SCENARIO_NAMES = ("nominal", "mppt_dos", "inverter_dos", "input_sine",

@@ -212,16 +212,17 @@ def test_criterion_10_mppt_tracks_and_perturbation_raises_variance():
 
     # settled tracking, before the 35 s load step changes nothing for PV:
     # judge the tail of the constant-irradiance run
-    tail = np.array([r.pv_kw for r in nominal if r.time_s >= 10.0])
+    tail = nominal.pv_kw[nominal.time_s >= 10.0]
     track_err = abs(tail.mean() - p_star_kw) / p_star_kw
     assert track_err <= 0.02
 
     # the sensed-voltage sine keeps the tracker moving: its output-power
     # variance exceeds nominal on every settled 10 s window
-    def window_vars(rows):
+    def window_vars(trace):
         out = []
+        t = trace.time_s
         for lo in range(10, 60, 10):
-            seg = [r.pv_kw for r in rows if lo <= r.time_s < lo + 10]
+            seg = trace.pv_kw[(lo <= t) & (t < lo + 10)]
             out.append(float(np.var(seg)))
         return out
 
@@ -238,19 +239,16 @@ def test_criterion_10_mppt_tracks_and_perturbation_raises_variance():
 
 
 def test_criterion_11_attack_scenario_shapes():
-    rows = mgsim.run_scenario(mgsim.named_scenario("inverter_dos"))
-    for r in rows:
-        gated = (15.0 <= r.time_s < 30.0) or r.time_s >= 45.0
-        if gated:
-            assert r.pv_kw == 0.0
-        else:
-            assert r.pv_kw > 0.0 or r.time_s < 0.5
+    trace = mgsim.run_scenario(mgsim.named_scenario("inverter_dos"))
+    t = trace.time_s
+    gated = ((15.0 <= t) & (t < 30.0)) | (t >= 45.0)
+    assert np.all(trace.pv_kw[gated] == 0.0)
+    assert np.all((trace.pv_kw[~gated] > 0.0) | (t[~gated] < 0.5))
 
     # generation follows the 500 -> 800 kW load: settled tail of every
     # segment at least 10 s long lands within 1% of the demanded load
-    t = np.array([r.time_s for r in rows])
-    gen = np.array([r.pv_kw + r.diesel_kw + r.ess_kw for r in rows])
-    load = np.array([r.load_kw for r in rows])
+    gen = trace.pv_kw + trace.diesel_kw + trace.ess_kw
+    load = trace.load_kw
     for lo, hi in ((0.0, 15.0), (15.0, 30.0), (35.0, 45.0), (45.0, 60.0)):
         seg = (t >= hi - 2.0) & (t < hi)
         seg_load = load[seg].max()
@@ -259,10 +257,10 @@ def test_criterion_11_attack_scenario_shapes():
     s = mgsim.named_scenario("inverter_dos")
     assert np.all(gen <= 250.1 + s.diesel_max_kw + s.ess_p_max_kw)
 
-    nominal_mean = np.mean([r.pv_kw for r in
-                            mgsim.run_scenario(mgsim.named_scenario("nominal"))])
-    dos_mean = np.mean([r.pv_kw for r in
-                        mgsim.run_scenario(mgsim.named_scenario("mppt_dos"))])
+    nominal_mean = np.mean(
+        mgsim.run_scenario(mgsim.named_scenario("nominal")).pv_kw)
+    dos_mean = np.mean(
+        mgsim.run_scenario(mgsim.named_scenario("mppt_dos")).pv_kw)
     assert dos_mean < nominal_mean
     print(f"criterion 11 PASS: inverter gating exact on [15,30) and "
           f"[45,60); settled generation within 1% of load; tracker-DoS "

@@ -166,6 +166,10 @@ def test_usage_errors_exit_2(tmp_path, corpus_csv):
     assert run_cli("simulate", "--out", str(tmp_path / "s.csv")) == 2
     assert run_cli("train", "--model", "svm", "--data", str(corpus_csv),
                    "--out", str(tmp_path / "m.json")) == 2
+    # a zero window is refused before the bundle directory is made
+    assert run_cli("reproduce", "--window", "0",
+                   "--out", str(tmp_path / "bundle")) == 2
+    assert not (tmp_path / "bundle").exists()
 
 
 def test_data_errors_exit_3(tmp_path, base_asm):
@@ -207,12 +211,33 @@ def test_oversized_scenario_rejected_before_running(tmp_path, monkeypatch):
         raise AssertionError("run_scenario reached")
 
     monkeypatch.setattr(mgsim, "run_scenario", never)
-    spec = mgsim.named_scenario("nominal").to_dict()
-    spec["duration_s"] = 1e12
-    sc_file = tmp_path / "huge.json"
+    # too many grid steps, then too many tracker updates (6000 x 10^4)
+    for change in ({"duration_s": 1e12}, {"mppt_dt_s": 1e-6}):
+        spec = {**mgsim.named_scenario("nominal").to_dict(), **change}
+        sc_file = tmp_path / "huge.json"
+        sc_file.write_text(json.dumps(spec))
+        assert run_cli("simulate", "--scenario-file", str(sc_file),
+                       "--out", str(tmp_path / "s.csv")) == 3, change
+        assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("change", [
+    {"duration_s": 0.004},                       # under half a grid step
+    {"irradiance": "sunny"},
+    {"irradiance": []},
+    {"s_base_kw": 0.0},
+    {"damping": -0.5},
+    {"diesel_tau_s": 0.0},
+    {"load_schedule": [[0.0, 500.0], [1.0, -10.0]]},
+])
+def test_invalid_scenario_exits_3(tmp_path, capsys, change):
+    spec = {**mgsim.named_scenario("nominal").to_dict(), "duration_s": 2.0,
+            **change}
+    sc_file = tmp_path / "bad.json"
     sc_file.write_text(json.dumps(spec))
     assert run_cli("simulate", "--scenario-file", str(sc_file),
                    "--out", str(tmp_path / "s.csv")) == 3
+    assert "Traceback" not in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
 
 
@@ -263,16 +288,29 @@ def test_numeric_divergence_exits_4(tmp_path, corpus_csv):
 def test_tracer_wraps_every_hook(tmp_path, corpus_csv):
     # the benchmark's tracer looks its hooks up by name before the command
     # runs, so renaming a traced function fails here
-    spans = tmp_path / "spans.json"
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(REPO / "perfbench" / "tracer.py"), str(spans),
-         "--", "rank", "--data", str(corpus_csv),
-         "--out", str(tmp_path / "rank.json")],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    names = {span[0] for span in json.loads(spans.read_text())["spans"]}
-    assert "hpc.matrix" in names
+    def traced(*argv):
+        spans = tmp_path / "spans.json"
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run(
+            [sys.executable, str(REPO / "perfbench" / "tracer.py"),
+             str(spans), "--", *argv],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return {span[0]: span[4]
+                for span in json.loads(spans.read_text())["spans"]}
+
+    spans = traced("rank", "--data", str(corpus_csv),
+                   "--out", str(tmp_path / "rank.json"))
+    assert "hpc.matrix" in spans
+
+    # the benchmark's mgsim.steps is len() of what run_scenario returns
+    spec = {**mgsim.named_scenario("nominal").to_dict(), "duration_s": 2.0}
+    sc_file = tmp_path / "scenario.json"
+    sc_file.write_text(json.dumps(spec))
+    spans = traced("simulate", "--scenario-file", str(sc_file),
+                   "--out", str(tmp_path / "sim.csv"))
+    assert spans["mgsim.run"] == {"steps": 200}
+    assert "mgsim.csv_write" in spans and "kernels.simulate_core" in spans
 
 
 def test_reproduce_smoke(tmp_path):

@@ -208,32 +208,34 @@ def _short(name, duration=8.0):
 
 def test_run_scenario_row_shape_and_grid():
     s = _short("nominal")
-    rows = mgsim.run_scenario(s)
-    assert len(rows) == s.n_steps
-    assert rows[0].time_s == pytest.approx(0.0)
-    assert rows[1].time_s - rows[0].time_s == pytest.approx(s.grid_dt_s)
-    for r in rows[:100]:
-        assert r.load_kw == pytest.approx(500.0)
-        assert r.inverter_online and r.mppt_enabled
+    trace = mgsim.run_scenario(s)
+    assert len(trace) == s.n_steps
+    for name in mgsim.CSV_COLUMNS:
+        assert getattr(trace, name).shape == (s.n_steps,)
+    assert trace.time_s[0] == pytest.approx(0.0)
+    assert trace.time_s[1] - trace.time_s[0] == pytest.approx(s.grid_dt_s)
+    assert trace.load_kw[:100] == pytest.approx(500.0)
+    assert trace.inverter_online[:100].all()
+    assert trace.mppt_enabled[:100].all()
 
 
 def test_run_scenario_physical_envelopes():
     s = _short("nominal", duration=20.0)
-    rows = mgsim.run_scenario(s)
-    for r in rows:
-        assert 0.0 <= r.ess_kwh <= s.ess_capacity_kwh + 1e-9
-        assert abs(r.ess_kw) <= s.ess_p_max_kw + 1e-9
-        assert -1e-9 <= r.diesel_kw <= s.diesel_max_kw + 1e-9
-        assert r.pv_kw >= -1e-9
+    trace = mgsim.run_scenario(s)
+    assert np.all(0.0 <= trace.ess_kwh)
+    assert np.all(trace.ess_kwh <= s.ess_capacity_kwh + 1e-9)
+    assert np.all(np.abs(trace.ess_kw) <= s.ess_p_max_kw + 1e-9)
+    assert np.all(-1e-9 <= trace.diesel_kw)
+    assert np.all(trace.diesel_kw <= s.diesel_max_kw + 1e-9)
+    assert np.all(trace.pv_kw >= -1e-9)
 
 
 def test_run_scenario_storage_energy_bookkeeping():
     s = _short("nominal", duration=5.0)
-    rows = mgsim.run_scenario(s)
+    trace = mgsim.run_scenario(s)
     dt_h = s.grid_dt_s / 3600.0
-    for prev, cur in zip(rows, rows[1:]):
-        drop = prev.ess_kwh - cur.ess_kwh
-        assert drop == pytest.approx(cur.ess_kw * dt_h, abs=1e-9)
+    drop = trace.ess_kwh[:-1] - trace.ess_kwh[1:]
+    assert drop == pytest.approx(trace.ess_kw[1:] * dt_h, abs=1e-9)
 
 
 def test_run_scenario_deterministic_csv(tmp_path):
@@ -247,29 +249,57 @@ def test_run_scenario_deterministic_csv(tmp_path):
                       "load_kw,inverter_online,mppt_enabled")
 
 
+def _load_by_loop(load_schedule, times):
+    """Reference step function: walk the breakpoints once per step."""
+    pts = sorted(load_schedule)
+    level, j, out = pts[0][1], 0, []
+    for t in times:
+        while j < len(pts) and pts[j][0] <= t + 1e-12:
+            level = pts[j][1]
+            j += 1
+        out.append(level)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("grid_dt_s, schedule", [
+    (0.01, [(0.0, 500.0), (35.0, 800.0)]),
+    (0.01, [(0.5, 400.0), (4.0, 650.0), (8.03, 300.0)]),  # first after 0
+    (0.01, [(0.0, 1.0), (2.0, 3.0), (2.0, 5.0), (2.0, 2.0), (9.99, 0.0)]),
+    (0.01, [(0.0, 7.0), (0.01, 8.0), (0.02, 9.0), (0.025, 1.0)]),
+    (0.01, [(20.0, 100.0)]),                       # after the last step
+    # 11 * 0.03 and 15 * 0.03 fall just below 0.33 and 0.45
+    (0.03, [(0.0, 1.0), (0.33, 2.0), (0.45, 3.0)]),
+])
+def test_load_schedule_matches_step_loop(grid_dt_s, schedule):
+    s = mgsim.Scenario(name="x", duration_s=10.0, grid_dt_s=grid_dt_s,
+                       load_schedule=schedule)
+    times, load = mgsim._compile_schedules(s)[:2]
+    assert load.dtype == np.float64
+    assert np.array_equal(load, _load_by_loop(schedule, times))
+
+
 def test_mppt_converges_near_mpp():
     s = _short("nominal", duration=20.0)
-    rows = mgsim.run_scenario(s)
+    trace = mgsim.run_scenario(s)
     p_star, _ = grid_sweep_mpp()
-    tail = [r.pv_kw for r in rows if r.time_s >= 10.0]
+    tail = trace.pv_kw[trace.time_s >= 10.0]
     assert np.mean(tail) * 1000.0 == pytest.approx(p_star, rel=0.02)
 
 
 def test_inverter_dos_gates_pv_output():
     s = mgsim.named_scenario("inverter_dos")
-    rows = mgsim.run_scenario(s)
-    for r in rows:
-        offline = (15.0 <= r.time_s < 30.0) or r.time_s >= 45.0
-        if offline:
-            assert r.pv_kw == 0.0 and not r.inverter_online
-        else:
-            assert r.inverter_online
+    trace = mgsim.run_scenario(s)
+    t = trace.time_s
+    offline = ((15.0 <= t) & (t < 30.0)) | (t >= 45.0)
+    assert np.all(trace.pv_kw[offline] == 0.0)
+    assert not trace.inverter_online[offline].any()
+    assert trace.inverter_online[~offline].all()
 
 
 def test_load_step_appears_in_rows():
     s = mgsim.named_scenario("nominal")
-    rows = mgsim.run_scenario(s)
-    before = [r.load_kw for r in rows if r.time_s < 35.0]
-    after = [r.load_kw for r in rows if r.time_s >= 35.0]
-    assert set(before) == {500.0}
-    assert set(after) == {800.0}
+    trace = mgsim.run_scenario(s)
+    before = trace.load_kw[trace.time_s < 35.0]
+    after = trace.load_kw[trace.time_s >= 35.0]
+    assert set(before.tolist()) == {500.0}
+    assert set(after.tolist()) == {800.0}
