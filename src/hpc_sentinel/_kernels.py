@@ -1,16 +1,12 @@
-"""Hot numeric kernels with two execution paths.
+"""Hot numeric kernels in numpy and plain Python.
 
-By default the loop kernels are compiled with numba's @njit. Setting the
-environment variable ``HPC_SENTINEL_NO_NUMBA=1`` (before import) selects the
-pure fallback path instead: vectorized numpy where the computation allows it
-(window counting, split search over a whole batch of tree nodes), the
-uncompiled loop where it is inherently sequential (the simulation stepper).
-Both paths produce identical results. ``python3 perfbench/run.py --trace 1``
-reports the time spent in each kernel on real workloads.
+Window counting and the split search over a whole batch of tree nodes are
+vectorized numpy; the simulation stepper is an inherently sequential loop.
+``python3 perfbench/run.py --trace 1`` reports the time spent in each
+kernel on real workloads.
 """
 
 import math
-import os
 
 import numpy as np
 
@@ -22,36 +18,13 @@ NUM_FEATURES = NUM_CLASSES + NUM_CLASSES * NUM_CLASSES
 # ---------------------------------------------------------------------------
 # window counting
 
-def _window_counts_loop(cats, window):
+def window_counts(cats, window):
     """Per-window unigram/bigram counts over a category-code stream.
 
     Counters reset at every window boundary; a pair contributes only when
     both members are categorized (code < 5) and adjacent inside one window.
     Returns an (n_windows, 30) int64 array.
     """
-    n = cats.shape[0]
-    n_win = (n + window - 1) // window
-    out = np.zeros((n_win, NUM_FEATURES), dtype=np.int64)
-    for w in range(n_win):
-        start = w * window
-        stop = start + window
-        if stop > n:
-            stop = n
-        prev = -1
-        for i in range(start, stop):
-            c = cats[i]
-            if c < NUM_CLASSES:
-                out[w, c] += 1
-                if prev >= 0:
-                    out[w, NUM_CLASSES + NUM_CLASSES * prev + c] += 1
-                prev = c
-            else:
-                prev = -1
-    return out
-
-
-def _window_counts_numpy(cats, window):
-    """Vectorized equivalent of :func:`_window_counts_loop`."""
     n = cats.shape[0]
     n_win = (n + window - 1) // window
     out = np.zeros((n_win, NUM_FEATURES), dtype=np.int64)
@@ -87,74 +60,17 @@ def _window_counts_numpy(cats, window):
 EXACT_SPLIT_LIMIT = 4000
 
 
-def _best_split_loop(x, y, feats, exact):
-    """Best (feature, integer threshold) split of a binary-labeled node.
-
-    Only splits that strictly improve on the parent score qualify. Returns
-    (feature, threshold, found) with found == 0 when no improving split
-    exists; the predicate for the left child is value <= threshold.
-    """
-    n = x.shape[0]
-    tot1 = 0
-    for i in range(n):
-        tot1 += y[i]
-    tot0 = n - tot1
-    parent_num = tot0 * tot0 + tot1 * tot1  # over denominator n
-
-    best_feat = np.int64(-1)
-    best_thr = np.int64(0)
-    best_num = np.int64(0)
-    best_den = np.int64(1)
-    best_f = -1.0
-    found = False
-
-    for fi in range(feats.shape[0]):
-        f = feats[fi]
-        col = x[:, f].copy()
-        order = np.argsort(col)
-        c1 = np.int64(0)
-        for i in range(n - 1):
-            c1 += y[order[i]]
-            lo = col[order[i]]
-            hi = col[order[i + 1]]
-            if lo == hi:
-                continue
-            nl = np.int64(i + 1)
-            nr = np.int64(n) - nl
-            c0l = nl - c1
-            c1r = np.int64(tot1) - c1
-            c0r = nr - c1r
-            num = (c0l * c0l + c1 * c1) * nr + (c0r * c0r + c1r * c1r) * nl
-            den = nl * nr
-            if exact:
-                if num * n <= parent_num * den:
-                    continue
-                better = (not found) or (num * best_den > best_num * den)
-            else:
-                s = num / den
-                if s <= parent_num / n:
-                    continue
-                better = (not found) or (s > best_f)
-            if better:
-                found = True
-                best_feat = np.int64(f)
-                best_thr = (lo + hi) // 2
-                best_num = num
-                best_den = den
-                best_f = num / den
-    return best_feat, best_thr, (np.int64(1) if found else np.int64(0))
-
-
-def _best_split_batch_numpy(x, y, sizes, exact=None):
+def best_split_batch(x, y, sizes, exact=None):
     """Best split of every node of a batch in one loop-free pass.
 
     x stacks the nodes' rows of candidate columns, (rows, k) int64, node
     i owning the next sizes[i] rows, and y holds their 0/1 labels. Node i
     scores with exact integer fractions when exact[i] holds (default:
     sizes[i] <= EXACT_SPLIT_LIMIT), else in float64. Returns int64 arrays
-    (column, threshold, found) with one entry per node, each equal to
-    what :func:`_best_split_loop` returns for that node's rows with
-    feats = arange(k).
+    (column, threshold, found) with one entry per node: the column and
+    integer threshold (left child: value <= threshold) of the best split
+    that strictly improves on the node's own score, or found == 0 when
+    none does.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     n_nodes = sizes.shape[0]
@@ -235,11 +151,20 @@ def _best_split_batch_numpy(x, y, sizes, exact=None):
     return col_out, thr_out, found_out
 
 
+# perfbench/tracer.py wraps this name.
+def best_split(x, y, feats, exact):
+    """:func:`best_split_batch` for one node over the columns feats."""
+    col, thr, found = best_split_batch(x[:, feats], y, [x.shape[0]], [exact])
+    if not found[0]:
+        return np.int64(-1), np.int64(0), np.int64(0)
+    return np.int64(feats[col[0]]), thr[0], found[0]
+
+
 # ---------------------------------------------------------------------------
 # microgrid stepping primitives
 #
 # The public operations in mgsim delegate to these, and the scenario loop
-# inlines them under numba, so both views of the dynamics share one source.
+# calls them step by step, so both views of the dynamics share one source.
 
 def pv_current(v, irr, v_oc, i_sc, knee):
     """PV module current (A) at terminal voltage v under irradiance irr."""
@@ -329,7 +254,7 @@ def frequency_step(f, imbalance_kw, s_base_kw, k_f, damping, f_nom, dt):
     return f_eq + (f - f_eq) * math.exp(-damping * dt)
 
 
-def _simulate_loop(n_steps, substeps, grid_dt, mppt_dt,
+def simulate_core(n_steps, substeps, grid_dt, mppt_dt,
                    load_kw, irr, mppt_on, inv_on, pert_amp, pert_freq,
                    params):
     """Fixed-step scenario loop. One output row per grid step.
@@ -405,74 +330,12 @@ def _simulate_loop(n_steps, substeps, grid_dt, mppt_dt,
 
 
 # ---------------------------------------------------------------------------
-# path selection
-
-def _want_numba():
-    flag = os.environ.get("HPC_SENTINEL_NO_NUMBA", "").strip().lower()
-    return flag not in {"1", "true", "yes", "on"}
-
-
-NUMBA_ENABLED = False
-if _want_numba():
-    try:
-        from numba import njit
-
-        pv_current = njit(cache=True)(pv_current)
-        pv_voltage = njit(cache=True)(pv_voltage)
-        pno_update = njit(cache=True)(pno_update)
-        dispatch_update = njit(cache=True)(dispatch_update)
-        frequency_step = njit(cache=True)(frequency_step)
-        window_counts = njit(cache=True)(_window_counts_loop)
-        best_split = njit(cache=True)(_best_split_loop)
-        simulate_core = njit(cache=True)(_simulate_loop)
-        NUMBA_ENABLED = True
-    except ImportError:
-        pass
-
-if NUMBA_ENABLED:
-    def best_split_batch(x, y, sizes, exact=None):
-        """Per-node loop over the compiled :func:`best_split`; same
-        contract as :func:`_best_split_batch_numpy`."""
-        out = np.zeros((3, len(sizes)), dtype=np.int64)
-        feats = np.arange(x.shape[1], dtype=np.int64)
-        lo = 0
-        for i, n in enumerate(sizes):
-            ex = n <= EXACT_SPLIT_LIMIT if exact is None else exact[i]
-            out[:, i] = best_split(np.ascontiguousarray(x[lo:lo + n]),
-                                   np.asarray(y[lo:lo + n], dtype=np.int64),
-                                   feats, bool(ex))
-            lo += n
-        return out[0], out[1], out[2]
-else:
-    window_counts = _window_counts_numpy
-    best_split_batch = _best_split_batch_numpy
-    simulate_core = _simulate_loop
-
-    def best_split(x, y, feats, exact):
-        """:func:`_best_split_loop` as a batch of one node."""
-        col, thr, found = best_split_batch(x[:, feats], y, [x.shape[0]],
-                                           [exact])
-        if not found[0]:
-            return np.int64(-1), np.int64(0), np.int64(0)
-        return np.int64(feats[col[0]]), thr[0], found[0]
-
+# names kept for the benchmark harness
 
 def backend():
-    """Name of the active kernel path, for logs and the benchmark."""
-    return "numba" if NUMBA_ENABLED else "pure"
+    """Name of the kernel path, for logs and the benchmark."""
+    return "pure"
 
 
 def warmup():
-    """Trigger JIT compilation of every kernel on tiny inputs."""
-    cats = np.array([0, 1, 2, 3, 4, 5, 0], dtype=np.int64)
-    window_counts(cats, 3)
-    x = np.array([[0, 1], [1, 0], [2, 1], [1, 2]], dtype=np.int64)
-    y = np.array([0, 0, 1, 1], dtype=np.int64)
-    best_split(x, y, np.array([0, 1], dtype=np.int64), True)
-    n = 4
-    params = np.array([800.0, 437.0, 10.0, 2.0, 40.0, 100.0, 100.0, 50.0,
-                       1000.0, 2.0, 0.0, 60.0, 1.0, 0.5, 1000.0, 1.0])
-    simulate_core(n, 2, 0.01, 0.005,
-                  np.full(n, 500.0), np.full(n, 1.0),
-                  np.ones(n, dtype=np.uint8), np.ones(n, dtype=np.uint8),
-                  np.zeros(n), np.zeros(n), params)
+    """No-op; perfbench's set-up code calls it before timing a run."""

@@ -10,7 +10,6 @@ import argparse
 import csv
 import json
 import sys
-from importlib import resources
 from pathlib import Path
 
 from . import _kernels, hpc, mgsim, ml, mutate, pca
@@ -400,35 +399,46 @@ def cmd_reproduce(args) -> int:
     return 0
 
 
-def bundle_manifest(bundle_dir, seed: int) -> dict:
+def validate_bundle(bundle_dir, seed: int = 0) -> dict:
+    """Check that a reproduce bundle is complete and return its manifest.
+
+    The bundle must hold exactly BUNDLE_FILES, none of them empty, with
+    at least 10 dataset rows, 45 ablation rows and 100 rows per
+    simulation. A broken constraint raises DataError naming it.
+    """
     bundle = Path(bundle_dir)
-    files = {}
-    for name in sorted(p.name for p in bundle.iterdir() if p.is_file()):
-        files[name] = {"bytes": (bundle / name).stat().st_size}
+
+    def fail(what):
+        raise DataError(f"bundle {bundle_dir} is incomplete: {what}")
+
+    sizes = {p.name: p.stat().st_size
+             for p in sorted(bundle.iterdir()) if p.is_file()}
+    missing = sorted(set(BUNDLE_FILES) - set(sizes))
+    extra = sorted(set(sizes) - set(BUNDLE_FILES))
+    if missing or extra:
+        fail(f"missing files {missing}, unexpected files {extra}")
+    empty = [name for name, size in sizes.items() if size < 1]
+    if empty:
+        fail(f"empty files {empty}")
 
     def rows(name):
         with open(bundle / name, newline="", encoding="utf-8") as fh:
             return sum(1 for _ in fh) - 1
 
-    return {"seed": seed, "files": files,
-            "dataset_rows": rows("dataset.csv"),
-            "ablation_rows": rows("ablation.csv"),
-            "sim_rows": {n: rows(f"sim_{n}.csv")
-                         for n in mgsim.SCENARIO_NAMES}}
-
-
-def validate_bundle(bundle_dir, seed: int = 0):
-    """Check a reproduce bundle against the shipped JSON-schema manifest."""
-    import jsonschema
-
-    schema = json.loads((resources.files("hpc_sentinel") / "data"
-                         / "bundle_schema.json").read_text(encoding="utf-8"))
-    manifest = bundle_manifest(bundle_dir, seed)
-    try:
-        jsonschema.validate(manifest, schema)
-    except jsonschema.ValidationError as e:
-        raise DataError(f"bundle {bundle_dir} fails its manifest schema: "
-                        f"{e.message}") from e
+    manifest = {"seed": seed,
+                "files": {name: {"bytes": size}
+                          for name, size in sizes.items()},
+                "dataset_rows": rows("dataset.csv"),
+                "ablation_rows": rows("ablation.csv"),
+                "sim_rows": {n: rows(f"sim_{n}.csv")
+                             for n in mgsim.SCENARIO_NAMES}}
+    checks = [("dataset_rows >= 10", manifest["dataset_rows"] >= 10),
+              ("ablation_rows == 45", manifest["ablation_rows"] == 45)]
+    checks += [(f"sim_rows[{n}] >= 100", r >= 100)
+               for n, r in manifest["sim_rows"].items()]
+    broken = [name for name, ok in checks if not ok]
+    if broken:
+        fail(f"needs {', '.join(broken)}")
     return manifest
 
 

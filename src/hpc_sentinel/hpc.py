@@ -55,7 +55,7 @@ def windows_from_codes(codes, window=DEFAULT_WINDOW):
     """Windowed counter vectors from a raw category-code array."""
     if window < 1:
         raise ValueError("window length must be >= 1")
-    codes = np.ascontiguousarray(codes, dtype=np.int64)
+    codes = np.asarray(codes, dtype=np.int64)
     counts = _kernels.window_counts(codes, window)
     n = codes.shape[0]
     out = []

@@ -29,7 +29,7 @@ NOMINAL_HZ = 60.0
 MAX_STEPS = 1_000_000
 
 # Largest number of tracker updates (grid steps x substeps) a scenario may
-# ask for. The pure kernel loops over them in Python, so this keeps a run
+# ask for. The kernel loops over them in Python, so this keeps a run
 # to about half a minute; ten minutes at the default steps is 600,000.
 MAX_TRACKER_UPDATES = 10_000_000
 
@@ -48,8 +48,8 @@ class PvModel:
     p_rated_kw: float = 250.0
 
     def __post_init__(self):
-        if self.v_oc_v <= 0 or self.i_sc_a <= 0 or self.knee <= 1:
-            raise ValueError("PV curve needs v_oc > 0, i_sc > 0, knee > 1")
+        if not (self.v_oc_v > 0 and self.i_sc_a > 0 and self.knee > 1):
+            raise ValueError("pv needs v_oc_v > 0, i_sc_a > 0, knee > 1")
 
     def current(self, v: float, irradiance: float = 1.0) -> float:
         if not 0.0 <= v <= self.v_oc_v:
@@ -174,6 +174,35 @@ class AttackEffect:
                    frequency_hz=float(d.get("frequency_hz", 0.0)))
 
 
+# (field, predicate on the scenario, rule) rows that Scenario checks. A
+# comparison with NaN is false, so every row also rejects NaN. The
+# frequency model divides by s_base_kw and damping and the diesel ramp by
+# diesel_tau_s: zero gives NaN traces, and a negative value an unstable or
+# sign-flipped response.
+_FIELD_CHECKS = (
+    ("s_base_kw", lambda s: s.s_base_kw > 0, "positive"),
+    ("damping", lambda s: s.damping > 0, "positive"),
+    ("diesel_tau_s", lambda s: s.diesel_tau_s > 0, "positive"),
+    ("k_f", lambda s: math.isfinite(s.k_f), "finite"),
+    ("delta_i_a", lambda s: s.delta_i_a > 0, "positive"),
+    ("i_ref0_a", lambda s: s.i_ref0_a >= 0, "non-negative"),
+    ("ess_p_max_kw", lambda s: s.ess_p_max_kw >= 0, "non-negative"),
+    ("ess_initial_kwh",
+     lambda s: 0.0 <= s.ess_initial_kwh <= s.ess_capacity_kwh,
+     "in [0, ess_capacity_kwh]"),
+    ("diesel_initial_kw",
+     lambda s: 0.0 <= s.diesel_initial_kw <= s.diesel_max_kw,
+     "in [0, diesel_max_kw]"),
+    ("f_nominal_hz", lambda s: 0.0 < s.f_nominal_hz < math.inf,
+     "finite and positive"),
+    ("irradiance",
+     lambda s: isinstance(s.irradiance, dict) and all(
+         0.0 <= s.irradiance.get(key, 1.0) < math.inf
+         for key in ("value", "peak")),
+     "a JSON object whose value and peak are finite and non-negative"),
+)
+
+
 @dataclass
 class Scenario:
     """Complete, JSON-serializable description of one simulation run.
@@ -226,15 +255,9 @@ class Scenario:
                              "mppt_dt_s")
         if self.pno_variant not in ("literal", "symmetric"):
             raise ValueError(f"unknown tracker variant {self.pno_variant!r}")
-        # The frequency model divides by s_base_kw and damping and the
-        # diesel ramp by diesel_tau_s: zero gives NaN traces, and a
-        # negative value an unstable or sign-flipped response.
-        if not (self.s_base_kw > 0 and self.damping > 0
-                and self.diesel_tau_s > 0):
-            raise ValueError("s_base_kw, damping and diesel_tau_s must be "
-                             "positive")
-        if not isinstance(self.irradiance, dict):
-            raise ValueError("irradiance must be a JSON object")
+        for name, ok, rule in _FIELD_CHECKS:
+            if not ok(self):
+                raise ValueError(f"{name} must be {rule}")
         times = [t for t, _ in self.load_schedule]
         if not self.load_schedule or times != sorted(times):
             raise ValueError("load_schedule must be non-empty and "
@@ -288,6 +311,8 @@ class Scenario:
     def from_dict(cls, d) -> "Scenario":
         kw = dict(d)
         kw["pv"] = PvModel(**d.get("pv", {}))
+        if "load_schedule" not in d:
+            raise ValueError("scenario needs a load_schedule")
         kw["load_schedule"] = [(float(t), float(p))
                                for t, p in d["load_schedule"]]
         kw["attack_schedule"] = [

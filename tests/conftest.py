@@ -1,16 +1,9 @@
-"""Shared fixtures: one kernel warmup per session and small dataset builders."""
+"""Shared fixtures: small dataset builders."""
 
 import numpy as np
 import pytest
 
-from hpc_sentinel import _kernels, hpc
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # compile (or no-op on the pure path) once so timed tests measure work,
-    # not jit latency
-    _kernels.warmup()
+from hpc_sentinel import hpc
 
 
 def make_dataset(X, y, attack="mppt_dos", feature_names=hpc.FEATURE_NAMES):

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from hpc_sentinel import cli, mgsim
+from hpc_sentinel.errors import DataError
 from hpc_sentinel.mutate import synth_base_listing
 
 REPO = Path(__file__).resolve().parents[1]
@@ -229,16 +230,83 @@ def test_oversized_scenario_rejected_before_running(tmp_path, monkeypatch):
     {"damping": -0.5},
     {"diesel_tau_s": 0.0},
     {"load_schedule": [[0.0, 500.0], [1.0, -10.0]]},
+    {"k_f": float("nan")},
+    {"irradiance": {"kind": "constant", "value": float("nan")}},
+    {"delta_i_a": -2.185},
+    {"ess_p_max_kw": -50.0},
+    {"ess_initial_kwh": 600.0},                  # capacity is 100 kWh
+    {"load_schedule": None},                     # None drops the key
+    {"i_ref0_a": float("nan")},
+    {"diesel_initial_kw": float("nan")},
+    {"f_nominal_hz": float("nan")},
+    {"pv": {"v_oc_v": 800.0, "i_sc_a": 437.0, "knee": float("nan")}},
 ])
 def test_invalid_scenario_exits_3(tmp_path, capsys, change):
     spec = {**mgsim.named_scenario("nominal").to_dict(), "duration_s": 2.0,
             **change}
+    spec = {k: v for k, v in spec.items() if v is not None}
     sc_file = tmp_path / "bad.json"
     sc_file.write_text(json.dumps(spec))
     assert run_cli("simulate", "--scenario-file", str(sc_file),
                    "--out", str(tmp_path / "s.csv")) == 3
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    # the message names the offending key in words, not as a bare KeyError
+    key = next(iter(change))
+    assert key in err and f"'{key}'" not in err
     assert not (tmp_path / "s.csv").exists()
+
+
+def _fake_bundle(root):
+    """A cheap stand-in for a reproduce bundle: every file one line, each
+    CSV a header plus the fewest rows a complete bundle may hold."""
+    rows = {"dataset.csv": 10, "ablation.csv": 45,
+            **{name: 100 for name in cli.BUNDLE_SIMS}}
+    root.mkdir()
+    for name in cli.BUNDLE_FILES:
+        (root / name).write_text("header\n" + "row\n" * rows.get(name, 0))
+    return root
+
+
+@pytest.mark.parametrize("name,text", [
+    ("ranking.json", None),                      # missing file
+    ("notes.txt", "extra\n"),                    # extra file
+    ("summary.md", ""),                          # empty file
+    ("ablation.csv", "header\n" + "row\n" * 44),
+    ("dataset.csv", "header\n" + "row\n" * 9),
+    ("sim_mppt_dos.csv", "header\n" + "row\n" * 99),
+])
+def test_validate_bundle_rejects_incomplete(tmp_path, name, text):
+    bundle = _fake_bundle(tmp_path / "bundle")
+    cli.validate_bundle(bundle)
+    if text is None:
+        (bundle / name).unlink()
+    else:
+        (bundle / name).write_text(text)
+    with pytest.raises(DataError):
+        cli.validate_bundle(bundle)
+
+
+def test_runtime_needs_only_numpy(tmp_path):
+    tomllib = pytest.importorskip("tomllib")
+    with open(REPO / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == ["numpy>=1.24"]
+    # importing the CLI and validating a bundle load no package outside
+    # the standard library except numpy
+    bundle = _fake_bundle(tmp_path / "bundle")
+    code = ("import sys\n"
+            "start = set(sys.modules)\n"
+            "from hpc_sentinel import cli\n"
+            "cli.validate_bundle(sys.argv[1])\n"
+            "new = {m.partition('.')[0] for m in set(sys.modules) - start}\n"
+            "print(sorted(new - set(sys.stdlib_module_names)))\n")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-c", code, str(bundle)],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['hpc_sentinel', 'numpy']"
 
 
 def test_reproduce_checks_payloads_against_map(tmp_path):

@@ -1,15 +1,6 @@
-"""Jit and plain-python kernel paths must agree bit for bit.
-
-The path is chosen at import time from HPC_SENTINEL_NO_NUMBA, so the
-alternate path runs in a subprocess and ships its results back through an
-npz file. The batched split search and the flattened tree predictor are
-also checked in-process against loop references.
+"""Kernels against loop references: the batched split search against a
+per-node loop, and the flattened tree predictor against a per-row walk.
 """
-
-import os
-import subprocess
-import sys
-import textwrap
 
 import numpy as np
 import pytest
@@ -18,85 +9,9 @@ from hypothesis import strategies as st
 
 from hpc_sentinel import _kernels, ml
 
-_COMPUTE = textwrap.dedent("""
-    import sys
-    import numpy as np
-    from hpc_sentinel import _kernels
-
-    out = sys.argv[1]
-    rng = np.random.default_rng(2024)
-
-    wc_out = []
-    for n in (0, 1, 49, 50, 137, 400):
-        cats = rng.integers(0, 6, size=n).astype(np.int64)
-        for w in (1, 7, 50):
-            wc_out.append(np.asarray(_kernels.window_counts(cats, w)))
-
-    bs_out = []
-    for trial in range(30):
-        n = int(rng.integers(2, 40))
-        f = int(rng.integers(1, 6))
-        x = rng.integers(0, 50, size=(n, f)).astype(np.int64)
-        y = rng.integers(0, 2, size=n).astype(np.int64)
-        feats = np.arange(f, dtype=np.int64)
-        for exact in (0, 1):
-            r = _kernels.best_split(x, y, feats, exact)
-            bs_out.append(np.asarray(r, dtype=np.int64))
-    # values near the int64 cliff exercise the exact path's wide arithmetic
-    xb = (rng.integers(0, 2**31, size=(12, 3)) * 2**29).astype(np.int64)
-    yb = rng.integers(0, 2, size=12).astype(np.int64)
-    r = _kernels.best_split(xb, yb, np.arange(3, dtype=np.int64), 1)
-    bs_out.append(np.asarray(r, dtype=np.int64))
-
-    params = np.array([800.0, 437.0, 10.0, 2.185, 43.7, 100.0, 100.0, 50.0,
-                       500.0, 2.0, 0.0, 60.0, 1.0, 0.5, 1000.0, 1.0])
-    n_steps, substeps = 400, 10
-    load = np.full(n_steps, 500.0); load[200:] = 800.0
-    irr = np.full(n_steps, 1.0)
-    mppt_on = np.ones(n_steps, dtype=np.int64)
-    inv_on = np.ones(n_steps, dtype=np.int64); inv_on[150:250] = 0
-    pert_amp = np.zeros(n_steps); pert_amp[300:] = 0.1
-    pert_freq = np.zeros(n_steps); pert_freq[300:] = 0.5
-    sim = _kernels.simulate_core(n_steps, substeps, 0.01, 0.001, load, irr,
-                                 mppt_on, inv_on, pert_amp, pert_freq, params)
-
-    arrays = {"backend": np.array([_kernels.backend() == "numba"], dtype=np.int64),
-              "sim": np.asarray(sim)}
-    for i, a in enumerate(wc_out):
-        arrays[f"wc{i}"] = a
-    for i, a in enumerate(bs_out):
-        arrays[f"bs{i}"] = a
-    np.savez(out, **arrays)
-""")
-
-
-def _run(path, no_numba):
-    env = dict(os.environ)
-    if no_numba:
-        env["HPC_SENTINEL_NO_NUMBA"] = "1"
-    else:
-        env.pop("HPC_SENTINEL_NO_NUMBA", None)
-    subprocess.run([sys.executable, "-c", _COMPUTE, str(path)], check=True,
-                   env=env, capture_output=True)
-    return np.load(path)
-
-
-def test_backends_agree_exactly(tmp_path):
-    jit = _run(tmp_path / "jit.npz", no_numba=False)
-    pure = _run(tmp_path / "pure.npz", no_numba=True)
-    assert jit["backend"][0] == 1, "jit process did not select numba"
-    assert pure["backend"][0] == 0, "pure process selected numba anyway"
-    assert set(jit.files) == set(pure.files)
-    for key in jit.files:
-        if key == "backend":
-            continue
-        a, b = jit[key], pure[key]
-        assert a.dtype == b.dtype, key
-        assert np.array_equal(a, b), key  # exact, including float bits
-
 
 def test_backend_reports_name():
-    assert _kernels.backend() in ("numba", "pure")
+    assert _kernels.backend() == "pure"
 
 
 def test_window_counts_kernel_shapes():
@@ -108,6 +23,64 @@ def test_window_counts_kernel_shapes():
 
 
 # --- batched split search against the loop kernel ---------------------------
+
+def best_split_loop(x, y, feats, exact):
+    """Best (feature, integer threshold) split of a binary-labeled node.
+
+    Only splits that strictly improve on the parent score qualify. Returns
+    (feature, threshold, found) with found == 0 when no improving split
+    exists; the predicate for the left child is value <= threshold.
+    """
+    n = x.shape[0]
+    tot1 = 0
+    for i in range(n):
+        tot1 += y[i]
+    tot0 = n - tot1
+    parent_num = tot0 * tot0 + tot1 * tot1  # over denominator n
+
+    best_feat = np.int64(-1)
+    best_thr = np.int64(0)
+    best_num = np.int64(0)
+    best_den = np.int64(1)
+    best_f = -1.0
+    found = False
+
+    for fi in range(feats.shape[0]):
+        f = feats[fi]
+        col = x[:, f].copy()
+        order = np.argsort(col)
+        c1 = np.int64(0)
+        for i in range(n - 1):
+            c1 += y[order[i]]
+            lo = col[order[i]]
+            hi = col[order[i + 1]]
+            if lo == hi:
+                continue
+            nl = np.int64(i + 1)
+            nr = np.int64(n) - nl
+            c0l = nl - c1
+            c1r = np.int64(tot1) - c1
+            c0r = nr - c1r
+            num = (c0l * c0l + c1 * c1) * nr + (c0r * c0r + c1r * c1r) * nl
+            den = nl * nr
+            if exact:
+                if num * n <= parent_num * den:
+                    continue
+                better = (not found) or (num * best_den > best_num * den)
+            else:
+                s = num / den
+                if s <= parent_num / n:
+                    continue
+                better = (not found) or (s > best_f)
+            if better:
+                found = True
+                best_feat = np.int64(f)
+                best_thr = (lo + hi) // 2
+                best_num = num
+                best_den = den
+                best_f = num / den
+    return best_feat, best_thr, (np.int64(1) if found else np.int64(0))
+
 
 _HUGE = 2**60
 
@@ -165,7 +138,7 @@ def test_best_split_batch_matches_loop_per_node(nodes):
         np.concatenate(xs), np.concatenate(ys), sizes)
     for i, (x, y) in enumerate(nodes):
         feats = np.arange(x.shape[1], dtype=np.int64)
-        want = _kernels._best_split_loop(
+        want = best_split_loop(
             x, y, feats, x.shape[0] <= _kernels.EXACT_SPLIT_LIMIT)
         assert (int(col[i]), int(thr[i]), int(found[i])) == \
             tuple(int(v) for v in want), i

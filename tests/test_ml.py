@@ -14,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpc_sentinel import _kernels, hpc, ml
+from hpc_sentinel import hpc, ml
 from hpc_sentinel.errors import (EmptyDataset, InconsistentFeatures,
                                  NonFiniteLoss, SingleClass, TooFewSamples)
 
 from conftest import make_dataset
+from test_kernels import best_split_loop
 
 
 # --- confusion counts and metric identities ------------------------------------
@@ -238,8 +239,7 @@ def _recursive_tree(X, y, rows, rng, m):
         nodes.append([-1, 0, -1, -1, [rows.shape[0] - c1, c1]])
         if 0 < c1 < rows.shape[0]:
             feats = np.sort(rng.choice(X.shape[1], size=m, replace=False))
-            f, t, found = _kernels._best_split_loop(X[rows], y[rows], feats,
-                                                    True)
+            f, t, found = best_split_loop(X[rows], y[rows], feats, True)
             if found:
                 go_left = X[rows, f] <= t
                 nodes[i][:2] = [int(f), int(t)]
