@@ -1,9 +1,10 @@
 """Hot numeric kernels in numpy and plain Python.
 
-Window counting and the split search over a whole batch of tree nodes are
-vectorized numpy; the simulation stepper is an inherently sequential loop.
-``python3 perfbench/run.py --trace 1`` reports the time spent in each
-kernel on real workloads.
+Window counting is vectorized numpy. The split search scores every node
+of a batch of tree nodes in one pass over histograms of rank-coded
+features: no sort per node, one bincount per batch. The simulation
+stepper is an inherently sequential loop. ``python3 perfbench/run.py
+--trace 1`` reports the time spent in each kernel on real workloads.
 """
 
 import math
@@ -49,6 +50,15 @@ def window_counts(cats, window):
 # ---------------------------------------------------------------------------
 # Gini split search
 #
+# Features are rank-coded: the distinct values of a column, ascending, get
+# codes 0, 1, ... A histogram of a node's rows and malicious rows over the
+# codes of one column lists the same cuts a sort of that column would, one
+# between each pair of adjacent codes present in the node, and its prefix
+# sums give each cut's child class counts. This is the histogram split
+# finding of LightGBM and XGBoost's `hist`, exact here because the bins
+# are the distinct values themselves (a 50-instruction window's counter
+# takes at most 51 values).
+#
 # The split score maximized is sum_children (c0^2 + c1^2) / n_child, which
 # orders splits identically to minimizing weighted Gini impurity. Scores are
 # integer fractions; exact cross-multiplied comparison keeps the search
@@ -60,29 +70,58 @@ def window_counts(cats, window):
 EXACT_SPLIT_LIMIT = 4000
 
 
-def best_split_batch(x, y, sizes, exact=None):
+def rank_code(x):
+    """Dense rank codes of the rows of x, a (k, n) int64 array: one row
+    per feature, one column per sample.
+
+    Returns (codes, values, offsets), codes a (k, n) C-ordered array:
+    codes[j, i] is the rank of x[j, i] among the distinct values of row
+    j, which are values[offsets[j]:offsets[j + 1]] in ascending order.
+    """
+    x = np.asarray(x, dtype=np.int64)
+    order = np.argsort(x, axis=1)
+    s = np.take_along_axis(x, order, axis=1)
+    new = np.ones(s.shape, dtype=bool)
+    new[:, 1:] = s[:, 1:] != s[:, :-1]
+    codes = np.empty(x.shape, dtype=np.int64)
+    np.put_along_axis(codes, order, np.cumsum(new, axis=1) - 1, axis=1)
+    offsets = np.zeros(x.shape[0] + 1, dtype=np.int64)
+    np.cumsum(new.sum(axis=1), out=offsets[1:])
+    return codes, s[new], offsets
+
+
+def _run_starts(a):
+    """Mask of the entries of a that differ from the one before."""
+    lead = np.empty(a.shape[0], dtype=bool)
+    lead[:1] = True
+    np.not_equal(a[1:], a[:-1], out=lead[1:])
+    return lead
+
+
+def best_split_codes(codes, y, sizes, bins, exact=None):
     """Best split of every node of a batch in one loop-free pass.
 
-    x stacks the nodes' rows of candidate columns, (rows, k) int64, node
-    i owning the next sizes[i] rows, and y holds their 0/1 labels. Node i
-    scores with exact integer fractions when exact[i] holds (default:
-    sizes[i] <= EXACT_SPLIT_LIMIT), else in float64. Returns int64 arrays
-    (column, threshold, found) with one entry per node: the column and
-    integer threshold (left child: value <= threshold) of the best split
-    that strictly improves on the node's own score, or found == 0 when
-    none does.
+    codes holds rank codes by candidate column, (k, rows) int64: node i
+    owns the next sizes[i] entries of every row, and bins[i, j]
+    bounds the codes of its column j. y holds the 0/1 labels of the
+    rows. Node i scores with exact integer fractions when exact[i] holds
+    (default: sizes[i] <= EXACT_SPLIT_LIMIT), else in float64. Returns
+    int64 arrays (column, lo, hi, found) with one entry per node: the
+    column of the best split that strictly improves on the node's own
+    score and the adjacent present codes it cuts between (left child:
+    code <= lo), or found == 0 when none does.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     n_nodes = sizes.shape[0]
     col_out = np.full(n_nodes, -1, dtype=np.int64)
-    thr_out = np.zeros(n_nodes, dtype=np.int64)
+    lo_out = np.zeros(n_nodes, dtype=np.int64)
+    hi_out = np.zeros(n_nodes, dtype=np.int64)
     found_out = np.zeros(n_nodes, dtype=np.int64)
-    if x.size == 0:
-        return col_out, thr_out, found_out
-    k = x.shape[1]
+    if codes.size == 0:
+        return col_out, lo_out, hi_out, found_out
+    k = codes.shape[0]
     y = np.asarray(y, dtype=np.int64)
-    row_node = np.repeat(np.arange(n_nodes), sizes)
-    tot1 = np.bincount(row_node, weights=y,
+    tot1 = np.bincount(np.repeat(np.arange(n_nodes), sizes), weights=y,
                        minlength=n_nodes).astype(np.int64)
     tot0 = sizes - tot1
     parent = tot0 * tot0 + tot1 * tot1
@@ -90,24 +129,34 @@ def best_split_batch(x, y, sizes, exact=None):
         exact = sizes <= EXACT_SPLIT_LIMIT
     exact = np.asarray(exact, dtype=bool)
 
-    # One segment per (node, column); one sort orders every segment by
-    # value. Order among equal values does not matter.
-    vals = np.asarray(x, dtype=np.int64).ravel()
-    seg = (row_node[:, None] * k + np.arange(k)).ravel()
-    order = np.lexsort((vals, seg))
-    sv = vals[order]
-    sseg = seg[order]
-    c1_all = np.cumsum(np.repeat(y, k)[order])
+    # One segment per (node, column), packed in that order, with one slot
+    # per code; one bincount over (slot, label) keys counts rows and
+    # malicious rows together. The present slots come out of flatnonzero
+    # already ordered by (node, column, threshold).
+    seg_bins = np.asarray(bins, dtype=np.int64).ravel()
+    seg_off = np.cumsum(seg_bins) - seg_bins
+    key = np.repeat(seg_off.reshape(n_nodes, k).T, sizes, axis=1)
+    key += codes
+    key *= 2
+    key += y
+    hist = np.bincount(key.ravel(), minlength=2 * int(seg_bins.sum()))
+    hist1 = hist[1::2]
+    hist = hist[::2] + hist1
+    slot = np.flatnonzero(hist)
+    sseg = np.searchsorted(seg_off, slot, side="right") - 1
+    c_all = np.cumsum(hist[slot])
+    c1_all = np.cumsum(hist1[slot])
     seg_len = np.repeat(sizes, k)
     seg_start = np.cumsum(seg_len) - seg_len
-    base = np.concatenate(([0], c1_all))[seg_start]
+    seg_tot1 = np.repeat(tot1, k)
+    base = np.cumsum(seg_tot1) - seg_tot1
 
-    # Cuts: adjacent sorted entries of one segment with distinct values.
-    cut = np.flatnonzero((sseg[:-1] == sseg[1:]) & (sv[:-1] != sv[1:]))
+    # Cuts: adjacent present codes of one segment.
+    cut = np.flatnonzero(sseg[:-1] == sseg[1:])
     s = sseg[cut]
     node = s // k
     n = sizes[node]
-    nl = cut - seg_start[s] + 1
+    nl = c_all[cut] - seg_start[s]
     nr = n - nl
     c1 = c1_all[cut] - base[s]
     c0l = nl - c1
@@ -117,12 +166,10 @@ def best_split_batch(x, y, sizes, exact=None):
     den = nl * nr
     score = num / den
     ex = exact[node]
-    keep = np.where(ex, num * n > parent[node] * den,
-                    score > parent[node] / n)
-    if not keep.any():
-        return col_out, thr_out, found_out
-    cut, s, node, num, den, score, ex = (
-        a[keep] for a in (cut, s, node, num, den, score, ex))
+    keep = np.flatnonzero(np.where(ex, num * n > parent[node] * den,
+                                   score > parent[node] / n))
+    if not keep.size:
+        return col_out, lo_out, hi_out, found_out
 
     # Candidates are ordered by (node, column, threshold), so a node's
     # first maximum is its tie-break winner. Rounding is monotone, so every
@@ -130,25 +177,48 @@ def best_split_batch(x, y, sizes, exact=None):
     # maximum, then, in exact nodes, move to the first tied candidate that
     # beats the pick until none does; each move raises the pick's score.
     # (Distinct fractions can round alike only in nodes of ~2400+ rows.)
-    lead = np.diff(node, prepend=-1) != 0
-    top = np.maximum.reduceat(score, np.flatnonzero(lead))
-    tied = np.flatnonzero(score == top[np.cumsum(lead) - 1])
+    kscore = score[keep]
+    lead = _run_starts(node[keep])
+    top = np.maximum.reduceat(kscore, np.flatnonzero(lead))
+    tied = keep[kscore == top[np.cumsum(lead) - 1]]
     best = np.full(n_nodes, -1, dtype=np.int64)
     while tied.size:
         tnode = node[tied]
-        lead = np.diff(tnode, prepend=-1) != 0
+        lead = _run_starts(tnode)
         best[tnode[lead]] = tied[lead]
         tied = tied[ex[tied]]
         pick = best[node[tied]]
         tied = tied[num[tied] * den[pick] > num[pick] * den[tied]]
 
     won = best[best >= 0]
-    at = cut[won]
+    ws = s[won]
     wnode = node[won]
-    col_out[wnode] = s[won] % k
-    thr_out[wnode] = (sv[at] + sv[at + 1]) // 2
+    col_out[wnode] = ws % k
+    lo_out[wnode] = slot[cut[won]] - seg_off[ws]
+    hi_out[wnode] = slot[cut[won] + 1] - seg_off[ws]
     found_out[wnode] = 1
-    return col_out, thr_out, found_out
+    return col_out, lo_out, hi_out, found_out
+
+
+def best_split_batch(x, y, sizes, exact=None):
+    """:func:`best_split_codes` on raw values.
+
+    x stacks the nodes' rows of candidate columns, (rows, k) int64, node
+    i owning the next sizes[i] rows; each column is rank-coded over
+    the whole batch. Returns int64 arrays (column, threshold, found) with
+    one entry per node: the column and integer threshold (left child:
+    value <= threshold) of the best split, the floor of the midpoint of
+    the two values it cuts between.
+    """
+    n_nodes = len(sizes)
+    codes, values, offsets = rank_code(np.asarray(x).T)
+    bins = np.broadcast_to(np.diff(offsets), (n_nodes, x.shape[1]))
+    col, lo, hi, found = best_split_codes(codes, y, sizes, bins, exact)
+    ok = found == 1
+    at = offsets[col[ok]]
+    thr = np.zeros(n_nodes, dtype=np.int64)
+    thr[ok] = (values[at + lo[ok]] + values[at + hi[ok]]) // 2
+    return col, thr, found
 
 
 # perfbench/tracer.py wraps this name.

@@ -155,10 +155,12 @@ class AttackEffect:
 
     def __post_init__(self):
         if self.kind is AttackName.SENSOR_PERTURB:
-            if self.amplitude < 0:
-                raise ValueError("amplitude fraction must be >= 0")
-            if self.frequency_hz <= 0:
-                raise ValueError("perturbation frequency must be positive")
+            if not 0.0 <= self.amplitude < math.inf:
+                raise ValueError("sensor_perturb amplitude must be a finite "
+                                 "fraction >= 0")
+            if not 0.0 < self.frequency_hz < math.inf:
+                raise ValueError("sensor_perturb frequency_hz must be finite "
+                                 "and positive")
 
     def to_dict(self):
         d = {"kind": self.kind.value}
@@ -259,6 +261,8 @@ class Scenario:
             if not ok(self):
                 raise ValueError(f"{name} must be {rule}")
         times = [t for t, _ in self.load_schedule]
+        if not all(math.isfinite(t) for t in times):
+            raise ValueError("load_schedule times must be finite")
         if not self.load_schedule or times != sorted(times):
             raise ValueError("load_schedule must be non-empty and "
                              "time-sorted")
@@ -268,8 +272,9 @@ class Scenario:
         if starts != sorted(starts):
             raise ValueError("attack_schedule must be time-sorted")
         for start, end, eff in self.attack_schedule:
-            if end <= start:
-                raise ValueError(f"empty attack window [{start}, {end})")
+            if not start < end:  # also false when either is NaN
+                raise ValueError(f"attack_schedule window [{start}, {end}) "
+                                 f"is empty or not a number")
             if not isinstance(eff, AttackEffect):
                 raise TypeError("attack_schedule entries need an "
                                 "AttackEffect")
@@ -315,9 +320,12 @@ class Scenario:
             raise ValueError("scenario needs a load_schedule")
         kw["load_schedule"] = [(float(t), float(p))
                                for t, p in d["load_schedule"]]
-        kw["attack_schedule"] = [
-            (float(s), float(e), AttackEffect.from_dict(eff))
-            for s, e, eff in d.get("attack_schedule", [])]
+        try:
+            kw["attack_schedule"] = [
+                (float(s), float(e), AttackEffect.from_dict(eff))
+                for s, e, eff in d.get("attack_schedule", [])]
+        except ValueError as e:
+            raise ValueError(f"attack_schedule: {e}") from None
         return cls(**kw)
 
     @classmethod

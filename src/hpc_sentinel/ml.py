@@ -3,9 +3,10 @@ small neural network, plus splitting, balancing, and evaluation metrics.
 
 All three trainers are deterministic given (dataset, params, seed). A
 forest grows all its trees in lockstep, batching the split searches of
-one node per tree into one kernel call; every tree draws from its own
-generator spawned from the master seed, so it equals the tree grown on
-its own. Trees and forests predict from one flattened node table.
+one node per tree into one histogram kernel call over the rank codes of
+its features; every tree draws from its own generator spawned from the
+master seed, so it equals the tree grown on its own. Trees and forests
+predict from one flattened node table.
 
 Every caller trains through fit, which dispatches on the model kind, or
 train_eval (split, optional balancing, fit, evaluate), and derives the
@@ -23,10 +24,11 @@ from .errors import (EmptyDataset, InconsistentFeatures, NonFiniteLoss,
                      SingleClass, TooFewSamples)
 from .hpc import Dataset
 
-# Row x candidate-column entries per split-search call: enough nodes to
-# amortize numpy's per-call cost, few enough to keep the search's working
-# set small.
-SPLIT_BATCH_ENTRIES = 8192
+# Entries per split-search call, a node counting its candidate columns
+# times its rows or the widest column's histogram, whichever is more:
+# enough nodes to amortize numpy's per-call cost, few enough to keep the
+# search's working set small.
+SPLIT_BATCH_ENTRIES = 16384
 
 # (row, tree) pairs advanced together per prediction step, for the same
 # reason.
@@ -323,16 +325,20 @@ def _grow_trees(X, y, boots, feature_rngs, n_feats, max_depth,
                 min_samples_split, feature_names, params):
     """Grow one tree per row-index vector in boots, all in lockstep.
 
-    Each round pops the next node of every tree, emitting leaves until it
-    reaches one that needs a split search, and searches those nodes
-    through batched kernel calls of at most SPLIT_BATCH_ENTRIES entries
-    (one node may exceed it alone). Children are pushed right then left,
-    so node ids and feature_rng draws follow each tree's preorder and
-    every tree equals the one grown on its own. A tree whose feature_rng
-    is None searches all features at every node; otherwise it draws
-    n_feats of them per node.
+    X is rank-coded once, column by column. Each round pops the next
+    node of every tree, emitting leaves until it reaches one that needs a
+    split search, and searches those nodes through batched histogram
+    kernel calls of at most SPLIT_BATCH_ENTRIES entries (one node may
+    exceed it alone). Children are pushed right then left, so node ids
+    and feature_rng draws follow each tree's preorder and every tree
+    equals the one grown on its own. A tree whose feature_rng is None
+    searches all features at every node; otherwise it draws n_feats of
+    them per node.
     """
     all_feats = np.arange(X.shape[1], dtype=np.int64)
+    codes, values, offsets = _kernels.rank_code(X.T)
+    n_bins = np.diff(offsets)
+    max_bins = int(n_bins.max(initial=0))
 
     def next_split(t):
         while t.stack:
@@ -348,7 +354,7 @@ def _grow_trees(X, y, boots, feature_rngs, n_feats, max_depth,
                 feats = t.feature_rng.choice(all_feats.shape[0],
                                              size=n_feats, replace=False)
                 feats.sort()
-            return t, node, rows, feats, depth
+            return t, node, rows, feats, depth, c1
         return None
 
     def split(batch):
@@ -356,26 +362,31 @@ def _grow_trees(X, y, boots, feature_rngs, n_feats, max_depth,
         rows = np.concatenate([item[2] for item in batch])
         feats = np.array([item[3] for item in batch])
         y_rows = y[rows]
-        cols, thrs, found = _kernels.best_split_batch(
-            X[rows[:, None], np.repeat(feats, sizes, axis=0)], y_rows, sizes)
+        cols, below, above, found = _kernels.best_split_codes(
+            codes[np.repeat(feats.T, sizes, axis=1), rows], y_rows, sizes,
+            n_bins[feats])
         f = feats[np.arange(len(batch)), cols]
-        go_left = X[rows, np.repeat(f, sizes)] <= np.repeat(thrs, sizes)
-        row_node = np.repeat(np.arange(len(batch)), sizes)
-        c1_left = np.bincount(row_node, weights=y_rows * go_left,
-                              minlength=len(batch)).astype(np.int64)
-        c1_right = np.bincount(row_node, weights=y_rows * ~go_left,
-                               minlength=len(batch)).astype(np.int64)
-        hi = 0
-        for (t, node, rows, _, depth), n, fi, thr, ok, l1, r1 in zip(
-                batch, sizes, f, thrs, found, c1_left, c1_right):
-            lo, hi = hi, hi + n
+        at = offsets[f]
+        thrs = (values[at + below] + values[at + above]) // 2
+        go_left = (codes[np.repeat(f, sizes), rows]
+                   <= np.repeat(below, sizes))
+        go_right = ~go_left
+        # a searched node holds at least min_samples_split >= 2 rows, so
+        # every reduceat segment is non-empty
+        c1_left = np.add.reduceat(y_rows * go_left, np.cumsum(sizes) - sizes)
+        end = 0
+        for (t, node, rows, _, depth, c1), n, fi, thr, ok, l1 in zip(
+                batch, sizes.tolist(), f.tolist(), thrs.tolist(),
+                found.tolist(), c1_left.tolist()):
+            start, end = end, end + n
             if not ok:
                 continue
-            g = go_left[lo:hi]
-            t.feature[node] = int(fi)
-            t.threshold[node] = int(thr)
-            t.stack.append((rows[~g], depth + 1, node, True, int(r1)))
-            t.stack.append((rows[g], depth + 1, node, False, int(l1)))
+            t.feature[node] = fi
+            t.threshold[node] = thr
+            t.stack.append((rows[go_right[start:end]], depth + 1, node, True,
+                            c1 - l1))
+            t.stack.append((rows[go_left[start:end]], depth + 1, node, False,
+                            l1))
 
     trees = [_GrowingTree(rows, int(y[rows].sum()), rng)
              for rows, rng in zip(boots, feature_rngs)]
@@ -386,7 +397,7 @@ def _grow_trees(X, y, boots, feature_rngs, n_feats, max_depth,
             item = next_split(t)
             if item is None:
                 continue
-            size = item[2].shape[0] * item[3].shape[0]
+            size = item[3].shape[0] * max(item[2].shape[0], max_bins)
             if batch and entries + size > SPLIT_BATCH_ENTRIES:
                 split(batch)
                 batch, entries = [], 0
@@ -491,12 +502,11 @@ def _relu(z):
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) only, so neither branch overflows; min(z, -z) is -|z|
+    # but, unlike -abs(z), keeps the sign bit of a NaN input
+    e = np.exp(np.minimum(z, -z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def _bce(p, y):
@@ -563,27 +573,38 @@ def _init_nn(n_features: int, hidden: int, rng):
     return w1, b1, w2, b2
 
 
-def nn_loss_and_grads(w1, b1, w2, b2, Xs, y):
-    """Full-batch BCE loss and analytic gradients; Xs already
-    standardized."""
+def _forward_grads(w1, b1, w2, b2, Xs, y):
+    """Output probabilities and the analytic gradients of the BCE loss;
+    Xs already standardized."""
     n = Xs.shape[0]
     z1 = Xs @ w1 + b1
     a1 = _relu(z1)
-    z2 = a1 @ w2 + b2
-    p = _sigmoid(z2)
-    loss = _bce(p, y)
+    p = _sigmoid(a1 @ w2 + b2)
     dz2 = (p - y) / n
     gw2 = a1.T @ dz2
     gb2 = float(dz2.sum())
-    dz1 = np.outer(dz2, w2) * (z1 > 0)
+    dz1 = dz2[:, None] * w2 * (z1 > 0)
     gw1 = Xs.T @ dz1
     gb1 = dz1.sum(axis=0)
-    return loss, gw1, gb1, gw2, gb2
+    return p, gw1, gb1, gw2, gb2
+
+
+def nn_loss_and_grads(w1, b1, w2, b2, Xs, y):
+    """Full-batch BCE loss and analytic gradients; Xs already
+    standardized."""
+    p, gw1, gb1, gw2, gb2 = _forward_grads(w1, b1, w2, b2, Xs, y)
+    return _bce(p, y), gw1, gb1, gw2, gb2
 
 
 def train_nn(train: Dataset, hidden: int = 16, epochs: int = 600,
              lr: float = 0.5, seed: int = 0) -> NeuralNetModel:
-    """Full-batch gradient descent; raises NonFiniteLoss on divergence."""
+    """Full-batch gradient descent; raises NonFiniteLoss on divergence.
+
+    The loss is computed once, after the last epoch. An epoch checks the
+    output-bias gradient instead: p is clipped inside the loss, so the
+    loss is non-finite exactly when some p is NaN, which is exactly when
+    that gradient, a sum over every p, is NaN.
+    """
     if len(train) == 0:
         raise EmptyDataset("network training needs at least one sample")
     X = train.matrix().astype(np.float64)
@@ -598,13 +619,13 @@ def train_nn(train: Dataset, hidden: int = 16, epochs: int = 600,
     # divergence is detected explicitly below; silence the overflow chatter
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs):
-            loss, gw1, gb1, gw2, gb2 = nn_loss_and_grads(w1, b1, w2, b2, Xs, y)
-            if not math.isfinite(loss):
-                raise NonFiniteLoss(epoch, loss)
-            w1 = w1 - lr * gw1
-            b1 = b1 - lr * gb1
-            w2 = w2 - lr * gw2
-            b2 = b2 - lr * gb2
+            _, gw1, gb1, gw2, gb2 = _forward_grads(w1, b1, w2, b2, Xs, y)
+            if math.isnan(gb2):
+                raise NonFiniteLoss(epoch, float("nan"))
+            w1 -= lr * gw1
+            b1 -= lr * gb1
+            w2 -= lr * gw2
+            b2 -= lr * gb2
         if epochs > 0:
             loss, *_ = nn_loss_and_grads(w1, b1, w2, b2, Xs, y)
             if not math.isfinite(loss):

@@ -6,6 +6,7 @@ Each test prints one summary line; the pytest verdict per test is the
 pass/fail record.
 """
 
+import hashlib
 import itertools
 import time
 from fractions import Fraction
@@ -267,6 +268,23 @@ def test_criterion_11_attack_scenario_shapes():
           f"mean PV {dos_mean:.1f} kW below nominal {nominal_mean:.1f} kW")
 
 
+# SHA-256 of the seed-42 bundle files computed with integer arithmetic
+# only. The network, ranking and simulation files are left out: their
+# floats depend on the BLAS and libm builds.
+GOLDEN_SEED_42 = {
+    "dataset.csv":
+        "3c43bb6c826ae7c5449d6d910577b50f1c3f417927cc54ea4230ecc96fb17c08",
+    "dt_balanced.json":
+        "e5df72ef3f7f4ec205c7f808a4678e26c4ea3734e203a7e674e6c4149f4ed278",
+    "dt_unbalanced.json":
+        "b2d278887697758cb4e7d9337f594b10a15c006427be683083d38d49bc210245",
+    "rf_balanced.json":
+        "75bb85d6c91925827a854264edccde94383d84b012371fe0e6b6437e15956e15",
+    "rf_unbalanced.json":
+        "f1bd39ed3ab952bf448694b77553561d27d375fa86431dd6e590f5c170d9b0d0",
+}
+
+
 def test_criterion_12_reproduce_byte_identical(tmp_path):
     out1 = tmp_path / "one"
     out2 = tmp_path / "two"
@@ -277,5 +295,9 @@ def test_criterion_12_reproduce_byte_identical(tmp_path):
     assert names1 == names2 and len(names1) == 20
     for name in names1:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    for name, digest in GOLDEN_SEED_42.items():
+        got = hashlib.sha256((out1 / name).read_bytes()).hexdigest()
+        assert got == digest, name
     print(f"criterion 12 PASS: two seed-42 bundles byte-identical across "
-          f"all {len(names1)} files")
+          f"all {len(names1)} files; {len(GOLDEN_SEED_42)} match their "
+          f"golden digests")

@@ -240,6 +240,15 @@ def test_oversized_scenario_rejected_before_running(tmp_path, monkeypatch):
     {"diesel_initial_kw": float("nan")},
     {"f_nominal_hz": float("nan")},
     {"pv": {"v_oc_v": 800.0, "i_sc_a": 437.0, "knee": float("nan")}},
+    {"attack_schedule": [[float("nan"), 1.0, {"kind": "mppt_off"}]]},
+    {"attack_schedule": [[0.5, float("nan"), {"kind": "mppt_off"}]]},
+    {"attack_schedule": [[0.0, 1.0, {"kind": "sensor_perturb",
+                                     "amplitude": float("nan"),
+                                     "frequency_hz": 5.0}]]},
+    {"attack_schedule": [[0.0, 1.0, {"kind": "sensor_perturb",
+                                     "amplitude": 0.1,
+                                     "frequency_hz": float("nan")}]]},
+    {"load_schedule": [[float("nan"), 500.0]]},
 ])
 def test_invalid_scenario_exits_3(tmp_path, capsys, change):
     spec = {**mgsim.named_scenario("nominal").to_dict(), "duration_s": 2.0,

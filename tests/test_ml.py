@@ -7,6 +7,7 @@ network gradients.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpc_sentinel import hpc, ml
+from hpc_sentinel import _kernels, hpc, ml
 from hpc_sentinel.errors import (EmptyDataset, InconsistentFeatures,
                                  NonFiniteLoss, SingleClass, TooFewSamples)
 
@@ -269,6 +270,63 @@ def test_rf_trees_match_recursive_reference():
         assert got == want
 
 
+def _wide_values_dataset(seed, n=60):
+    """Columns whose rank codes differ from their values: negative,
+    +-10^6, near +-2^60, constant, and small of both signs."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([
+        rng.integers(-50, 0, size=n),
+        rng.integers(-10**6, 10**6, size=n),
+        rng.choice([-1, 1], size=n) * 2**60 + rng.integers(-3, 4, size=n),
+        np.full(n, 7),
+        rng.integers(-5, 5, size=n),
+    ])
+    names = hpc.FEATURE_NAMES[:X.shape[1]]
+    return make_dataset(X, rng.integers(0, 2, size=n),
+                        feature_names=names).project(names)
+
+
+def _tree_columns(tree):
+    return [tree.feature.tolist(), tree.threshold.tolist(),
+            tree.left.tolist(), tree.right.tolist(), tree.counts.tolist()]
+
+
+def test_trees_on_wide_values_match_recursive_reference(monkeypatch):
+    # every threshold goes through the rank code -> value mapping; a batch
+    # cap of one node's histogram budget sends each node to the kernel
+    # alone, even nodes whose rows alone would share a call
+    d = _wide_values_dataset(3)
+    X, y = d.matrix(), d.labels()
+    n, n_cols = X.shape
+    m = ml._resolve_max_features("sqrt", n_cols)
+    # drawing all n_cols columns searches every feature, as train_dt does
+    want_dt = _recursive_tree(X, y, np.arange(n), np.random.default_rng(0),
+                              n_cols)
+    want_rf = []
+    for child in np.random.SeedSequence(2).spawn(8):
+        tree_rng = np.random.default_rng(child)
+        boot = tree_rng.integers(0, n, size=n)
+        want_rf.append(_recursive_tree(X, y, boot, tree_rng, m))
+    assert max(len(t[0]) for t in want_rf) > 5
+
+    nodes_per_call = []
+    kernel = _kernels.best_split_codes
+
+    def counting(codes, y, sizes, bins, exact=None):
+        nodes_per_call.append(len(sizes))
+        return kernel(codes, y, sizes, bins, exact)
+
+    monkeypatch.setattr(_kernels, "best_split_codes", counting)
+    max_bins = max(len(set(col)) for col in X.T.tolist())
+    for cap, most in ((ml.SPLIT_BATCH_ENTRIES, 8), (m * max_bins, 1)):
+        monkeypatch.setattr(ml, "SPLIT_BATCH_ENTRIES", cap)
+        assert _tree_columns(ml.train_dt(d)) == want_dt
+        nodes_per_call.clear()
+        forest = ml.train_rf(d, n_trees=8, seed=2)
+        assert [_tree_columns(t) for t in forest.trees] == want_rf
+        assert max(nodes_per_call) == most, cap
+
+
 def test_rf_deterministic_and_seed_sensitive(tiny_dataset):
     X = tiny_dataset.matrix()
     a = ml.train_rf(tiny_dataset, n_trees=8, seed=1)
@@ -361,6 +419,66 @@ def test_nn_learns_xor():
 def test_nn_divergence_raises(tiny_dataset):
     with pytest.raises(NonFiniteLoss):
         ml.train_nn(tiny_dataset, hidden=8, epochs=100, lr=1e12, seed=0)
+
+
+def _diverging_epoch_reference(ds, hidden, epochs, lr, seed):
+    """The training loop with the loss computed every epoch: the
+    NonFiniteLoss of the first non-finite loss, or None."""
+    X = ds.matrix().astype(np.float64)
+    y = ds.labels().astype(np.float64)
+    std = X.std(axis=0)
+    std[std == 0.0] = 1.0
+    Xs = (X - X.mean(axis=0)) / std
+    w1, b1, w2, b2 = ml._init_nn(X.shape[1], hidden,
+                                 np.random.default_rng(seed))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs + 1):
+            loss, gw1, gb1, gw2, gb2 = ml.nn_loss_and_grads(w1, b1, w2, b2,
+                                                            Xs, y)
+            if not math.isfinite(loss):
+                return NonFiniteLoss(epoch, loss)
+            w1, b1 = w1 - lr * gw1, b1 - lr * gb1
+            w2, b2 = w2 - lr * gw2, b2 - lr * gb2
+    return None
+
+
+@pytest.mark.parametrize("lr,seed,epochs", [
+    (1e12, 0, 100), (1e3, 1, 100), (100.0, 0, 100),
+    (100.0, 1, 90),     # first non-finite loss is the one after training
+    (30.0, 0, 100),     # no divergence
+])
+def test_nn_divergence_matches_per_epoch_loss(tiny_dataset, lr, seed,
+                                              epochs):
+    want = _diverging_epoch_reference(tiny_dataset, 8, epochs, lr, seed)
+    if want is None:
+        ml.train_nn(tiny_dataset, hidden=8, epochs=epochs, lr=lr, seed=seed)
+        return
+    with pytest.raises(NonFiniteLoss) as got:
+        ml.train_nn(tiny_dataset, hidden=8, epochs=epochs, lr=lr, seed=seed)
+    assert got.value.epoch == want.epoch
+    assert str(got.value) == str(want)
+
+
+def _masked_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_matches_masked_form_bitwise():
+    special = [0.0, -0.0, 745.0, -745.0, 746.0, -746.0, np.inf, -np.inf,
+               np.nan, -np.nan]
+    z = np.concatenate([special,
+                        np.random.default_rng(0).normal(scale=10,
+                                                        size=5000)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _masked_sigmoid(z)
+        got = ml._sigmoid(z)
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_nn_deterministic(tiny_dataset):
