@@ -4,6 +4,10 @@ Subcommands: extract, mutate, train, eval, rank, ablate, simulate,
 report, and the end-to-end reproduce pipeline. Exit codes: 0 success,
 2 usage error, 3 data error, 4 numeric divergence. Every subcommand is
 deterministic given its inputs, flags and --seed.
+
+reproduce runs its five simulations in one worker process made with
+os.fork, alongside the detection stages, so it uses up to two cores and
+needs a POSIX os.fork.
 """
 
 import argparse
@@ -145,11 +149,22 @@ def cmd_simulate(args) -> int:
 # --- report (SVG charts from bundle CSVs) --------------------------------------
 
 def _read_sim_csv(path):
+    """The float columns of a simulate CSV; DataError naming the file if
+    it has no data rows, a row of the wrong width or a non-number."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
+    if len(rows) < 2:
+        raise DataError(f"report: {path} has no data rows")
     header = rows[0]
-    cols = {name: [float(r[i]) for r in rows[1:]]
-            for i, name in enumerate(header[:-2])}
+    for line, row in enumerate(rows[1:], 2):
+        if len(row) != len(header):
+            raise DataError(f"report: {path} line {line} has {len(row)} "
+                            f"fields, the header {len(header)}")
+    try:
+        cols = {name: [float(r[i]) for r in rows[1:]]
+                for i, name in enumerate(header[:-2])}
+    except ValueError as e:
+        raise DataError(f"report: {path}: {e}") from e
     return cols
 
 
@@ -282,11 +297,107 @@ def _train_eval_all(ds, seed, balanced: bool, train_fraction: float = 0.7):
             for i, kind in enumerate(ml.TRAINERS)}
 
 
+def _split_label(train_fraction: float) -> str:
+    """The train/test percentages of a split, "70/30" for 0.7."""
+    train = round(train_fraction * 100)
+    return f"{train}/{100 - train}"
+
+
+def _simulate_bundle(out):
+    """The five named scenarios into the bundle's sim_*.csv files; returns
+    (name, mean pv, min f, max f, final kWh) per scenario."""
+    sim_stats = []
+    for name, fname in zip(mgsim.SCENARIO_NAMES, BUNDLE_SIMS):
+        trace = mgsim.run_scenario(mgsim.named_scenario(name), out / fname)
+        sim_stats.append((name, trace.pv_kw.mean(), trace.freq_hz.min(),
+                          trace.freq_hz.max(), trace.ess_kwh[-1]))
+    return sim_stats
+
+
+class _Forked:
+    """fn(*args) run in one child process made with os.fork.
+
+    The child pickles fn's result, or its error as (is it a NumericError,
+    message), into a pipe and always leaves through os._exit, so it never
+    returns into the caller's code. Errors travel as text because
+    exceptions with their own __init__ signature do not unpickle.
+    join() waits for the child and re-raises its error as NumericError or
+    DataError under the stage name; leaving the with block kills and
+    reaps a child that was not joined.
+    """
+
+    def __init__(self, stage: str, fn, *args):
+        import os
+        import pickle
+        self.stage = stage
+        sys.stdout.flush()  # or the child could write buffered text again
+        sys.stderr.flush()
+        read_fd, write_fd = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(read_fd)
+                try:
+                    payload = (None, fn(*args))
+                except Exception as e:
+                    payload = (isinstance(e, NumericError), str(e))
+                with open(write_fd, "wb") as fh:
+                    pickle.dump(payload, fh)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        self._pipe = open(read_fd, "rb")
+
+    def __enter__(self):
+        return self
+
+    def join(self):
+        import os
+        import pickle
+        with self._pipe:
+            data = self._pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0 or not data:
+            raise DataError(f"stage {self.stage}: worker process ended "
+                            f"with exit status {code} and no result")
+        numeric, value = pickle.loads(data)
+        if numeric is None:
+            return value
+        error = NumericError if numeric else DataError
+        raise error(f"stage {self.stage}: {value}")
+
+    def __exit__(self, *exc_info):
+        if self.pid is not None:
+            import os
+            import signal
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self._pipe.close()
+
+
 def cmd_reproduce(args) -> int:
     if args.window < 1:
         raise UsageError("--window must be >= 1")
+    if not 0.0 < args.split < 1.0:
+        raise UsageError("--split must lie in (0, 1)")
+    if not 1 <= args.components <= len(hpc.FEATURE_NAMES):
+        raise UsageError(f"--components must lie in "
+                         f"[1, {len(hpc.FEATURE_NAMES)}]")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # The simulations make no BLAS call, so forking is safe even where
+    # numpy's BLAS has started threads in this process.
+    with _Forked("simulate", _simulate_bundle, out) as sims:
+        return _reproduce_stages(args, out, sims)
+
+
+def _reproduce_stages(args, out: Path, sims: _Forked) -> int:
+    """Every reproduce stage but the simulations, which `sims` runs in a
+    worker; their results are joined at the simulate stage."""
     seed = args.seed
     cmap = _load_map(args.map)
 
@@ -340,11 +451,7 @@ def cmd_reproduce(args) -> int:
     ablation.to_csv(out / "ablation.csv")
 
     stage("simulate")
-    sim_stats = []
-    for name, fname in zip(mgsim.SCENARIO_NAMES, BUNDLE_SIMS):
-        trace = mgsim.run_scenario(mgsim.named_scenario(name), out / fname)
-        sim_stats.append((name, trace.pv_kw.mean(), trace.freq_hz.min(),
-                          trace.freq_hz.max(), trace.ess_kwh[-1]))
+    sim_stats = sims.join()
 
     stage("summary")
     n0, n1 = ds.class_counts()
@@ -354,7 +461,8 @@ def cmd_reproduce(args) -> int:
         f"Corpus: {len(ids)} firmware listings, {len(ds)} windows of "
         f"{args.window} instructions ({n0} benign / {n1} malicious), "
         f"{len(ds.feature_names)} counters.", "",
-        "## Detection metrics, unbalanced training (70/30 split)", "",
+        f"## Detection metrics, unbalanced training "
+        f"({_split_label(args.split)} split)", "",
     ]
     lines += _metrics_table([(k, v[1].metrics) for k, v in unbal.items()])
     lines += ["", "## Detection metrics, balanced training", ""]

@@ -5,13 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from hpc_sentinel import cli, mgsim
-from hpc_sentinel.errors import DataError
+from hpc_sentinel import cli, mgsim, ml, pca
+from hpc_sentinel.errors import DataError, NonFiniteLoss, OutOfRangeVoltage
 from hpc_sentinel.mutate import synth_base_listing
 
 REPO = Path(__file__).resolve().parents[1]
@@ -153,6 +154,23 @@ def test_report_renders_charts(tmp_path):
     assert power.read_text().lstrip().startswith("<svg")
 
 
+@pytest.mark.parametrize("text", [
+    "",                                          # empty
+    "time_s,pv_kw,freq_hz,mppt_on,inverter_on\n",  # header only
+    "time_s,pv_kw,freq_hz,mppt_on,inverter_on\n"
+    "0.0,1.0,60.0,1,1\n0.01,1.0\n",               # ragged row
+    "time_s,pv_kw,freq_hz,mppt_on,inverter_on\n"
+    "0.0,n/a,60.0,1,1\n",                         # not a number
+])
+def test_report_rejects_broken_sim_csv(tmp_path, capsys, text):
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    (bundle / "sim_nominal.csv").write_text(text)
+    assert run_cli("report", "--bundle", str(bundle)) == 3
+    err = capsys.readouterr().err
+    assert "sim_nominal.csv" in err and "Traceback" not in err
+
+
 # --- exit codes -----------------------------------------------------------------
 
 def test_usage_errors_exit_2(tmp_path, corpus_csv):
@@ -171,6 +189,12 @@ def test_usage_errors_exit_2(tmp_path, corpus_csv):
     assert run_cli("reproduce", "--window", "0",
                    "--out", str(tmp_path / "bundle")) == 2
     assert not (tmp_path / "bundle").exists()
+    # so are a split outside (0, 1) and more components than counters
+    for flag, value in (("--split", "0"), ("--split", "1.5"),
+                        ("--components", "0"), ("--components", "99")):
+        assert run_cli("reproduce", flag, value,
+                       "--out", str(tmp_path / "bundle")) == 2, flag
+        assert not (tmp_path / "bundle").exists(), flag
 
 
 def test_data_errors_exit_3(tmp_path, base_asm):
@@ -396,3 +420,108 @@ def test_reproduce_smoke(tmp_path):
     files = {p.name for p in out.iterdir() if p.is_file()}
     assert len(files) == 20
     assert "summary.md" in files and "dataset.csv" in files
+
+
+def test_split_label_follows_fraction():
+    assert cli._split_label(0.7) == "70/30"
+    assert cli._split_label(0.8) == "80/20"
+
+
+# --- the simulation worker of reproduce ----------------------------------------
+
+@pytest.fixture
+def dt_only(monkeypatch):
+    """Every model of a reproduce run is a decision tree, which keeps the
+    stages before the simulation join well under a second."""
+    fit = ml.fit
+    monkeypatch.setattr(ml, "fit", lambda kind, train, seed=0, **hp:
+                        fit("dt", train, seed))
+
+
+def _raise(error):
+    def run(*args, **kwargs):
+        raise error
+    return run
+
+
+@pytest.mark.parametrize("run_scenario,code,words", [
+    (_raise(OutOfRangeVoltage(900, 800)), 3, "voltage 900"),
+    (_raise(NonFiniteLoss(7, float("nan"))), 4, "epoch 7"),
+    (lambda *args, **kwargs: os._exit(9), 3, "exit status 9"),
+], ids=["out_of_range_voltage", "non_finite_loss", "exit_9"])
+def test_simulation_failure_in_worker(tmp_path, capsys, monkeypatch, dt_only,
+                                      run_scenario, code, words):
+    # the worker is forked from this process, so it runs the patched
+    # scenario runner; its exceptions cannot be unpickled and travel as text
+    monkeypatch.setattr(mgsim, "run_scenario", run_scenario)
+    assert run_cli("reproduce", "--out", str(tmp_path / "bundle")) == code
+    err = capsys.readouterr().err
+    assert "stage simulate" in err and words in err
+    assert "Traceback" not in err
+
+
+def test_failed_stage_kills_worker(tmp_path, monkeypatch, dt_only):
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    release = tmp_path / "release"
+
+    def held_run(scenario, path):
+        # waits for the test, so a worker that outlived reproduce would
+        # write its file after the release
+        deadline = time.monotonic() + 10.0
+        while not release.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        Path(path).write_text("late\n")
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(mgsim, "run_scenario", held_run)
+    monkeypatch.setattr(pca, "run_ablation", _raise(DataError("no sweep")))
+    bundle = tmp_path / "bundle"
+    assert run_cli("reproduce", "--out", str(bundle)) == 3
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):   # killed and reaped
+        os.waitpid(pids[0], os.WNOHANG)
+    release.touch()
+    time.sleep(0.3)
+    assert not list(bundle.glob("sim_*.csv"))
+
+
+@pytest.mark.parametrize("error", [SystemExit, KeyboardInterrupt])
+def test_worker_never_returns_into_caller(tmp_path, error):
+    parent = os.getpid()
+    try:
+        with cli._Forked("simulate", _raise(error)) as worker:
+            with pytest.raises(DataError, match="exit status 1"):
+                worker.join()
+    finally:
+        if os.getpid() != parent:   # the worker came back here
+            (tmp_path / "returned").touch()
+            os._exit(0)
+    assert not (tmp_path / "returned").exists()
+
+
+def test_text_before_fork_printed_once():
+    # a pipe makes stdout block-buffered, so text the parent printed but
+    # did not flush would be written again by a worker that flushes
+    code = ("import sys\n"
+            "from hpc_sentinel import cli\n"
+            "def work():\n"
+            "    print('worker')\n"
+            "    sys.stdout.flush()\n"
+            "print('before fork')\n"
+            "with cli._Forked('simulate', work) as worker:\n"
+            "    worker.join()\n"
+            "print('after join')\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(REPO / "src")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["before fork", "worker", "after join"]
