@@ -1,9 +1,14 @@
-"""Parsing of disassembler listing text into categorized instruction streams.
+"""Parsing of disassembler listing text into instruction category codes.
 
 A listing line looks like ``03f6438 83a1 MOV AL,@VarA ;comment``: hex
 address, hex opcode word, mnemonic, free-form operands, optional comment.
 Category assignment is a per-mnemonic table (CategoryMap) loaded from JSON;
 anything absent from the table counts as Other.
+
+parse_listing goes from text straight to a Listing: one int64 category
+code per instruction plus a tally of the skipped lines, with no per-line
+object. parse_instructions applies the same line rules but returns
+Instruction records, for code that rebuilds listing text (format_listing).
 """
 
 import enum
@@ -12,7 +17,9 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .errors import MalformedLine
+import numpy as np
+
+from .errors import DataError, MalformedLine
 
 
 class InstructionCategory(enum.Enum):
@@ -106,14 +113,38 @@ class CategoryMap:
 
     @classmethod
     def from_dict(cls, obj):
-        cats = {m.upper(): InstructionCategory.from_name(c)
-                for m, c in obj["categories"].items()}
-        return cls(name=obj.get("name", "unnamed"), categories=cats)
+        """Map from its JSON form: an object whose "categories" maps
+        mnemonics (non-empty, no whitespace) to category names; a
+        malformed one raises ValueError."""
+        if not isinstance(obj, dict):
+            raise ValueError("a category map must be a JSON object")
+        name = obj.get("name", "unnamed")
+        if not isinstance(name, str):
+            raise ValueError("the map's \"name\" must be a string")
+        table = obj.get("categories")
+        if not isinstance(table, dict):
+            raise ValueError("the map needs a \"categories\" object "
+                             "mapping mnemonics to category names")
+        cats = {}
+        for m, c in table.items():
+            if m.split() != [m]:
+                raise ValueError(f"mnemonic {m!r} is empty or holds "
+                                 f"whitespace")
+            if not isinstance(c, str):
+                raise ValueError(f"category of {m!r} must be a name, "
+                                 f"not {c!r}")
+            cats[m.upper()] = InstructionCategory.from_name(c)
+        return cls(name=name, categories=cats)
 
     @classmethod
     def from_json(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        """Map from a JSON file; a file that is not UTF-8 JSON of a
+        well-formed map raises DataError naming it."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return cls.from_dict(json.load(fh))
+        except (ValueError, RecursionError) as e:
+            raise DataError(f"category map {path}: {e}") from e
 
     def to_dict(self):
         return {
@@ -142,64 +173,89 @@ def classify_mnemonic(mnemonic, cmap=None):
     return cmap.classify(mnemonic)
 
 
-_INSTR_RE = re.compile(
-    r"^([0-9a-fA-F]+)\s+([0-9a-fA-F]+)\s+(\S+)(?:\s+(.*))?$")
+# One anchored match per raw line: address, opcode word, mnemonic and the
+# operands up to a comment. A line it accepts holds the same fields as the
+# line stripped of its comment and outer whitespace would, because \s and
+# str.strip use the same whitespace set and a mnemonic cannot hold ";".
+_LINE_RE = re.compile(
+    r"\s*([0-9a-fA-F]+)\s+([0-9a-fA-F]+)\s+([^\s;]+)([^;]*)")
 _LABEL_RE = re.compile(r"^[A-Za-z_.$]\w*:$")
 
-
-@dataclass
-class ParseReport:
-    instructions: list
-    skipped: dict  # kind -> count over blank/comment/label/directive/unrecognized
+SKIP_KINDS = ("blank", "comment", "label", "directive", "unrecognized")
 
 
-def parse_listing_report(text, cmap=None, strict=False):
-    """Parse a listing, returning instructions plus a tally of skipped lines.
+def _noncode_kind(raw_line):
+    """Skip kind of a line that holds no instruction; None if the line is
+    not recognizable non-code either."""
+    stripped = raw_line.partition(";")[0].strip()
+    if not stripped:
+        return "comment" if raw_line.strip() else "blank"
+    if _LABEL_RE.match(stripped):
+        return "label"
+    if stripped.startswith("."):
+        return "directive"
+    return None
 
-    strict=True raises MalformedLine on lines that are neither instructions
-    nor recognizable non-code (blank, comment, label, directive).
+
+def _instruction_lines(text, skipped, strict):
+    """Line matches of the instructions of a listing, in order.
+
+    Every other line is tallied in skipped by kind. A mnemonic starting
+    with "." is a data word rendered as a pseudo-instruction and counts as
+    a directive. strict=True raises MalformedLine on a line that is
+    neither an instruction nor recognizable non-code (blank, comment,
+    label, directive).
     """
-    cmap = cmap or CategoryMap.default()
-    instructions = []
-    skipped = {"blank": 0, "comment": 0, "label": 0, "directive": 0,
-               "unrecognized": 0}
+    match = _LINE_RE.match
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        body, _, _ = raw_line.partition(";")
-        stripped = body.strip()
-        if not stripped:
-            kind = "comment" if raw_line.strip() else "blank"
-            skipped[kind] += 1
+        m = match(raw_line)
+        if m is not None and m[3][0] != ".":
+            yield m
             continue
-        if _LABEL_RE.match(stripped):
-            skipped["label"] += 1
-            continue
-        if stripped.startswith("."):
-            skipped["directive"] += 1
-            continue
-        m = _INSTR_RE.match(stripped)
-        if m is None or m.group(3).startswith("."):
-            if m is not None:  # data word rendered as a pseudo-mnemonic
-                skipped["directive"] += 1
-                continue
+        kind = "directive" if m is not None else _noncode_kind(raw_line)
+        if kind is None:
             if strict:
                 raise MalformedLine(line_no, raw_line)
-            skipped["unrecognized"] += 1
-            continue
-        mnemonic = m.group(3).upper()
-        operands = (m.group(4) or "").strip()
-        instructions.append(Instruction(
-            address=m.group(1),
-            raw_opcode=m.group(2),
-            mnemonic=mnemonic,
-            operands=operands,
-            category=cmap.classify(mnemonic),
-        ))
-    return ParseReport(instructions=instructions, skipped=skipped)
+            kind = "unrecognized"
+        skipped[kind] += 1
+
+
+@dataclass(frozen=True)
+class Listing:
+    """A parsed listing: one category code per instruction, plus the tally
+    of skipped lines by kind (SKIP_KINDS)."""
+
+    codes: np.ndarray  # (n,) int64 InstructionCategory codes
+    skipped: dict
+
+    def __len__(self):
+        return self.codes.shape[0]
 
 
 def parse_listing(text, cmap=None, strict=False):
-    """Parse a listing into its instruction sequence (skips non-code lines)."""
-    return parse_listing_report(text, cmap, strict=strict).instructions
+    """Category codes of a listing's instructions; blank, comment, label
+    and directive lines are skipped and tallied. Other lines are tallied
+    as unrecognized, or raise MalformedLine when strict=True."""
+    cmap = cmap or CategoryMap.default()
+    code_of = {m: c.code for m, c in cmap.categories.items()}
+    other = InstructionCategory.OTHER.code
+    skipped = dict.fromkeys(SKIP_KINDS, 0)
+    codes = [code_of.get(m[3].upper(), other)
+             for m in _instruction_lines(text, skipped, strict)]
+    return Listing(codes=np.array(codes, dtype=np.int64), skipped=skipped)
+
+
+def parse_instructions(text, cmap=None, strict=False):
+    """The instructions of a listing as Instruction records, under the
+    same line rules as parse_listing."""
+    cmap = cmap or CategoryMap.default()
+    out = []
+    for m in _instruction_lines(text, dict.fromkeys(SKIP_KINDS, 0), strict):
+        mnemonic = m[3].upper()
+        out.append(Instruction(address=m[1], raw_opcode=m[2],
+                               mnemonic=mnemonic, operands=m[4].strip(),
+                               category=cmap.classify(mnemonic)))
+    return out
 
 
 def format_listing(instructions):

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import _kernels, hpc, mgsim, ml, mutate, pca
-from .asm import CategoryMap, parse_listing
+from .asm import SKIP_KINDS, CategoryMap, parse_listing
 from .errors import DataError, NumericError, SentinelError
 
 
@@ -36,6 +36,8 @@ def _read_text(path, stage: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise DataError(f"{stage}: cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise DataError(f"{stage}: {path} is not UTF-8 text: {e}") from e
 
 
 # --- extract ------------------------------------------------------------------
@@ -49,15 +51,20 @@ def cmd_extract(args) -> int:
         raise UsageError("--window must be >= 1")
     cmap = _load_map(args.map)
     runs = []
+    skipped = dict.fromkeys(SKIP_KINDS, 0)
     for f in args.files:
         text = _read_text(f, "extract")
-        instrs = parse_listing(text, cmap)
-        windows = hpc.extract_windows(instrs, args.window)
+        listing = parse_listing(text, cmap)
+        for kind, n in listing.skipped.items():
+            skipped[kind] += n
+        windows = hpc.extract_windows(listing, args.window)
         runs.append((Path(f).stem, args.label,
                      args.attack if args.label == "malicious" else None,
                      windows))
     ds = hpc.emit_dataset(runs, args.out)
-    print(f"wrote {args.out} ({len(ds)} windows from {len(runs)} files)")
+    tally = ", ".join(f"{n} {kind}" for kind, n in skipped.items())
+    print(f"wrote {args.out} ({len(ds)} windows from {len(runs)} files; "
+          f"skipped {sum(skipped.values())} lines: {tally})")
     return 0
 
 
@@ -421,8 +428,8 @@ def _reproduce_stages(args, out: Path, sims: _Forked) -> int:
     stage("extract")
     runs = []
     for fid in ids:
-        instrs = parse_listing(corpus[fid], cmap)
-        windows = hpc.extract_windows(instrs, args.window)
+        windows = hpc.extract_windows(parse_listing(corpus[fid], cmap),
+                                      args.window)
         label = "benign" if fid == "benign" else "malicious"
         runs.append((fid, label, None if fid == "benign" else fid, windows))
     ds = hpc.emit_dataset(runs, out / "dataset.csv")
@@ -447,7 +454,7 @@ def _reproduce_stages(args, out: Path, sims: _Forked) -> int:
                               balanced=True, train_fraction=args.split)
 
     stage("ablate")
-    ablation = pca.run_ablation(ds, seed=seed)
+    ablation = pca.run_ablation(ds, seed=seed, train_fraction=args.split)
     ablation.to_csv(out / "ablation.csv")
 
     stage("simulate")

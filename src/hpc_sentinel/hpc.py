@@ -45,12 +45,6 @@ class HpcVector:
                 and bool(np.array_equal(self.counts, other.counts)))
 
 
-def category_codes(instructions):
-    """Instruction sequence -> int64 code array for the counting kernels."""
-    return np.fromiter((ins.category.code for ins in instructions),
-                       dtype=np.int64, count=len(instructions))
-
-
 def windows_from_codes(codes, window=DEFAULT_WINDOW):
     """Windowed counter vectors from a raw category-code array."""
     if window < 1:
@@ -66,13 +60,14 @@ def windows_from_codes(codes, window=DEFAULT_WINDOW):
     return out
 
 
-def extract_windows(instructions, window=DEFAULT_WINDOW):
-    """Counter vectors over consecutive windows of an instruction stream.
+def extract_windows(listing, window=DEFAULT_WINDOW):
+    """Counter vectors over consecutive windows of a parsed listing
+    (asm.Listing).
 
     A final short window is emitted with partial=True; empty input yields
     no windows.
     """
-    return windows_from_codes(category_codes(instructions), window)
+    return windows_from_codes(listing.codes, window)
 
 
 def compute_bigram(prev, nxt):

@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .asm import _INSTR_RE, CategoryMap, parse_listing
+from .asm import _LINE_RE, CategoryMap, parse_listing
 from .errors import AnchorNotFound, EmptyPayload, PayloadUnparsable
 
 # Section labels a base listing must expose for the shipped templates.
@@ -111,7 +111,7 @@ def default_templates() -> dict:
 def _last_address_before(lines, anchor_line_no):
     addr = 0x8000 - 1
     for line in lines[:anchor_line_no + 1]:
-        m = _INSTR_RE.match(line.split(";", 1)[0].strip())
+        m = _LINE_RE.match(line)
         if m:
             addr = int(m.group(1), 16)
     return addr

@@ -1,11 +1,61 @@
-"""Listing parser grammar, category table, and formatting round-trip."""
+"""Listing parser grammar against a line-by-line oracle, category table,
+and formatting round-trip."""
+
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpc_sentinel.asm import (CategoryMap, Instruction, InstructionCategory,
-                              classify_mnemonic, format_listing, parse_listing,
-                              parse_listing_report)
+                              classify_mnemonic, format_listing,
+                              parse_instructions, parse_listing)
 from hpc_sentinel.errors import MalformedLine
+
+_ORACLE_INSTR_RE = re.compile(
+    r"^([0-9a-fA-F]+)\s+([0-9a-fA-F]+)\s+(\S+)(?:\s+(.*))?$")
+_ORACLE_LABEL_RE = re.compile(r"^[A-Za-z_.$]\w*:$")
+
+
+def oracle_parse(text, cmap=None, strict=False):
+    """Reference parse, one rule at a time on each comment-stripped line.
+
+    Returns the instructions as (address, opcode, mnemonic, operands,
+    category code) tuples and the skipped-line tally. Written apart from
+    the library's single-match parser; kept dumb on purpose.
+    """
+    cmap = cmap or CategoryMap.default()
+    instructions = []
+    skipped = {"blank": 0, "comment": 0, "label": 0, "directive": 0,
+               "unrecognized": 0}
+    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+        body, _, _ = raw_line.partition(";")
+        stripped = body.strip()
+        if not stripped:
+            kind = "comment" if raw_line.strip() else "blank"
+            skipped[kind] += 1
+            continue
+        if _ORACLE_LABEL_RE.match(stripped):
+            skipped["label"] += 1
+            continue
+        if stripped.startswith("."):
+            skipped["directive"] += 1
+            continue
+        m = _ORACLE_INSTR_RE.match(stripped)
+        if m is None or m.group(3).startswith("."):
+            if m is not None:  # data word rendered as a pseudo-mnemonic
+                skipped["directive"] += 1
+                continue
+            if strict:
+                raise MalformedLine(line_no, raw_line)
+            skipped["unrecognized"] += 1
+            continue
+        mnemonic = m.group(3).upper()
+        operands = (m.group(4) or "").strip()
+        instructions.append((m.group(1), m.group(2), mnemonic, operands,
+                             cmap.classify(mnemonic).code))
+    return instructions, skipped
+
 
 SAMPLE = """\
 ; banner comment
@@ -22,17 +72,16 @@ done:
 
 
 def test_parse_skips_noncode_lines():
-    report = parse_listing_report(SAMPLE)
-    assert [i.mnemonic for i in report.instructions] == \
+    listing = parse_listing(SAMPLE)
+    assert len(listing) == 5
+    assert listing.skipped == {"blank": 1, "comment": 1, "label": 2,
+                               "directive": 1, "unrecognized": 0}
+    assert [i.mnemonic for i in parse_instructions(SAMPLE)] == \
         ["MOV", "ADD", "EALLOW", "NOP", "B"]
-    assert report.skipped["comment"] == 1
-    assert report.skipped["blank"] == 1
-    assert report.skipped["label"] == 2
-    assert report.skipped["directive"] == 1
 
 
 def test_parse_fields_and_categories():
-    ins = parse_listing(SAMPLE)
+    ins = parse_instructions(SAMPLE)
     first = ins[0]
     assert first.address == "008000"
     assert first.raw_opcode == "a501"
@@ -42,37 +91,112 @@ def test_parse_fields_and_categories():
     assert cats == [InstructionCategory.LOAD, InstructionCategory.ARITHMETIC,
                     InstructionCategory.OTHER, InstructionCategory.OTHER,
                     InstructionCategory.BRANCH]
+    assert parse_listing(SAMPLE).codes.tolist() == [c.code for c in cats]
 
 
 def test_mnemonic_case_insensitive():
-    ins = parse_listing("008000 a501 mov AL,@VarA\n")
+    ins = parse_instructions("008000 a501 mov AL,@VarA\n")
     assert ins[0].mnemonic == "MOV"
     assert ins[0].category is InstructionCategory.LOAD
+    assert parse_listing("008000 a501 mov AL,@VarA\n").codes.tolist() == \
+        [InstructionCategory.LOAD.code]
 
 
 def test_comment_stripped_from_operands():
-    ins = parse_listing("008000 a501 ADD AL,#1 ; add one\n")
+    ins = parse_instructions("008000 a501 ADD AL,#1 ; add one\n")
     assert ins[0].operands == "AL,#1"
 
 
 def test_strict_mode_raises_with_line_number():
     text = "008000 a501 MOV AL,@VarA\nthis is not assembly\n"
     assert len(parse_listing(text)) == 1
-    with pytest.raises(MalformedLine) as exc:
-        parse_listing(text, strict=True)
-    assert "2" in str(exc.value)
+    for parse in (parse_listing, parse_instructions):
+        with pytest.raises(MalformedLine) as exc:
+            parse(text, strict=True)
+        assert exc.value.line_no == 2
+        assert "line 2" in str(exc.value)
 
 
 def test_lenient_mode_tallies_unrecognized():
-    report = parse_listing_report("garbage line here\n")
-    assert report.instructions == []
-    assert report.skipped["unrecognized"] == 1
+    listing = parse_listing("garbage line here\n")
+    assert len(listing) == 0
+    assert listing.codes.dtype.name == "int64"
+    assert listing.skipped["unrecognized"] == 1
 
 
 def test_format_parse_round_trip():
-    ins = parse_listing(SAMPLE)
-    again = parse_listing(format_listing(ins))
+    ins = parse_instructions(SAMPLE)
+    again = parse_instructions(format_listing(ins))
     assert again == ins
+
+
+# --- single-match parser against the oracle ----------------------------------
+
+_SPACE = st.sampled_from([" ", "  ", "\t", "\xa0", " \t"])
+_HEX = st.text("0123456789abcdefABCDEF", min_size=1, max_size=6)
+_MNEMONIC = st.one_of(
+    st.sampled_from(["MOV", "mov", "Add", "B", "NOP", "MOVH", "EALLOW",
+                     "FROB", ".word", ".x", "BF:", "A.B", "0f"]),
+    st.text("ABMOVa.;:_$0", min_size=1, max_size=4))
+_OPERANDS = st.text("AL,@#0x; \t\xa0:.", max_size=10)
+_COMMENT = st.one_of(st.just(""), st.text("; x\t\xa0:.", max_size=6).map(
+    lambda t: ";" + t))
+
+
+@st.composite
+def _instruction_line(draw):
+    parts = [draw(st.sampled_from(["", " ", "\t", "\xa0"])), draw(_HEX),
+             draw(_SPACE), draw(_HEX), draw(_SPACE), draw(_MNEMONIC)]
+    if draw(st.booleans()):
+        parts += [draw(_SPACE), draw(_OPERANDS)]
+    parts += [draw(st.sampled_from(["", " ", "\xa0"])), draw(_COMMENT)]
+    return "".join(parts)
+
+
+_LINE = st.one_of(
+    _instruction_line(),
+    st.sampled_from(["", " ", "\t", "\xa0", "main:", " .L1: ", "$x:",
+                     "_a1:;c", "lab el:", "9bad:", ".sect \".text\"",
+                     "  .align 2", "; comment", "  ;", "garbage here",
+                     "8000", "8000 a501", "8000 a501 ;MOV", "zz 00 MOV"]),
+    st.text("08a .:;MOV\t\xa0", max_size=12))
+_BREAK = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c",
+                          "\x85", "\u2028"])
+
+
+@st.composite
+def _line_soup(draw):
+    lines = draw(st.lists(_LINE, max_size=12))
+    text = ""
+    for line in lines:
+        text += line + draw(_BREAK)
+    if draw(st.booleans()) and lines:
+        text = text[:-1]   # no final line break
+    return text
+
+
+_CMAP = CategoryMap.default()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_line_soup())
+def test_parse_matches_oracle(text):
+    want, skipped = oracle_parse(text, _CMAP)
+    listing = parse_listing(text, _CMAP)
+    assert listing.codes.tolist() == [ins[4] for ins in want]
+    assert listing.skipped == skipped
+    assert [(i.address, i.raw_opcode, i.mnemonic, i.operands,
+             i.category.code) for i in parse_instructions(text, _CMAP)] == want
+    try:
+        oracle_parse(text, _CMAP, strict=True)
+    except MalformedLine as exc:
+        for parse in (parse_listing, parse_instructions):
+            with pytest.raises(MalformedLine) as got:
+                parse(text, _CMAP, strict=True)
+            assert got.value.line_no == exc.line_no
+            assert got.value.line == exc.line
+    else:
+        assert parse_listing(text, _CMAP, strict=True).skipped == skipped
 
 
 def test_format_empty():

@@ -5,11 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpc_sentinel import cli, mgsim, ml, pca
 from hpc_sentinel.errors import DataError, NonFiniteLoss, OutOfRangeVoltage
@@ -229,6 +232,94 @@ def test_data_errors_exit_3(tmp_path, base_asm):
     bad_json.write_text("{not json")
     assert run_cli("simulate", "--scenario-file", str(bad_json),
                    "--out", str(tmp_path / "s.csv")) == 3
+
+
+@pytest.mark.parametrize("content", [
+    b'{"categories":{"MOV":5}}',
+    b'{"categories":{"MOV":null}}',
+    b'{"categories":["MOV"]}',
+    b'null',
+    b'{"name":"x"}',
+    b'{"name":7,"categories":{}}',
+    b'{"categories":{"":"load"}}',
+    b'{"categories":{"MOV AL":"load"}}',
+    b'{"categories":{"MOV":"mystery"}}',
+    b'{not json',
+    b'\xff{"categories":{}}',
+    b'[' * 100000,
+], ids=["int_category", "null_category", "list_categories", "null",
+        "no_categories", "int_name", "empty_mnemonic", "spaced_mnemonic",
+        "unknown_category", "not_json", "not_utf8", "deep_nesting"])
+def test_malformed_map_exits_3_naming_file(tmp_path, capsys, base_asm,
+                                           content):
+    path = tmp_path / "map.json"
+    path.write_bytes(content)
+    assert run_cli("extract", "--map", str(path), "--label", "benign",
+                   "--out", str(tmp_path / "x.csv"), str(base_asm)) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+
+
+def test_listing_not_utf8_exits_3_naming_file(tmp_path, capsys):
+    path = tmp_path / "fw.asm"
+    path.write_bytes(b"008000 a501 MOV AL,@VarA\n\xff\n")
+    assert run_cli("extract", "--label", "benign",
+                   "--out", str(tmp_path / "x.csv"), str(path)) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and "UTF-8" in err
+
+
+def test_extract_reports_skipped_lines(tmp_path, capsys):
+    listing = tmp_path / "fw.asm"
+    listing.write_text("; banner\n.text\nmain:\n\n008000 a501 MOV AL,@A\n"
+                       "008001 a502 .word 0x1\nnot code\n")
+    twice = [str(listing), str(listing)]
+    out = tmp_path / "x.csv"
+    assert run_cli("extract", "--label", "benign", "--out", str(out),
+                   *twice) == 0
+    assert capsys.readouterr().out == (
+        f"wrote {out} (2 windows from 2 files; skipped 12 lines: 2 blank, "
+        f"2 comment, 2 label, 4 directive, 2 unrecognized)\n")
+
+
+_LISTING_LINES = st.sampled_from([
+    b"008000 a501 MOV AL,@VarA", b"8001 ffff add AL,#1 ; c", b"main:",
+    b"  .sect \".text\"", b"8002 0000 .word 0x1", b"; comment", b"",
+    b"\xa0", b"\xc2\xa0", b"\xff\xfe", b"\x00", b"8003 a5\tB x\x85y",
+    b"garbage", b"\r"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner,
+                                     max_size=3)),
+    max_leaves=8)
+_MAP_DOC = st.one_of(
+    st.none(),
+    st.binary(max_size=40),
+    _JSON.map(lambda doc: json.dumps(doc).encode()),
+    st.dictionaries(st.sampled_from(["MOV", "mov", "B", "", " ", "A;"])
+                    | st.text(max_size=4),
+                    st.sampled_from(["load", "branch", "x"]) | _JSON,
+                    max_size=4).map(
+        lambda cats: json.dumps({"categories": cats}).encode()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(listing=st.one_of(
+           st.binary(max_size=200),
+           st.lists(_LISTING_LINES | st.binary(max_size=12),
+                    max_size=20).map(b"\n".join)),
+       map_doc=_MAP_DOC, window=st.integers(-1, 60))
+def test_extract_fuzz_never_escapes(listing, map_doc, window):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "fw.asm").write_bytes(listing)
+        argv = ["extract", "--label", "benign", "--window", str(window),
+                "--out", str(root / "x.csv"), str(root / "fw.asm")]
+        if map_doc is not None:
+            (root / "map.json").write_bytes(map_doc)
+            argv += ["--map", str(root / "map.json")]
+        assert cli.main(argv) in (0, 2, 3, 4)
 
 
 def test_oversized_scenario_rejected_before_running(tmp_path, monkeypatch):
@@ -491,6 +582,19 @@ def test_failed_stage_kills_worker(tmp_path, monkeypatch, dt_only):
     release.touch()
     time.sleep(0.3)
     assert not list(bundle.glob("sim_*.csv"))
+
+
+def test_reproduce_ablation_follows_split(tmp_path, monkeypatch, dt_only):
+    fractions = []
+
+    def recording(ds, **kwargs):
+        fractions.append(kwargs.get("train_fraction"))
+        raise DataError("stop after the ablation call")
+
+    monkeypatch.setattr(pca, "run_ablation", recording)
+    assert run_cli("reproduce", "--split", "0.8",
+                   "--out", str(tmp_path / "bundle")) == 3
+    assert fractions == [0.8]
 
 
 @pytest.mark.parametrize("error", [SystemExit, KeyboardInterrupt])

@@ -10,7 +10,7 @@ import json
 import pytest
 
 from hpc_sentinel import hpc
-from hpc_sentinel.asm import CategoryMap, parse_listing
+from hpc_sentinel.asm import CategoryMap, parse_instructions, parse_listing
 from hpc_sentinel.errors import AnchorNotFound, EmptyPayload, PayloadUnparsable
 from hpc_sentinel.mutate import (ANCHORS, AttackKind, InjectionTemplate,
                                  build_corpus, default_template,
@@ -83,8 +83,8 @@ def test_base_listing_deterministic():
     other = synth_base_listing(seed=4)
     assert other != synth_base_listing(seed=3)
     # different seeds vary operands/opcodes, never the instruction skeleton
-    a = [i.mnemonic for i in parse_listing(synth_base_listing(seed=3))]
-    b = [i.mnemonic for i in parse_listing(other)]
+    a = [i.mnemonic for i in parse_instructions(synth_base_listing(seed=3))]
+    b = [i.mnemonic for i in parse_instructions(other)]
     assert a == b
 
 
