@@ -233,13 +233,8 @@ def best_split(x, y, feats, exact):
 # ---------------------------------------------------------------------------
 # microgrid stepping primitives
 #
-# The public operations in mgsim delegate to these, and the scenario loop
-# calls them step by step, so both views of the dynamics share one source.
-
-def pv_current(v, irr, v_oc, i_sc, knee):
-    """PV module current (A) at terminal voltage v under irradiance irr."""
-    return irr * i_sc * (1.0 - (v / v_oc) ** knee)
-
+# simulate_core calls these once per tracker update or grid step; tests
+# check each against its closed form.
 
 def pv_voltage(i_cmd, irr, v_oc, i_sc, knee):
     """Terminal voltage (V) when the converter draws i_cmd amps."""

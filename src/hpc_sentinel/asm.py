@@ -7,8 +7,7 @@ anything absent from the table counts as Other.
 
 parse_listing goes from text straight to a Listing: one int64 category
 code per instruction plus a tally of the skipped lines, with no per-line
-object. parse_instructions applies the same line rules but returns
-Instruction records, for code that rebuilds listing text (format_listing).
+object.
 """
 
 import enum
@@ -31,11 +30,6 @@ class InstructionCategory(enum.Enum):
     OTHER = "other"
 
     @property
-    def symbol(self):
-        """Single-letter feature symbol; None for Other."""
-        return _SYMBOLS[self]
-
-    @property
     def code(self):
         """Integer code used by the counting kernels (alphabetical by symbol)."""
         return _CODES[self]
@@ -49,15 +43,6 @@ class InstructionCategory(enum.Enum):
             raise ValueError(f"unknown instruction category {text!r}") from None
 
 
-_SYMBOLS = {
-    InstructionCategory.ARITHMETIC: "a",
-    InstructionCategory.BOOLEAN: "n",
-    InstructionCategory.STORE: "s",
-    InstructionCategory.LOAD: "l",
-    InstructionCategory.BRANCH: "b",
-    InstructionCategory.OTHER: None,
-}
-
 # alphabetical by symbol: a, b, l, n, s; Other sorts last
 _CODES = {
     InstructionCategory.ARITHMETIC: 0,
@@ -67,8 +52,6 @@ _CODES = {
     InstructionCategory.STORE: 4,
     InstructionCategory.OTHER: 5,
 }
-
-CATEGORY_BY_CODE = {v: k for k, v in _CODES.items()}
 
 _ALIASES = {
     "arith": InstructionCategory.ARITHMETIC,
@@ -86,19 +69,6 @@ _ALIASES = {
     "b": InstructionCategory.BRANCH,
     "other": InstructionCategory.OTHER,
 }
-
-
-@dataclass(frozen=True)
-class Instruction:
-    address: str
-    raw_opcode: str | None
-    mnemonic: str
-    operands: str
-    category: InstructionCategory
-
-    def __post_init__(self):
-        if not self.mnemonic or re.search(r"\s", self.mnemonic):
-            raise ValueError(f"bad mnemonic {self.mnemonic!r}")
 
 
 @dataclass
@@ -165,14 +135,6 @@ class CategoryMap:
         return cls.from_dict(json.loads(text))
 
 
-def classify_mnemonic(mnemonic, cmap=None):
-    """Category of one mnemonic under cmap; unmapped -> Other."""
-    if not mnemonic:
-        raise ValueError("empty mnemonic")
-    cmap = cmap or CategoryMap.default()
-    return cmap.classify(mnemonic)
-
-
 # One anchored match per raw line: address, opcode word, mnemonic and the
 # operands up to a comment. A line it accepts holds the same fields as the
 # line stripped of its comment and outer whitespace would, because \s and
@@ -197,29 +159,6 @@ def _noncode_kind(raw_line):
     return None
 
 
-def _instruction_lines(text, skipped, strict):
-    """Line matches of the instructions of a listing, in order.
-
-    Every other line is tallied in skipped by kind. A mnemonic starting
-    with "." is a data word rendered as a pseudo-instruction and counts as
-    a directive. strict=True raises MalformedLine on a line that is
-    neither an instruction nor recognizable non-code (blank, comment,
-    label, directive).
-    """
-    match = _LINE_RE.match
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        m = match(raw_line)
-        if m is not None and m[3][0] != ".":
-            yield m
-            continue
-        kind = "directive" if m is not None else _noncode_kind(raw_line)
-        if kind is None:
-            if strict:
-                raise MalformedLine(line_no, raw_line)
-            kind = "unrecognized"
-        skipped[kind] += 1
-
-
 @dataclass(frozen=True)
 class Listing:
     """A parsed listing: one category code per instruction, plus the tally
@@ -233,39 +172,28 @@ class Listing:
 
 
 def parse_listing(text, cmap=None, strict=False):
-    """Category codes of a listing's instructions; blank, comment, label
-    and directive lines are skipped and tallied. Other lines are tallied
-    as unrecognized, or raise MalformedLine when strict=True."""
+    """Category codes of a listing's instructions.
+
+    Blank, comment, label and directive lines are skipped and tallied; a
+    mnemonic starting with "." is a data word rendered as a
+    pseudo-instruction and counts as a directive. Other lines are tallied
+    as unrecognized, or raise MalformedLine when strict=True.
+    """
     cmap = cmap or CategoryMap.default()
     code_of = {m: c.code for m, c in cmap.categories.items()}
     other = InstructionCategory.OTHER.code
     skipped = dict.fromkeys(SKIP_KINDS, 0)
-    codes = [code_of.get(m[3].upper(), other)
-             for m in _instruction_lines(text, skipped, strict)]
+    codes = []
+    match = _LINE_RE.match
+    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+        m = match(raw_line)
+        if m is not None and m[3][0] != ".":
+            codes.append(code_of.get(m[3].upper(), other))
+            continue
+        kind = "directive" if m is not None else _noncode_kind(raw_line)
+        if kind is None:
+            if strict:
+                raise MalformedLine(line_no, raw_line)
+            kind = "unrecognized"
+        skipped[kind] += 1
     return Listing(codes=np.array(codes, dtype=np.int64), skipped=skipped)
-
-
-def parse_instructions(text, cmap=None, strict=False):
-    """The instructions of a listing as Instruction records, under the
-    same line rules as parse_listing."""
-    cmap = cmap or CategoryMap.default()
-    out = []
-    for m in _instruction_lines(text, dict.fromkeys(SKIP_KINDS, 0), strict):
-        mnemonic = m[3].upper()
-        out.append(Instruction(address=m[1], raw_opcode=m[2],
-                               mnemonic=mnemonic, operands=m[4].strip(),
-                               category=cmap.classify(mnemonic)))
-    return out
-
-
-def format_listing(instructions):
-    """Canonical listing text; re-parsing reproduces address, mnemonic,
-    operands and category (a missing opcode word prints as 0000)."""
-    lines = []
-    for ins in instructions:
-        word = ins.raw_opcode if ins.raw_opcode else "0000"
-        if ins.operands:
-            lines.append(f"{ins.address} {word} {ins.mnemonic} {ins.operands}")
-        else:
-            lines.append(f"{ins.address} {word} {ins.mnemonic}")
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -40,6 +40,17 @@ def _read_text(path, stage: str) -> str:
         raise DataError(f"{stage}: {path} is not UTF-8 text: {e}") from e
 
 
+def _read_json(path, stage: str, from_json):
+    """from_json(text) of a JSON input file; a file it rejects, nesting
+    too deep for the JSON parser included, raises DataError naming it."""
+    text = _read_text(path, stage)
+    try:
+        return from_json(text)
+    except (ValueError, TypeError, KeyError, OverflowError,
+            RecursionError) as e:
+        raise DataError(f"{stage}: {path}: {e}") from e
+
+
 # --- extract ------------------------------------------------------------------
 
 def cmd_extract(args) -> int:
@@ -57,11 +68,10 @@ def cmd_extract(args) -> int:
         listing = parse_listing(text, cmap)
         for kind, n in listing.skipped.items():
             skipped[kind] += n
-        windows = hpc.extract_windows(listing, args.window)
         runs.append((Path(f).stem, args.label,
                      args.attack if args.label == "malicious" else None,
-                     windows))
-    ds = hpc.emit_dataset(runs, args.out)
+                     listing))
+    ds = hpc.emit_dataset(runs, args.window, args.out)
     tally = ", ".join(f"{n} {kind}" for kind, n in skipped.items())
     print(f"wrote {args.out} ({len(ds)} windows from {len(runs)} files; "
           f"skipped {sum(skipped.values())} lines: {tally})")
@@ -74,8 +84,8 @@ def cmd_mutate(args) -> int:
     base = _read_text(args.base, "mutate")
     kind = mutate.AttackKind.from_name(args.attack)
     if args.template:
-        template = mutate.InjectionTemplate.from_json(
-            _read_text(args.template, "mutate"))
+        template = _read_json(args.template, "mutate",
+                              mutate.InjectionTemplate.from_json)
         if template.attack is not kind:
             raise DataError(f"template is for {template.attack.value}, "
                             f"--attack says {kind.value}")
@@ -141,8 +151,8 @@ def cmd_ablate(args) -> int:
 
 def cmd_simulate(args) -> int:
     if args.scenario_file:
-        scenario = mgsim.Scenario.from_json(
-            _read_text(args.scenario_file, "simulate"))
+        scenario = _read_json(args.scenario_file, "simulate",
+                              mgsim.Scenario.from_json)
     else:
         scenario = mgsim.named_scenario(args.scenario)
     if args.pno_variant:
@@ -426,13 +436,10 @@ def _reproduce_stages(args, out: Path, sims: _Forked) -> int:
         (out / fname).write_text(corpus[fid], encoding="utf-8")
 
     stage("extract")
-    runs = []
-    for fid in ids:
-        windows = hpc.extract_windows(parse_listing(corpus[fid], cmap),
-                                      args.window)
-        label = "benign" if fid == "benign" else "malicious"
-        runs.append((fid, label, None if fid == "benign" else fid, windows))
-    ds = hpc.emit_dataset(runs, out / "dataset.csv")
+    runs = [(fid, "benign" if fid == "benign" else "malicious",
+             None if fid == "benign" else fid,
+             parse_listing(corpus[fid], cmap)) for fid in ids]
+    ds = hpc.emit_dataset(runs, args.window, out / "dataset.csv")
 
     stage("train")
     unbal = _train_eval_all(ds, seed, balanced=False,
@@ -656,13 +663,7 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
-    except (DataError, OSError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except SentinelError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (ValueError, TypeError, KeyError) as e:
+    except (SentinelError, OSError, ValueError, TypeError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

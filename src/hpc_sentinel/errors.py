@@ -68,9 +68,3 @@ class DegenerateCovariance(DataError):
 class TooManyExclusions(DataError):
     pass
 
-
-class OutOfRangeVoltage(DataError):
-    def __init__(self, v, v_oc):
-        super().__init__(f"voltage {v} outside [0, {v_oc}]")
-        self.v = v
-        self.v_oc = v_oc

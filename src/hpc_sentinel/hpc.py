@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
-from .asm import InstructionCategory
 from .errors import DataError, InconsistentFeatures
 
 DEFAULT_WINDOW = 50
@@ -29,53 +28,16 @@ LABELS = (LABEL_BENIGN, LABEL_MALICIOUS)  # indexed by label code
 ATTACK_KINDS = ("mppt_dos", "inverter_dos", "input_array", "input_sine")
 
 
-@dataclass(frozen=True)
-class HpcVector:
-    """One window's 30 counters plus window bookkeeping."""
+def extract_windows(listing, window=DEFAULT_WINDOW):
+    """Counter matrix of a parsed listing (asm.Listing): one int64 row of
+    the 30 counters, in FEATURE_NAMES order, per window of consecutive
+    instructions.
 
-    counts: np.ndarray  # (30,) int64 in FEATURE_NAMES order
-    window_len: int
-    partial: bool = False
-
-    def __eq__(self, other):
-        if not isinstance(other, HpcVector):
-            return NotImplemented
-        return (self.window_len == other.window_len
-                and self.partial == other.partial
-                and bool(np.array_equal(self.counts, other.counts)))
-
-
-def windows_from_codes(codes, window=DEFAULT_WINDOW):
-    """Windowed counter vectors from a raw category-code array."""
+    A final short window is counted too; empty input yields no rows.
+    """
     if window < 1:
         raise ValueError("window length must be >= 1")
-    codes = np.asarray(codes, dtype=np.int64)
-    counts = _kernels.window_counts(codes, window)
-    n = codes.shape[0]
-    out = []
-    for w in range(counts.shape[0]):
-        length = min(window, n - w * window)
-        out.append(HpcVector(counts=counts[w], window_len=length,
-                             partial=length < window))
-    return out
-
-
-def extract_windows(listing, window=DEFAULT_WINDOW):
-    """Counter vectors over consecutive windows of a parsed listing
-    (asm.Listing).
-
-    A final short window is emitted with partial=True; empty input yields
-    no windows.
-    """
-    return windows_from_codes(listing.codes, window)
-
-
-def compute_bigram(prev, nxt):
-    """Counter name for an adjacent category pair, or None when either
-    member is uncategorized."""
-    if prev is InstructionCategory.OTHER or nxt is InstructionCategory.OTHER:
-        return None
-    return prev.symbol + nxt.symbol
+    return _kernels.window_counts(listing.codes, window)
 
 
 # Row-aligned columns of a Dataset and their dtypes.
@@ -150,29 +112,35 @@ _CSV_LEAD = ("firmware_id", "window_index", "partial")
 _CSV_TAIL = ("label", "attack_kind")
 
 
-def _from_rows(rows, feature_names):
-    """Dataset from rows in the CSV layout: firmware id, window index,
-    partial flag, one count per feature, label, attack kind ("" if
-    benign); fields may be strings or numbers."""
-    return Dataset(
-        X=np.array([r[3:-2] for r in rows], dtype=np.int64).reshape(
-            len(rows), len(feature_names)),
-        y=[LABELS.index(r[-2]) for r in rows],
-        firmware_id=[r[0] for r in rows], window_index=[r[1] for r in rows],
-        partial=np.array([r[2] for r in rows], dtype=np.int64) != 0,
-        attack=[r[-1] for r in rows], feature_names=feature_names)
+def emit_dataset(runs, window=DEFAULT_WINDOW, path=None):
+    """Assemble the labeled windows of several parsed listings into one
+    Dataset, rows in input order; writes CSV when path is given.
 
-
-def emit_dataset(runs, path=None):
-    """Assemble labeled windows from several firmware runs into one Dataset.
-
-    runs: iterable of (firmware_id, label, attack_kind, windows). Row order
-    follows input order. Writes CSV when path is given.
+    runs: iterable of (firmware_id, label, attack_kind, listing), with
+    attack_kind None on benign runs. A run's last window is partial when
+    the listing's length is not a multiple of window.
     """
-    ds = _from_rows([[firmware_id, w, vec.partial, *vec.counts, label,
-                      attack_kind or ""]
-                     for firmware_id, label, attack_kind, windows in runs
-                     for w, vec in enumerate(windows)], FEATURE_NAMES)
+    runs = list(runs)
+    counts = [extract_windows(listing, window) for *_, listing in runs]
+    sizes = [X.shape[0] for X in counts]
+
+    def per_row(values, dtype):
+        """One value per run, repeated over the run's rows."""
+        return np.repeat(np.array(values, dtype=dtype), sizes)
+
+    window_index = (np.arange(sum(sizes))
+                    - per_row(np.cumsum(sizes) - sizes, np.int64))
+    partial = ((window_index == per_row(sizes, np.int64) - 1)
+               & per_row([len(listing) % window != 0
+                          for *_, listing in runs], bool))
+    ds = Dataset(
+        X=np.concatenate(
+            counts or [np.zeros((0, len(FEATURE_NAMES)), np.int64)]),
+        y=per_row([LABELS.index(label) for _, label, _, _ in runs],
+                  np.int64),
+        firmware_id=per_row([fid for fid, *_ in runs], str),
+        window_index=window_index, partial=partial,
+        attack=per_row([attack or "" for _, _, attack, _ in runs], str))
     if path is not None:
         write_dataset_csv(ds, path)
     return ds
@@ -207,7 +175,7 @@ def read_dataset_csv(path):
             raise InconsistentFeatures(f"{path}: unknown features {unknown}")
         if len(set(names)) != len(names):
             raise InconsistentFeatures(f"{path}: repeated feature columns")
-        rows = []
+        rows, counts = [], []  # counts parsed row by row: ints, not text
         for row in reader:
             if len(row) != len(header):
                 raise DataError(f"{path}: line {reader.line_num}: "
@@ -216,8 +184,19 @@ def read_dataset_csv(path):
             if row[-2] not in LABELS:
                 raise DataError(f"{path}: line {reader.line_num}: bad label "
                                 f"{row[-2]!r}")
-            rows.append(row)
+            try:
+                counts.append(list(map(int, row[3:-2])))
+            except ValueError as e:
+                raise DataError(f"{path}: line {reader.line_num}: {e}") \
+                    from e
+            rows.append(row[:3] + row[-2:])
     try:
-        return _from_rows(rows, names)
-    except ValueError as e:
+        return Dataset(
+            X=np.array(counts, dtype=np.int64).reshape(len(rows), len(names)),
+            y=[LABELS.index(r[3]) for r in rows],
+            firmware_id=[r[0] for r in rows],
+            window_index=[r[1] for r in rows],
+            partial=np.array([r[2] for r in rows], dtype=np.int64) != 0,
+            attack=[r[4] for r in rows], feature_names=names)
+    except (ValueError, OverflowError) as e:
         raise DataError(f"{path}: {e}") from e

@@ -13,12 +13,11 @@ import csv
 import enum
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import _kernels
-from .errors import OutOfRangeVoltage
 
 NOMINAL_HZ = 60.0
 
@@ -51,65 +50,9 @@ class PvModel:
         if not (self.v_oc_v > 0 and self.i_sc_a > 0 and self.knee > 1):
             raise ValueError("pv needs v_oc_v > 0, i_sc_a > 0, knee > 1")
 
-    def current(self, v: float, irradiance: float = 1.0) -> float:
-        if not 0.0 <= v <= self.v_oc_v:
-            raise OutOfRangeVoltage(v, self.v_oc_v)
-        return _kernels.pv_current(v, irradiance, self.v_oc_v, self.i_sc_a,
-                                   self.knee)
-
-    def voltage_at_current(self, amps: float,
-                           irradiance: float = 1.0) -> float:
-        return _kernels.pv_voltage(amps, irradiance, self.v_oc_v,
-                                   self.i_sc_a, self.knee)
-
     def to_dict(self):
         return {"v_oc_v": self.v_oc_v, "i_sc_a": self.i_sc_a,
                 "knee": self.knee, "p_rated_kw": self.p_rated_kw}
-
-
-def pv_iv(v: float, irradiance: float = 1.0,
-          model: PvModel | None = None) -> float:
-    """Array current (A) at terminal voltage v; OutOfRangeVoltage when v
-    falls outside [0, v_oc]."""
-    return (model or PvModel()).current(v, irradiance)
-
-
-@dataclass(frozen=True)
-class MpptState:
-    """Perturb-and-observe bookkeeping: last power/voltage sample and the
-    commanded current reference."""
-
-    p_i: float = 0.0
-    v_i: float = 0.0
-    i_ref: float = 43.7
-    delta_i: float = 2.185
-    enabled: bool = True
-
-    def __post_init__(self):
-        if self.delta_i <= 0:
-            raise ValueError("delta_i must be positive")
-        if self.i_ref < 0:
-            raise ValueError("i_ref must be non-negative")
-
-
-def pno_step(state: MpptState, v_rt: float, i_rt: float,
-             i_max: float = 437.0, variant: str = "literal") -> MpptState:
-    """One tracking update from a fresh (V, I) measurement.
-
-    The literal rule acts only when power dropped (dP < 0): rising
-    voltage means the operating point slid down the knee, so the current
-    command increases, and vice versa. The symmetric variant also steers
-    while power grows, which is what lets the tracker climb away from a
-    cold start; both always advance the (P, V) history.
-    """
-    if not state.enabled:
-        raise ValueError("tracker is disabled; freeze handled by caller")
-    if variant not in ("literal", "symmetric"):
-        raise ValueError(f"unknown tracker variant {variant!r}")
-    p_i, v_i, i_ref = _kernels.pno_update(
-        state.p_i, state.v_i, state.i_ref, state.delta_i, v_rt, i_rt,
-        i_max, variant == "symmetric")
-    return replace(state, p_i=p_i, v_i=v_i, i_ref=i_ref)
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,6 +257,8 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d) -> "Scenario":
+        if not isinstance(d, dict):
+            raise ValueError("a scenario must be a JSON object")
         kw = dict(d)
         kw["pv"] = PvModel(**d.get("pv", {}))
         if "load_schedule" not in d:
@@ -331,34 +276,6 @@ class Scenario:
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
         return cls.from_dict(json.loads(text))
-
-
-def dispatch(load_kw: float, pv_kw: float, diesel_prev_kw: float,
-             ess_kwh: float, scenario: Scenario | None = None,
-             dt_s: float | None = None):
-    """One merit-order dispatch step; returns (diesel_kw, ess_kw,
-    ess_kwh_after)."""
-    s = scenario or Scenario()
-    if load_kw < 0:
-        raise ValueError("load must be non-negative")
-    dt = s.grid_dt_s if dt_s is None else dt_s
-    ramp_k = math.exp(-dt / s.diesel_tau_s)
-    return _kernels.dispatch_update(load_kw, pv_kw, diesel_prev_kw,
-                                    ess_kwh, s.ess_p_max_kw,
-                                    s.ess_capacity_kwh, s.diesel_max_kw,
-                                    ramp_k, dt)
-
-
-def frequency_update(f_hz: float, imbalance_kw: float, dt_s: float,
-                     k_f: float = 1.0, damping: float = 0.5,
-                     s_base_kw: float = 1000.0,
-                     f_nominal_hz: float = NOMINAL_HZ) -> float:
-    """Damped first-order frequency response to a power imbalance,
-    integrated exactly over dt."""
-    if dt_s <= 0:
-        raise ValueError("dt must be positive")
-    return _kernels.frequency_step(f_hz, imbalance_kw, s_base_kw, k_f,
-                                   damping, f_nominal_hz, dt_s)
 
 
 def _irradiance_series(spec: dict, times: np.ndarray) -> np.ndarray:
@@ -457,7 +374,7 @@ def named_scenario(name: str) -> Scenario:
     moving from 250 to 550 kW on top of a constant 250 kW residential
     block. The shipped runs use the symmetric tracker variant; the
     literal rule never leaves its initial operating point from a cold
-    start (see pno_step).
+    start (see _kernels.pno_update).
     """
     base = dict(duration_s=60.0, pno_variant="symmetric")
     if name == "nominal":

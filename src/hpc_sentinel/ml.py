@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import (EmptyDataset, InconsistentFeatures, NonFiniteLoss,
-                     SingleClass, TooFewSamples)
+from .errors import (DataError, EmptyDataset, InconsistentFeatures,
+                     NonFiniteLoss, SingleClass, TooFewSamples)
 from .hpc import Dataset
 
 # Entries per split-search call, a node counting its candidate columns
@@ -718,10 +718,21 @@ def model_to_json(model) -> str:
 
 
 def model_from_json(text: str):
+    """Model from its JSON form; a malformed one raises ValueError,
+    TypeError or KeyError."""
     d = json.loads(text)
+    if not isinstance(d, dict):
+        raise ValueError("a model must be a JSON object")
     kind = d.get("kind")
-    if kind not in _MODEL_KINDS:
+    if not isinstance(kind, str) or kind not in _MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
+    names = d.get("feature_names")
+    if not (isinstance(names, list)
+            and all(isinstance(n, str) for n in names)):
+        raise ValueError("the model's \"feature_names\" must be a list "
+                         "of names")
+    if not isinstance(d.get("params", {}), dict):
+        raise ValueError("the model's \"params\" must be an object")
     return _MODEL_KINDS[kind].from_dict(d)
 
 
@@ -731,5 +742,11 @@ def save_model(model, path):
 
 
 def load_model(path):
+    """Model from a JSON file; a file that is not UTF-8 JSON of a
+    well-formed model raises DataError naming it."""
     with open(path, encoding="utf-8") as fh:
-        return model_from_json(fh.read())
+        try:
+            return model_from_json(fh.read())
+        except (ValueError, TypeError, KeyError, OverflowError,
+                RecursionError) as e:
+            raise DataError(f"model {path}: {e}") from e

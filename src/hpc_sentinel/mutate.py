@@ -21,10 +21,6 @@ from .errors import AnchorNotFound, EmptyPayload, PayloadUnparsable
 # Section labels a base listing must expose for the shipped templates.
 ANCHORS = ("isr_block", "sensor_read", "mppt_entry")
 
-# Toggle period for tick-counted attacks: the control ISR is assumed to
-# run at 60 kHz, so 10 s = 600000 ticks.
-ISR_RATE_HZ = 60000
-
 
 class AttackKind(enum.Enum):
     MPPT_DOS = "mppt_dos"
@@ -88,10 +84,22 @@ class InjectionTemplate:
 
     @classmethod
     def from_dict(cls, d) -> "InjectionTemplate":
+        """Template from its JSON form; a malformed one raises
+        ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError("a template must be a JSON object")
+        payload, period = d.get("payload"), d.get("period_ticks", 0)
+        if not (isinstance(d.get("attack"), str)
+                and isinstance(d.get("anchor"), str)
+                and isinstance(payload, list)
+                and all(isinstance(line, str) for line in payload)
+                and type(period) is int):
+            raise ValueError('a template needs "attack" and "anchor" names, '
+                             'a "payload" list of instruction lines and an '
+                             'integer "period_ticks"')
         return cls(attack=AttackKind.from_name(d["attack"]),
-                   anchor=d["anchor"],
-                   payload=tuple(d["payload"]),
-                   period_ticks=int(d.get("period_ticks", 0)))
+                   anchor=d["anchor"], payload=tuple(payload),
+                   period_ticks=period)
 
     @classmethod
     def from_json(cls, text: str) -> "InjectionTemplate":

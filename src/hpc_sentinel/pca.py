@@ -48,12 +48,6 @@ class FeatureRanking:
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2) + "\n"
 
-    @classmethod
-    def from_dict(cls, d) -> "FeatureRanking":
-        return cls(ranked=tuple((r["feature"], float(r["score"]))
-                                for r in d["ranking"]),
-                   n_components=int(d["n_components"]))
-
 
 def pca_eig(X):
     """Centered covariance eigenpairs, eigenvalues descending, each

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from hpc_sentinel import cli, hpc, mgsim, ml, mutate, pca
-from hpc_sentinel.asm import parse_listing
+from hpc_sentinel.asm import Listing, parse_listing
 
 from conftest import make_dataset
 from test_hpc import WORKED_LISTING, oracle_windows
@@ -30,24 +30,20 @@ from test_pca import jacobi_eigh
 def corpus_dataset():
     base = mutate.synth_base_listing(seed=42)
     corpus = mutate.build_corpus(base, seed=42)
-    runs = []
-    for kind, text in sorted(corpus.items()):
-        vecs = hpc.extract_windows(parse_listing(text))
-        label = "benign" if kind == "benign" else "malicious"
-        attack = None if kind == "benign" else kind
-        runs.append((kind, label, attack, vecs))
-    return hpc.emit_dataset(runs)
+    return hpc.emit_dataset(
+        [(kind, "benign" if kind == "benign" else "malicious",
+          None if kind == "benign" else kind, parse_listing(text))
+         for kind, text in sorted(corpus.items())])
 
 
 def test_criterion_01_worked_example_exact():
     t0 = time.perf_counter()
-    vecs = hpc.extract_windows(parse_listing(WORKED_LISTING), window=50)
+    X = hpc.extract_windows(parse_listing(WORKED_LISTING), window=50)
     elapsed = time.perf_counter() - t0
-    assert len(vecs) == 1
-    v = vecs[0]
+    assert X.shape == (1, len(hpc.FEATURE_NAMES))
     expected = {"la": 2, "an": 2, "na": 2, "ab": 2, "bl": 1,
                 "l": 2, "a": 4, "n": 2, "b": 2}
-    for name, count in zip(hpc.FEATURE_NAMES, v.counts):
+    for name, count in zip(hpc.FEATURE_NAMES, X[0]):
         assert count == expected.get(name, 0), name
     assert elapsed < 1.0
     print(f"criterion 1 PASS: worked-example counters exact "
@@ -59,14 +55,12 @@ def test_criterion_02_extraction_oracle_thousand_streams():
     t0 = time.perf_counter()
     for _ in range(1000):
         n = int(rng.integers(0, 501))
-        codes = rng.integers(0, 6, size=n)
+        listing = Listing(codes=rng.integers(0, 6, size=n), skipped={})
         for window in (1, 7, 50):
-            got = hpc.windows_from_codes(codes.astype(np.int64), window)
-            want = oracle_windows(codes.tolist(), window)
-            assert len(got) == len(want)
-            for vec, (counts, length, partial) in zip(got, want):
-                assert vec.counts.tolist() == counts
-                assert vec.window_len == length and vec.partial == partial
+            ds = hpc.emit_dataset([("fw", "benign", None, listing)], window)
+            want = oracle_windows(listing.codes.tolist(), window)
+            assert ds.X.tolist() == [counts for counts, _, _ in want]
+            assert ds.partial.tolist() == [p for _, _, p in want]
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     print(f"criterion 2 PASS: 1000 random streams x windows (1,7,50) match "

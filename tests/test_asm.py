@@ -1,5 +1,5 @@
-"""Listing parser grammar against a line-by-line oracle, category table,
-and formatting round-trip."""
+"""Listing parser grammar against a line-by-line oracle, and the category
+table."""
 
 import re
 
@@ -7,9 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpc_sentinel.asm import (CategoryMap, Instruction, InstructionCategory,
-                              classify_mnemonic, format_listing,
-                              parse_instructions, parse_listing)
+from hpc_sentinel.asm import CategoryMap, InstructionCategory, parse_listing
 from hpc_sentinel.errors import MalformedLine
 
 _ORACLE_INSTR_RE = re.compile(
@@ -20,9 +18,9 @@ _ORACLE_LABEL_RE = re.compile(r"^[A-Za-z_.$]\w*:$")
 def oracle_parse(text, cmap=None, strict=False):
     """Reference parse, one rule at a time on each comment-stripped line.
 
-    Returns the instructions as (address, opcode, mnemonic, operands,
-    category code) tuples and the skipped-line tally. Written apart from
-    the library's single-match parser; kept dumb on purpose.
+    Returns the category codes of the instructions and the skipped-line
+    tally. Written apart from the library's single-match parser; kept
+    dumb on purpose.
     """
     cmap = cmap or CategoryMap.default()
     instructions = []
@@ -50,10 +48,7 @@ def oracle_parse(text, cmap=None, strict=False):
                 raise MalformedLine(line_no, raw_line)
             skipped["unrecognized"] += 1
             continue
-        mnemonic = m.group(3).upper()
-        operands = (m.group(4) or "").strip()
-        instructions.append((m.group(1), m.group(2), mnemonic, operands,
-                             cmap.classify(mnemonic).code))
+        instructions.append(cmap.classify(m.group(3).upper()).code)
     return instructions, skipped
 
 
@@ -76,45 +71,37 @@ def test_parse_skips_noncode_lines():
     assert len(listing) == 5
     assert listing.skipped == {"blank": 1, "comment": 1, "label": 2,
                                "directive": 1, "unrecognized": 0}
-    assert [i.mnemonic for i in parse_instructions(SAMPLE)] == \
-        ["MOV", "ADD", "EALLOW", "NOP", "B"]
 
 
 def test_parse_fields_and_categories():
-    ins = parse_instructions(SAMPLE)
-    first = ins[0]
-    assert first.address == "008000"
-    assert first.raw_opcode == "a501"
-    assert first.operands == "AL,@VarA"
-    assert first.category is InstructionCategory.LOAD
-    cats = [i.category for i in ins]
-    assert cats == [InstructionCategory.LOAD, InstructionCategory.ARITHMETIC,
-                    InstructionCategory.OTHER, InstructionCategory.OTHER,
-                    InstructionCategory.BRANCH]
-    assert parse_listing(SAMPLE).codes.tolist() == [c.code for c in cats]
+    # MOV, ADD, EALLOW, NOP, B
+    IC = InstructionCategory
+    cats = [IC.LOAD, IC.ARITHMETIC, IC.OTHER, IC.OTHER, IC.BRANCH]
+    codes = parse_listing(SAMPLE).codes
+    assert codes.dtype.name == "int64"
+    assert codes.tolist() == [c.code for c in cats]
 
 
 def test_mnemonic_case_insensitive():
-    ins = parse_instructions("008000 a501 mov AL,@VarA\n")
-    assert ins[0].mnemonic == "MOV"
-    assert ins[0].category is InstructionCategory.LOAD
     assert parse_listing("008000 a501 mov AL,@VarA\n").codes.tolist() == \
         [InstructionCategory.LOAD.code]
 
 
 def test_comment_stripped_from_operands():
-    ins = parse_instructions("008000 a501 ADD AL,#1 ; add one\n")
-    assert ins[0].operands == "AL,#1"
+    # a comment glued to the mnemonic is not part of it
+    for line in ("008000 a501 ADD AL,#1 ; add one\n", "008000 a501 ADD;x\n"):
+        listing = parse_listing(line)
+        assert listing.codes.tolist() == [InstructionCategory.ARITHMETIC.code]
+        assert sum(listing.skipped.values()) == 0
 
 
 def test_strict_mode_raises_with_line_number():
     text = "008000 a501 MOV AL,@VarA\nthis is not assembly\n"
     assert len(parse_listing(text)) == 1
-    for parse in (parse_listing, parse_instructions):
-        with pytest.raises(MalformedLine) as exc:
-            parse(text, strict=True)
-        assert exc.value.line_no == 2
-        assert "line 2" in str(exc.value)
+    with pytest.raises(MalformedLine) as exc:
+        parse_listing(text, strict=True)
+    assert exc.value.line_no == 2
+    assert "line 2" in str(exc.value)
 
 
 def test_lenient_mode_tallies_unrecognized():
@@ -122,12 +109,6 @@ def test_lenient_mode_tallies_unrecognized():
     assert len(listing) == 0
     assert listing.codes.dtype.name == "int64"
     assert listing.skipped["unrecognized"] == 1
-
-
-def test_format_parse_round_trip():
-    ins = parse_instructions(SAMPLE)
-    again = parse_instructions(format_listing(ins))
-    assert again == ins
 
 
 # --- single-match parser against the oracle ----------------------------------
@@ -183,33 +164,26 @@ _CMAP = CategoryMap.default()
 def test_parse_matches_oracle(text):
     want, skipped = oracle_parse(text, _CMAP)
     listing = parse_listing(text, _CMAP)
-    assert listing.codes.tolist() == [ins[4] for ins in want]
+    assert listing.codes.tolist() == want
     assert listing.skipped == skipped
-    assert [(i.address, i.raw_opcode, i.mnemonic, i.operands,
-             i.category.code) for i in parse_instructions(text, _CMAP)] == want
     try:
         oracle_parse(text, _CMAP, strict=True)
     except MalformedLine as exc:
-        for parse in (parse_listing, parse_instructions):
-            with pytest.raises(MalformedLine) as got:
-                parse(text, _CMAP, strict=True)
-            assert got.value.line_no == exc.line_no
-            assert got.value.line == exc.line
+        with pytest.raises(MalformedLine) as got:
+            parse_listing(text, _CMAP, strict=True)
+        assert got.value.line_no == exc.line_no
+        assert got.value.line == exc.line
     else:
         assert parse_listing(text, _CMAP, strict=True).skipped == skipped
 
 
-def test_format_empty():
-    assert format_listing([]) == ""
-
-
 def test_category_codes_alphabetical():
     IC = InstructionCategory
+    # codes follow the feature symbols a, b, l, n, s; Other sorts last
     assert [c.code for c in (IC.ARITHMETIC, IC.BRANCH, IC.LOAD,
                              IC.BOOLEAN, IC.STORE, IC.OTHER)] == [0, 1, 2, 3, 4, 5]
-    assert [c.symbol for c in (IC.ARITHMETIC, IC.BRANCH, IC.LOAD,
-                               IC.BOOLEAN, IC.STORE)] == ["a", "b", "l", "n", "s"]
-    assert IC.OTHER.symbol is None
+    assert [IC.from_name(sym) for sym in "ablns"] == [
+        IC.ARITHMETIC, IC.BRANCH, IC.LOAD, IC.BOOLEAN, IC.STORE]
 
 
 def test_category_from_name_aliases():
@@ -234,11 +208,6 @@ def test_default_map_known_mnemonics():
     assert cmap.classify("TOTALLYMADEUP") is IC.OTHER
 
 
-def test_classify_mnemonic_rejects_empty():
-    with pytest.raises(ValueError):
-        classify_mnemonic("")
-
-
 def test_category_map_json_round_trip(tmp_path):
     cmap = CategoryMap.default()
     path = tmp_path / "map.json"
@@ -247,9 +216,3 @@ def test_category_map_json_round_trip(tmp_path):
     assert back.categories == cmap.categories
     assert back.name == cmap.name
 
-
-def test_instruction_rejects_bad_mnemonic():
-    with pytest.raises(ValueError):
-        Instruction("008000", "a501", "TWO WORDS", "", InstructionCategory.OTHER)
-    with pytest.raises(ValueError):
-        Instruction("008000", "a501", "", "", InstructionCategory.OTHER)

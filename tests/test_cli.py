@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpc_sentinel import cli, mgsim, ml, pca
-from hpc_sentinel.errors import DataError, NonFiniteLoss, OutOfRangeVoltage
-from hpc_sentinel.mutate import synth_base_listing
+from hpc_sentinel.errors import AnchorNotFound, DataError, NonFiniteLoss
+from hpc_sentinel.mutate import (AttackKind, default_template,
+                                 synth_base_listing)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -322,6 +323,99 @@ def test_extract_fuzz_never_escapes(listing, map_doc, window):
         assert cli.main(argv) in (0, 2, 3, 4)
 
 
+def _input_argv(command, path, out_dir, base_asm, corpus_csv):
+    """Arguments under which command reads path as its JSON or CSV
+    input."""
+    out = str(out_dir / "out")
+    return {"mutate": ["mutate", "--base", str(base_asm), "--attack",
+                       "mppt_dos", "--template", str(path), "--out", out],
+            "simulate": ["simulate", "--scenario-file", str(path),
+                         "--out", out],
+            "eval": ["eval", "--model", str(path), "--data",
+                     str(corpus_csv), "--out", out],
+            "train": ["train", "--model", "dt", "--data", str(path),
+                      "--out", out]}[command]
+
+
+_TEMPLATE = default_template(AttackKind.MPPT_DOS).to_dict()
+
+
+@pytest.mark.parametrize("command,content", [
+    ("mutate", b"[" * 100000),
+    ("simulate", b"[" * 100000),
+    ("eval", b"[" * 100000),
+    ("eval", b"[1]"),
+    ("mutate", json.dumps({**_TEMPLATE, "attack": 5}).encode()),
+    ("mutate", json.dumps({**_TEMPLATE, "payload": [5]}).encode()),
+    ("mutate", json.dumps({**_TEMPLATE, "payload": "ADD AL"}).encode()),
+    ("mutate", json.dumps({**_TEMPLATE, "period_ticks": 1.5}).encode()),
+    ("train", b"firmware_id,window_index,partial,a,label,attack_kind\n"
+              b"f,0,0,99999999999999999999,benign,\n"),
+], ids=["template_deep_nesting", "scenario_deep_nesting",
+        "model_deep_nesting", "model_list", "template_int_attack",
+        "template_int_payload_line", "template_string_payload",
+        "template_float_period", "dataset_count_overflow"])
+def test_malformed_input_exits_3_naming_file(tmp_path, capsys, base_asm,
+                                             corpus_csv, command, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    assert run_cli(*_input_argv(command, path, tmp_path, base_asm,
+                                corpus_csv)) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def dt_model_doc(tmp_path_factory, corpus_csv):
+    path = tmp_path_factory.mktemp("model") / "dt.json"
+    assert run_cli("train", "--model", "dt", "--data", str(corpus_csv),
+                   "--out", str(path)) == 0
+    return json.loads(path.read_text())
+
+
+def _edited(doc, keys):
+    """JSON bytes of doc with up to three of keys, or new keys, set to
+    arbitrary JSON values."""
+    return st.dictionaries(st.sampled_from(keys) | st.text(max_size=4),
+                           _JSON | st.floats(), max_size=3).map(
+        lambda edits: json.dumps({**doc, **edits}).encode())
+
+
+# duration_s and mppt_dt_s stay fixed so that no drawn scenario runs long;
+# their bounds have their own tests below.
+_SHORT_SCENARIO = {**mgsim.named_scenario("input_sine").to_dict(),
+                   "duration_s": 0.2}
+_CSV_HEADER = "firmware_id,window_index,partial,a,b,label,attack_kind"
+_CSV_CELL = st.sampled_from(["0", "1", "-2", "99999999999999999999", "1.5",
+                             "benign", "malicious", "mppt_dos", ""]) \
+    | st.text(max_size=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(command=st.sampled_from(["mutate", "simulate", "eval", "train"]),
+       data=st.data())
+def test_input_files_fuzz_never_escape(base_asm, corpus_csv, dt_model_doc,
+                                       command, data):
+    structured = {
+        "mutate": _edited(_TEMPLATE, sorted(_TEMPLATE)),
+        "simulate": _edited(_SHORT_SCENARIO, sorted(
+            set(_SHORT_SCENARIO) - {"duration_s", "mppt_dt_s"})),
+        "eval": _edited(dt_model_doc, sorted(dt_model_doc)),
+        "train": st.lists(st.lists(_CSV_CELL, min_size=6, max_size=8),
+                          max_size=6).map(lambda rows: "\n".join(
+            [_CSV_HEADER] + [",".join(r) for r in rows]).encode()),
+    }[command]
+    content = data.draw(st.binary(max_size=200)
+                        | _JSON.map(lambda doc: json.dumps(doc).encode())
+                        | structured)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "input").write_bytes(content)
+        argv = _input_argv(command, root / "input", root, base_asm,
+                           corpus_csv)
+        assert cli.main(argv) in (0, 2, 3, 4)
+
+
 def test_oversized_scenario_rejected_before_running(tmp_path, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("run_scenario reached")
@@ -495,13 +589,21 @@ def test_tracer_wraps_every_hook(tmp_path, corpus_csv):
                    "--out", str(tmp_path / "rank.json"))
     assert "hpc.matrix" in spans
 
+    # the benchmark's hpc.windows is len() of what extract_windows returns
+    listing = tmp_path / "fw.asm"
+    listing.write_text("008000 a501 MOV AL,@VarA\n" * 120)
+    spans = traced("extract", "--label", "benign", str(listing),
+                   "--out", str(tmp_path / "x.csv"))
+    assert spans["hpc.extract"] == {"windows": 3}
+    assert "kernels.window_counts" in spans and "asm.parse" in spans
+
     # the benchmark's mgsim.steps is len() of what run_scenario returns
-    spec = {**mgsim.named_scenario("nominal").to_dict(), "duration_s": 2.0}
+    spec = {**mgsim.named_scenario("nominal").to_dict(), "duration_s": 1.0}
     sc_file = tmp_path / "scenario.json"
     sc_file.write_text(json.dumps(spec))
     spans = traced("simulate", "--scenario-file", str(sc_file),
                    "--out", str(tmp_path / "sim.csv"))
-    assert spans["mgsim.run"] == {"steps": 200}
+    assert spans["mgsim.run"] == {"steps": 100}
     assert "mgsim.csv_write" in spans and "kernels.simulate_core" in spans
 
 
@@ -536,10 +638,10 @@ def _raise(error):
 
 
 @pytest.mark.parametrize("run_scenario,code,words", [
-    (_raise(OutOfRangeVoltage(900, 800)), 3, "voltage 900"),
+    (_raise(AnchorNotFound("isr_block")), 3, "anchor label 'isr_block'"),
     (_raise(NonFiniteLoss(7, float("nan"))), 4, "epoch 7"),
     (lambda *args, **kwargs: os._exit(9), 3, "exit status 9"),
-], ids=["out_of_range_voltage", "non_finite_loss", "exit_9"])
+], ids=["anchor_not_found", "non_finite_loss", "exit_9"])
 def test_simulation_failure_in_worker(tmp_path, capsys, monkeypatch, dt_only,
                                       run_scenario, code, words):
     # the worker is forked from this process, so it runs the patched

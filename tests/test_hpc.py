@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpc_sentinel import hpc
-from hpc_sentinel.asm import InstructionCategory, parse_listing
+from hpc_sentinel.asm import Listing, parse_listing
 from hpc_sentinel.errors import InconsistentFeatures
 
 N_FEATURES = len(hpc.FEATURE_NAMES)
@@ -35,14 +35,23 @@ def oracle_windows(codes, window):
     return out
 
 
+def listing_of(codes):
+    """A parsed listing holding the given category codes."""
+    return Listing(codes=np.asarray(codes, dtype=np.int64), skipped={})
+
+
+def windows(codes, window):
+    return hpc.extract_windows(listing_of(codes), window)
+
+
 def assert_matches_oracle(codes, window):
-    got = hpc.windows_from_codes(np.asarray(codes, dtype=np.int64), window)
     want = oracle_windows(codes, window)
-    assert len(got) == len(want)
-    for vec, (counts, length, partial) in zip(got, want):
-        assert vec.counts.tolist() == counts
-        assert vec.window_len == length
-        assert vec.partial == partial
+    X = windows(codes, window)
+    assert X.dtype == np.int64 and X.shape == (len(want), N_FEATURES)
+    assert X.tolist() == [counts for counts, _, _ in want]
+    ds = hpc.emit_dataset([("fw", "benign", None, listing_of(codes))],
+                          window)
+    assert ds.partial.tolist() == [partial for _, _, partial in want]
 
 
 # --- worked example -----------------------------------------------------------
@@ -62,13 +71,14 @@ WORKED_LISTING = """\
 
 
 def test_worked_example_exact_counts():
-    vecs = hpc.extract_windows(parse_listing(WORKED_LISTING), window=50)
-    assert len(vecs) == 1
-    v = vecs[0]
-    assert v.partial and v.window_len == 10
+    listing = parse_listing(WORKED_LISTING)
+    X = hpc.extract_windows(listing, window=50)
+    assert X.shape == (1, N_FEATURES) and len(listing) == 10
+    ds = hpc.emit_dataset([("worked", "benign", None, listing)], 50)
+    assert ds.partial.tolist() == [True]
     expected = {"l": 2, "a": 4, "n": 2, "b": 2,
                 "la": 2, "an": 2, "na": 2, "ab": 2, "bl": 1}
-    for name, count in zip(hpc.FEATURE_NAMES, v.counts):
+    for name, count in zip(hpc.FEATURE_NAMES, X[0]):
         assert count == expected.get(name, 0), name
 
 
@@ -102,24 +112,23 @@ def test_property_matches_oracle(codes, window):
 @settings(max_examples=150, deadline=None)
 def test_unigram_conservation(codes, window):
     # categorized unigrams plus Other occurrences account for every slot
-    for vec, chunk_start in zip(
-            hpc.windows_from_codes(np.asarray(codes, dtype=np.int64), window),
-            range(0, len(codes), window)):
+    for row, chunk_start in zip(windows(codes, window),
+                                range(0, len(codes), window)):
         chunk = codes[chunk_start:chunk_start + window]
         n_other = sum(1 for c in chunk if c == 5)
-        assert int(vec.counts[:5].sum()) + n_other == vec.window_len
+        assert int(row[:5].sum()) + n_other == len(chunk)
 
 
 @given(st.lists(st.integers(0, 5), max_size=200),
        st.sampled_from([1, 7, 50]))
 @settings(max_examples=150, deadline=None)
 def test_bigram_total_counts_categorized_adjacencies(codes, window):
-    vecs = hpc.windows_from_codes(np.asarray(codes, dtype=np.int64), window)
-    for vec, start in zip(vecs, range(0, len(codes), window)):
+    for row, start in zip(windows(codes, window),
+                          range(0, len(codes), window)):
         chunk = codes[start:start + window]
         pairs = sum(1 for i in range(len(chunk) - 1)
                     if chunk[i] < 5 and chunk[i + 1] < 5)
-        assert int(vec.counts[5:].sum()) == pairs
+        assert int(row[5:].sum()) == pairs
 
 
 @given(st.lists(st.integers(0, 5), min_size=0, max_size=120),
@@ -130,42 +139,57 @@ def test_concatenation_when_first_is_whole_windows(s1, s2, window):
     # pairs never span a window boundary, so a whole-window prefix is
     # independent of what follows
     s1 = s1[: (len(s1) // window) * window]
-    joined = hpc.windows_from_codes(np.asarray(s1 + s2, dtype=np.int64), window)
-    parts = (hpc.windows_from_codes(np.asarray(s1, dtype=np.int64), window)
-             + hpc.windows_from_codes(np.asarray(s2, dtype=np.int64), window))
-    assert joined == parts
+    joined = windows(s1 + s2, window)
+    parts = windows(s1, window).tolist() + windows(s2, window).tolist()
+    assert joined.tolist() == parts
 
 
 @given(st.lists(st.integers(0, 5), min_size=1, max_size=200),
        st.sampled_from([1, 7, 50]))
 @settings(max_examples=100, deadline=None)
 def test_only_last_window_may_be_partial(codes, window):
-    vecs = hpc.windows_from_codes(np.asarray(codes, dtype=np.int64), window)
-    assert all(not v.partial for v in vecs[:-1])
-    assert vecs[-1].partial == (len(codes) % window != 0)
+    partial = hpc.emit_dataset(
+        [("fw", "benign", None, listing_of(codes))], window).partial
+    assert not partial[:-1].any()
+    assert partial[-1] == (len(codes) % window != 0)
+
+
+@given(st.lists(st.tuples(st.lists(st.integers(0, 5), max_size=40),
+                          st.sampled_from(["benign", "malicious"])),
+                max_size=5),
+       st.sampled_from([1, 3, 7]))
+@settings(max_examples=100, deadline=None)
+def test_emit_dataset_rows_follow_runs(runs, window):
+    # row by row: each run's oracle windows in input order, numbered from
+    # 0 within the run and carrying the run's id, label and attack kind
+    want = [(f"fw{i}", w, partial, counts, label,
+             "mppt_dos" if label == "malicious" else "")
+            for i, (codes, label) in enumerate(runs)
+            for w, (counts, _, partial) in enumerate(
+                oracle_windows(codes, window))]
+    ds = hpc.emit_dataset(
+        [(f"fw{i}", label, "mppt_dos" if label == "malicious" else None,
+          listing_of(codes)) for i, (codes, label) in enumerate(runs)],
+        window)
+    assert list(zip(ds.firmware_id.tolist(), ds.window_index.tolist(),
+                    ds.partial.tolist(), ds.X.tolist(),
+                    [hpc.LABELS[y] for y in ds.y.tolist()],
+                    ds.attack.tolist())) == want
+    assert ds.feature_names == hpc.FEATURE_NAMES
 
 
 def test_window_one_has_no_bigrams():
-    codes = np.array([0, 1, 2, 3, 4, 5, 0, 1], dtype=np.int64)
-    for v in hpc.windows_from_codes(codes, 1):
-        assert int(v.counts[5:].sum()) == 0
+    for row in windows([0, 1, 2, 3, 4, 5, 0, 1], 1):
+        assert int(row[5:].sum()) == 0
 
 
 def test_empty_stream_yields_no_windows():
-    assert hpc.windows_from_codes(np.array([], dtype=np.int64), 50) == []
+    assert windows([], 50).shape == (0, N_FEATURES)
 
 
 def test_invalid_window_rejected():
     with pytest.raises(ValueError):
-        hpc.windows_from_codes(np.array([0], dtype=np.int64), 0)
-
-
-def test_compute_bigram_names():
-    IC = InstructionCategory
-    assert hpc.compute_bigram(IC.LOAD, IC.ARITHMETIC) == "la"
-    assert hpc.compute_bigram(IC.BRANCH, IC.BRANCH) == "bb"
-    assert hpc.compute_bigram(IC.OTHER, IC.ARITHMETIC) is None
-    assert hpc.compute_bigram(IC.STORE, IC.OTHER) is None
+        windows([0], 0)
 
 
 # --- dataset container ---------------------------------------------------------

@@ -6,41 +6,49 @@ import math
 import numpy as np
 import pytest
 
-from hpc_sentinel import mgsim
-from hpc_sentinel.errors import OutOfRangeVoltage
+from hpc_sentinel import _kernels, mgsim
 
 
 # --- PV curve -------------------------------------------------------------------
 
+PV = mgsim.PvModel()
+
+
+def pv_voltage(amps, irradiance=1.0):
+    """Terminal voltage of the default array when the converter draws amps,
+    the inverse of I(V) = g * i_sc * (1 - (V/v_oc)^knee)."""
+    return _kernels.pv_voltage(amps, irradiance, PV.v_oc_v, PV.i_sc_a,
+                               PV.knee)
+
+
 def test_pv_curve_endpoints():
-    m = mgsim.PvModel()
-    assert mgsim.pv_iv(0.0) == pytest.approx(m.i_sc_a)
-    assert mgsim.pv_iv(m.v_oc_v) == pytest.approx(0.0)
-    assert mgsim.pv_iv(0.0, irradiance=0.4) == pytest.approx(0.4 * m.i_sc_a)
+    assert pv_voltage(0.0) == PV.v_oc_v
+    assert pv_voltage(PV.i_sc_a) == 0.0
+    assert pv_voltage(0.4 * PV.i_sc_a, irradiance=0.4) == 0.0
+    # past the short-circuit current and below zero the curve saturates
+    assert pv_voltage(PV.i_sc_a + 1.0) == 0.0
+    assert pv_voltage(-1.0) == PV.v_oc_v
+    # on the curve, the current at that voltage is the one drawn
+    v = pv_voltage(300.0, irradiance=0.8)
+    assert 0.8 * PV.i_sc_a * (1.0 - (v / PV.v_oc_v) ** PV.knee) == \
+        pytest.approx(300.0, rel=1e-12)
 
 
 def test_pv_curve_monotone_decreasing():
-    v = np.linspace(0.0, 800.0, 400)
-    i = np.array([mgsim.pv_iv(x) for x in v])
-    assert np.all(np.diff(i) <= 1e-9)
+    v = np.array([pv_voltage(i) for i in np.linspace(0.0, PV.i_sc_a, 400)])
+    assert np.all(np.diff(v) <= 1e-9)
 
 
-def test_pv_out_of_range_rejected():
-    with pytest.raises(OutOfRangeVoltage):
-        mgsim.pv_iv(-1.0)
-    with pytest.raises(OutOfRangeVoltage):
-        mgsim.pv_iv(800.5)
-
-
-def grid_sweep_mpp(irradiance=1.0, step=0.1):
-    """Independent maximum search: brute-force sweep of P(V)=V*I(V)."""
+def grid_sweep_mpp(irradiance=1.0, step=0.01):
+    """Independent maximum search: brute-force sweep of P = I * V(I) over
+    the drawn current."""
     best_p, best_v = -1.0, 0.0
-    v = 0.0
-    while v <= 800.0:
-        p = v * mgsim.pv_iv(v, irradiance=irradiance)
-        if p > best_p:
-            best_p, best_v = p, v
-        v = round(v + step, 10)
+    i = 0.0
+    while i <= PV.i_sc_a * irradiance:
+        v = pv_voltage(i, irradiance=irradiance)
+        if i * v > best_p:
+            best_p, best_v = i * v, v
+        i = round(i + step, 10)
     return best_p, best_v
 
 
@@ -48,67 +56,68 @@ def test_grid_sweep_mpp_location():
     best_p, best_v = grid_sweep_mpp()
     # analytic optimum of V*(1-(V/800)^10) sits at 800/11^0.1
     v_star = 800.0 / (11.0 ** 0.1)
-    p_star = v_star * mgsim.pv_iv(v_star)
+    p_star = v_star * PV.i_sc_a * (1.0 - (v_star / PV.v_oc_v) ** PV.knee)
     assert best_v == pytest.approx(v_star, abs=0.1)
     assert best_p == pytest.approx(p_star, rel=1e-6)
 
 
 # --- tracker --------------------------------------------------------------------
 
-def _state(p_i, v_i, i_ref=100.0, d=2.0):
-    return mgsim.MpptState(p_i=p_i, v_i=v_i, i_ref=i_ref, delta_i=d,
-                           enabled=True)
+def pno(p_i, v_i, v_rt, i_rt, i_ref=100.0, i_max=437.0, symmetric=False):
+    """One tracker update with a 2 A step; returns (p_i, v_i, i_ref)."""
+    return _kernels.pno_update(p_i, v_i, i_ref, 2.0, v_rt, i_rt, i_max,
+                               symmetric)
 
 
 def test_pno_literal_acts_only_on_power_drop():
     # power dropped, voltage rose: slid down the knee, raise the current
-    s = mgsim.pno_step(_state(1000.0, 500.0), v_rt=510.0, i_rt=1.0)
-    assert s.i_ref == pytest.approx(102.0)
+    assert pno(1000.0, 500.0, 510.0, 1.0)[2] == pytest.approx(102.0)
     # power dropped, voltage fell: backed off too far, lower the current
-    s = mgsim.pno_step(_state(1000.0, 500.0), v_rt=490.0, i_rt=1.0)
-    assert s.i_ref == pytest.approx(98.0)
+    assert pno(1000.0, 500.0, 490.0, 1.0)[2] == pytest.approx(98.0)
     # power rose: the literal rule holds the command
-    s = mgsim.pno_step(_state(100.0, 500.0), v_rt=510.0, i_rt=10.0)
-    assert s.i_ref == pytest.approx(100.0)
+    p_i, v_i, i_ref = pno(100.0, 500.0, 510.0, 10.0)
+    assert i_ref == pytest.approx(100.0)
     # history always advances
-    assert s.p_i == pytest.approx(5100.0) and s.v_i == pytest.approx(510.0)
+    assert p_i == pytest.approx(5100.0) and v_i == pytest.approx(510.0)
 
 
 def test_pno_symmetric_steers_on_power_rise():
-    s = mgsim.pno_step(_state(100.0, 500.0), v_rt=510.0, i_rt=10.0,
-                       variant="symmetric")
-    assert s.i_ref == pytest.approx(98.0)
-    s = mgsim.pno_step(_state(100.0, 500.0), v_rt=490.0, i_rt=10.0,
-                       variant="symmetric")
-    assert s.i_ref == pytest.approx(102.0)
+    assert pno(100.0, 500.0, 510.0, 10.0, symmetric=True)[2] == \
+        pytest.approx(98.0)
+    assert pno(100.0, 500.0, 490.0, 10.0, symmetric=True)[2] == \
+        pytest.approx(102.0)
     # on a power drop both variants agree
-    a = mgsim.pno_step(_state(1000.0, 500.0), v_rt=510.0, i_rt=1.0)
-    b = mgsim.pno_step(_state(1000.0, 500.0), v_rt=510.0, i_rt=1.0,
-                       variant="symmetric")
-    assert a.i_ref == b.i_ref
+    assert pno(1000.0, 500.0, 510.0, 1.0) == \
+        pno(1000.0, 500.0, 510.0, 1.0, symmetric=True)
 
 
 def test_pno_clamps_to_current_limits():
-    s = mgsim.pno_step(_state(1000.0, 500.0, i_ref=436.5), v_rt=510.0,
-                       i_rt=1.0, i_max=437.0)
-    assert s.i_ref == 437.0
-    s = mgsim.pno_step(_state(1000.0, 500.0, i_ref=1.0), v_rt=490.0, i_rt=1.0)
-    assert s.i_ref == 0.0
-
-
-def test_pno_rejects_disabled_and_unknown_variant():
-    with pytest.raises(ValueError):
-        mgsim.pno_step(mgsim.MpptState(0, 0, 43.7, 2.185, False), 500.0, 10.0)
-    with pytest.raises(ValueError):
-        mgsim.pno_step(_state(0, 0), 500.0, 10.0, variant="sideways")
+    assert pno(1000.0, 500.0, 510.0, 1.0, i_ref=436.5)[2] == 437.0
+    assert pno(1000.0, 500.0, 490.0, 1.0, i_ref=1.0)[2] == 0.0
 
 
 # --- dispatch and frequency ------------------------------------------------------
 
+def step_dispatch(load_kw, pv_kw, diesel_prev_kw, ess_kwh, dt_s):
+    """One dispatch step with the default scenario's storage and diesel;
+    returns (diesel_kw, ess_kw, ess_kwh_after)."""
+    s = mgsim.Scenario()
+    return _kernels.dispatch_update(
+        load_kw, pv_kw, diesel_prev_kw, ess_kwh, s.ess_p_max_kw,
+        s.ess_capacity_kwh, s.diesel_max_kw,
+        math.exp(-dt_s / s.diesel_tau_s), dt_s)
+
+
+def step_frequency(f_hz, imbalance_kw, dt_s):
+    """One frequency step with k_f 1, damping 0.5 on a 1000 kW base."""
+    return _kernels.frequency_step(f_hz, imbalance_kw, 1000.0, 1.0, 0.5,
+                                   60.0, dt_s)
+
+
 def test_dispatch_ess_absorbs_first():
     # deficit of 250 kW: storage covers its 100 kW limit, diesel ramps
     # toward the remaining 150 kW from standstill
-    diesel, ess, kwh = mgsim.dispatch(500.0, 250.0, 0.0, 50.0, dt_s=0.01)
+    diesel, ess, kwh = step_dispatch(500.0, 250.0, 0.0, 50.0, 0.01)
     assert ess == pytest.approx(100.0)
     target = 150.0
     assert diesel == pytest.approx(target * (1.0 - math.exp(-0.01 / 2.0)))
@@ -116,7 +125,7 @@ def test_dispatch_ess_absorbs_first():
 
 
 def test_dispatch_surplus_charges_storage():
-    diesel, ess, kwh = mgsim.dispatch(100.0, 250.0, 0.0, 50.0, dt_s=0.01)
+    diesel, ess, kwh = step_dispatch(100.0, 250.0, 0.0, 50.0, 0.01)
     assert ess == pytest.approx(-100.0)
     assert kwh == pytest.approx(50.0 + 100.0 * 0.01 / 3600.0)
     assert diesel == pytest.approx(0.0)
@@ -125,11 +134,11 @@ def test_dispatch_surplus_charges_storage():
 def test_dispatch_respects_energy_bounds():
     # storage nearly empty: it can only discharge what remains
     dt = 36.0  # one hundredth of an hour, keeps the arithmetic readable
-    diesel, ess, kwh = mgsim.dispatch(500.0, 0.0, 0.0, 0.5, dt_s=dt)
+    diesel, ess, kwh = step_dispatch(500.0, 0.0, 0.0, 0.5, dt)
     assert kwh >= 0.0
     assert ess == pytest.approx(0.5 / (dt / 3600.0))
     # full storage cannot absorb surplus
-    diesel, ess, kwh = mgsim.dispatch(0.0, 300.0, 0.0, 100.0, dt_s=dt)
+    diesel, ess, kwh = step_dispatch(0.0, 300.0, 0.0, 100.0, dt)
     assert kwh <= 100.0
     assert ess == pytest.approx(0.0)
 
@@ -141,7 +150,7 @@ def test_diesel_exponential_ramp_closed_form():
     diesel = 0.0
     kwh = 0.0  # storage empty so the whole residual lands on the engine
     for k in range(1, 201):
-        diesel, _, kwh = mgsim.dispatch(150.0, 0.0, diesel, kwh, dt_s=dt)
+        diesel, _, kwh = step_dispatch(150.0, 0.0, diesel, kwh, dt)
         want = target * (1.0 - math.exp(-k * dt / tau))
         assert diesel == pytest.approx(want, rel=1e-9)
 
@@ -150,24 +159,24 @@ def test_frequency_equilibrium_and_closed_form():
     # zero imbalance decays to nominal
     f = 59.5
     for _ in range(4000):
-        f = mgsim.frequency_update(f, 0.0, 0.01)
+        f = step_frequency(f, 0.0, 0.01)
     assert f == pytest.approx(60.0, abs=1e-6)
     # constant imbalance lands on the droop equilibrium
     imb, k_f, damping = 80.0, 1.0, 0.5
     f_eq = 60.0 + k_f * (imb / 1000.0) / damping
     f = 60.0
     for _ in range(8000):
-        f = mgsim.frequency_update(f, imb, 0.01)
+        f = step_frequency(f, imb, 0.01)
     assert f == pytest.approx(f_eq, abs=1e-9)
     # single step matches the exponential relaxation toward f_eq
-    got = mgsim.frequency_update(60.0, imb, 0.01)
+    got = step_frequency(60.0, imb, 0.01)
     want = f_eq + (60.0 - f_eq) * math.exp(-damping * 0.01)
     assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_frequency_sign_follows_imbalance():
-    up = mgsim.frequency_update(60.0, 200.0, 0.01)
-    down = mgsim.frequency_update(60.0, -200.0, 0.01)
+    up = step_frequency(60.0, 200.0, 0.01)
+    down = step_frequency(60.0, -200.0, 0.01)
     assert up > 60.0 > down
 
 
