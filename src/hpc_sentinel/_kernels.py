@@ -64,9 +64,8 @@ def window_counts(cats, window):
 # integer fractions; exact cross-multiplied comparison keeps the search
 # bit-deterministic and makes the documented tie-break (lowest feature index,
 # then lowest threshold) exact. int64 products reach n^5 / 16, in range for
-# nodes up to EXACT_SPLIT_LIMIT rows; beyond that callers pass exact=False
-# to fall back to float64 comparison (still deterministic, same operation
-# order).
+# nodes up to EXACT_SPLIT_LIMIT rows; larger nodes compare in float64
+# instead (still deterministic, same operation order).
 EXACT_SPLIT_LIMIT = 4000
 
 
@@ -98,14 +97,14 @@ def _run_starts(a):
     return lead
 
 
-def best_split_codes(codes, y, sizes, bins, exact=None):
+def best_split_codes(codes, y, sizes, bins):
     """Best split of every node of a batch in one loop-free pass.
 
     codes holds rank codes by candidate column, (k, rows) int64: node i
     owns the next sizes[i] entries of every row, and bins[i, j]
     bounds the codes of its column j. y holds the 0/1 labels of the
-    rows. Node i scores with exact integer fractions when exact[i] holds
-    (default: sizes[i] <= EXACT_SPLIT_LIMIT), else in float64. Returns
+    rows. Node i scores with exact integer fractions when sizes[i] <=
+    EXACT_SPLIT_LIMIT, else in float64. Returns
     int64 arrays (column, lo, hi, found) with one entry per node: the
     column of the best split that strictly improves on the node's own
     score and the adjacent present codes it cuts between (left child:
@@ -125,9 +124,7 @@ def best_split_codes(codes, y, sizes, bins, exact=None):
                        minlength=n_nodes).astype(np.int64)
     tot0 = sizes - tot1
     parent = tot0 * tot0 + tot1 * tot1
-    if exact is None:
-        exact = sizes <= EXACT_SPLIT_LIMIT
-    exact = np.asarray(exact, dtype=bool)
+    exact = sizes <= EXACT_SPLIT_LIMIT
 
     # One segment per (node, column), packed in that order, with one slot
     # per code; one bincount over (slot, label) keys counts rows and
@@ -200,34 +197,23 @@ def best_split_codes(codes, y, sizes, bins, exact=None):
     return col_out, lo_out, hi_out, found_out
 
 
-def best_split_batch(x, y, sizes, exact=None):
-    """:func:`best_split_codes` on raw values.
-
-    x stacks the nodes' rows of candidate columns, (rows, k) int64, node
-    i owning the next sizes[i] rows; each column is rank-coded over
-    the whole batch. Returns int64 arrays (column, threshold, found) with
-    one entry per node: the column and integer threshold (left child:
-    value <= threshold) of the best split, the floor of the midpoint of
-    the two values it cuts between.
-    """
-    n_nodes = len(sizes)
-    codes, values, offsets = rank_code(np.asarray(x).T)
-    bins = np.broadcast_to(np.diff(offsets), (n_nodes, x.shape[1]))
-    col, lo, hi, found = best_split_codes(codes, y, sizes, bins, exact)
-    ok = found == 1
-    at = offsets[col[ok]]
-    thr = np.zeros(n_nodes, dtype=np.int64)
-    thr[ok] = (values[at + lo[ok]] + values[at + hi[ok]]) // 2
-    return col, thr, found
-
-
 # perfbench/tracer.py wraps this name.
-def best_split(x, y, feats, exact):
-    """:func:`best_split_batch` for one node over the columns feats."""
-    col, thr, found = best_split_batch(x[:, feats], y, [x.shape[0]], [exact])
+def best_split(x, y, feats):
+    """Best split of one node, x its (rows, features) int64 values, over
+    the columns feats: :func:`best_split_codes` on the rank codes of those
+    columns. Returns (feature, threshold, found): the feature and integer
+    threshold (left child: value <= threshold) of the best split, the
+    floor of the midpoint of the two values it cuts between, or
+    (-1, 0, 0) when no split improves the node.
+    """
+    codes, values, offsets = rank_code(np.asarray(x)[:, feats].T)
+    col, lo, hi, found = best_split_codes(codes, y, [x.shape[0]],
+                                          np.diff(offsets)[None])
     if not found[0]:
         return np.int64(-1), np.int64(0), np.int64(0)
-    return np.int64(feats[col[0]]), thr[0], found[0]
+    at = offsets[col[0]]
+    return (np.int64(feats[col[0]]),
+            (values[at + lo[0]] + values[at + hi[0]]) // 2, found[0])
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +237,17 @@ def pno_update(p_i, v_i, i_ref, d_i, v_rt, i_rt, i_max, symmetric):
 
     The literal form perturbs only on a power drop; the symmetric variant
     also keeps perturbing while power grows, which is what lets the tracker
-    climb from a cold start. History always advances.
+    climb from a cold start. Either form lowers the current while the
+    panel sits at 0 V: a command at or past the short-circuit current
+    measures no power and no voltage change, so without that rule the
+    tracker never leaves it. History always advances.
     """
     p_rt = v_rt * i_rt
     dp = p_rt - p_i
     dv = v_rt - v_i
-    if dp < 0.0:
+    if v_rt == 0.0:
+        i_ref -= d_i
+    elif dp < 0.0:
         if dv > 0.0:
             i_ref += d_i
         else:

@@ -18,7 +18,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import DataError, MalformedLine
+from .errors import DataError
 
 
 class InstructionCategory(enum.Enum):
@@ -147,8 +147,8 @@ SKIP_KINDS = ("blank", "comment", "label", "directive", "unrecognized")
 
 
 def _noncode_kind(raw_line):
-    """Skip kind of a line that holds no instruction; None if the line is
-    not recognizable non-code either."""
+    """Skip kind of a line that holds no instruction; "unrecognized" if
+    the line is not recognizable non-code either."""
     stripped = raw_line.partition(";")[0].strip()
     if not stripped:
         return "comment" if raw_line.strip() else "blank"
@@ -156,7 +156,7 @@ def _noncode_kind(raw_line):
         return "label"
     if stripped.startswith("."):
         return "directive"
-    return None
+    return "unrecognized"
 
 
 @dataclass(frozen=True)
@@ -171,13 +171,13 @@ class Listing:
         return self.codes.shape[0]
 
 
-def parse_listing(text, cmap=None, strict=False):
+def parse_listing(text, cmap=None):
     """Category codes of a listing's instructions.
 
     Blank, comment, label and directive lines are skipped and tallied; a
     mnemonic starting with "." is a data word rendered as a
     pseudo-instruction and counts as a directive. Other lines are tallied
-    as unrecognized, or raise MalformedLine when strict=True.
+    as unrecognized.
     """
     cmap = cmap or CategoryMap.default()
     code_of = {m: c.code for m, c in cmap.categories.items()}
@@ -185,15 +185,11 @@ def parse_listing(text, cmap=None, strict=False):
     skipped = dict.fromkeys(SKIP_KINDS, 0)
     codes = []
     match = _LINE_RE.match
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+    for raw_line in text.splitlines():
         m = match(raw_line)
         if m is not None and m[3][0] != ".":
             codes.append(code_of.get(m[3].upper(), other))
             continue
         kind = "directive" if m is not None else _noncode_kind(raw_line)
-        if kind is None:
-            if strict:
-                raise MalformedLine(line_no, raw_line)
-            kind = "unrecognized"
         skipped[kind] += 1
     return Listing(codes=np.array(codes, dtype=np.int64), skipped=skipped)

@@ -13,6 +13,7 @@ needs a POSIX os.fork.
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -101,6 +102,13 @@ def cmd_mutate(args) -> int:
 # --- train / eval -------------------------------------------------------------
 
 def cmd_train(args) -> int:
+    if not 0.0 < args.split < 1.0:
+        raise UsageError("--split must lie in (0, 1)")
+    for flag in ("trees", "hidden", "epochs"):
+        if getattr(args, flag) < 1:
+            raise UsageError(f"--{flag} must be >= 1")
+    if not (math.isfinite(args.lr) and args.lr > 0.0):
+        raise UsageError("--lr must be a finite number > 0")
     ds = hpc.read_dataset_csv(args.data)
     hp = {"rf": {"n_trees": args.trees},
           "nn": {"hidden": args.hidden, "epochs": args.epochs,
@@ -167,9 +175,13 @@ def cmd_simulate(args) -> int:
 
 def _read_sim_csv(path):
     """The float columns of a simulate CSV; DataError naming the file if
-    it has no data rows, a row of the wrong width or a non-number."""
+    it is not CSV, or has no data rows, a row of the wrong width or a
+    non-number."""
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+        try:
+            rows = list(csv.reader(fh))
+        except csv.Error as e:
+            raise DataError(f"report: {path}: {e}") from e
     if len(rows) < 2:
         raise DataError(f"report: {path} has no data rows")
     header = rows[0]

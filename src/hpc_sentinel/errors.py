@@ -16,13 +16,6 @@ class NumericError(SentinelError):
     pass
 
 
-class MalformedLine(DataError):
-    def __init__(self, line_no, line):
-        super().__init__(f"line {line_no}: cannot parse instruction: {line!r}")
-        self.line_no = line_no
-        self.line = line
-
-
 class AnchorNotFound(DataError):
     def __init__(self, anchor):
         super().__init__(f"anchor label {anchor!r} not found in base listing")

@@ -21,11 +21,7 @@ _CLASS_SYMBOLS = "ablns"  # code order
 FEATURE_NAMES = tuple(_CLASS_SYMBOLS) + tuple(
     x + y for x in _CLASS_SYMBOLS for y in _CLASS_SYMBOLS)
 
-LABEL_BENIGN = "benign"
-LABEL_MALICIOUS = "malicious"
-LABELS = (LABEL_BENIGN, LABEL_MALICIOUS)  # indexed by label code
-
-ATTACK_KINDS = ("mppt_dos", "inverter_dos", "input_array", "input_sine")
+LABELS = ("benign", "malicious")  # indexed by label code
 
 
 def extract_windows(listing, window=DEFAULT_WINDOW):
@@ -163,33 +159,41 @@ def read_dataset_csv(path):
     raises DataError naming the file and the line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: line 1: empty file, expected a "
-                            f"dataset CSV header")
-        if tuple(header[:3]) != _CSV_LEAD or tuple(header[-2:]) != _CSV_TAIL:
-            raise InconsistentFeatures(f"{path}: not a dataset CSV")
-        names = tuple(header[3:-2])
-        unknown = [n for n in names if n not in FEATURE_NAMES]
-        if unknown:
-            raise InconsistentFeatures(f"{path}: unknown features {unknown}")
-        if len(set(names)) != len(names):
-            raise InconsistentFeatures(f"{path}: repeated feature columns")
-        rows, counts = [], []  # counts parsed row by row: ints, not text
-        for row in reader:
-            if len(row) != len(header):
-                raise DataError(f"{path}: line {reader.line_num}: "
-                                f"{len(row)} fields, the header has "
-                                f"{len(header)}")
-            if row[-2] not in LABELS:
-                raise DataError(f"{path}: line {reader.line_num}: bad label "
-                                f"{row[-2]!r}")
-            try:
-                counts.append(list(map(int, row[3:-2])))
-            except ValueError as e:
-                raise DataError(f"{path}: line {reader.line_num}: {e}") \
-                    from e
-            rows.append(row[:3] + row[-2:])
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: line 1: empty file, expected a "
+                                f"dataset CSV header")
+            if (tuple(header[:3]) != _CSV_LEAD
+                    or tuple(header[-2:]) != _CSV_TAIL):
+                raise InconsistentFeatures(f"{path}: not a dataset CSV")
+            names = tuple(header[3:-2])
+            if not names:
+                raise InconsistentFeatures(f"{path}: no counter columns")
+            unknown = [n for n in names if n not in FEATURE_NAMES]
+            if unknown:
+                raise InconsistentFeatures(f"{path}: unknown features "
+                                           f"{unknown}")
+            if len(set(names)) != len(names):
+                raise InconsistentFeatures(f"{path}: repeated feature "
+                                           f"columns")
+            rows, counts = [], []  # counts parsed row by row: ints, not text
+            for row in reader:
+                if len(row) != len(header):
+                    raise DataError(f"{path}: line {reader.line_num}: "
+                                    f"{len(row)} fields, the header has "
+                                    f"{len(header)}")
+                if row[-2] not in LABELS:
+                    raise DataError(f"{path}: line {reader.line_num}: bad "
+                                    f"label {row[-2]!r}")
+                try:
+                    counts.append(list(map(int, row[3:-2])))
+                except ValueError as e:
+                    raise DataError(f"{path}: line {reader.line_num}: {e}") \
+                        from e
+                rows.append(row[:3] + row[-2:])
+        except csv.Error as e:
+            raise DataError(f"{path}: line {reader.line_num}: {e}") from e
     try:
         return Dataset(
             X=np.array(counts, dtype=np.int64).reshape(len(rows), len(names)),

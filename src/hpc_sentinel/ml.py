@@ -37,37 +37,28 @@ PREDICT_BLOCK_PAIRS = 8192
 
 # --- splitting and balancing -------------------------------------------------
 
-@dataclass(frozen=True)
-class SplitSpec:
-    train_fraction: float = 0.7
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must lie in (0, 1)")
-
-
-def split(d: Dataset, spec: SplitSpec):
+def split(d: Dataset, train_fraction: float, seed: int):
     """Stratified partition into (train, test), each in dataset row order;
-    train gets floor(fraction * n) rows.
+    train gets floor(train_fraction * n) rows, train_fraction in (0, 1).
 
     Each class's share stays within one sample of the global fraction,
     using largest-remainder rounding so the total is still exactly
-    floor(fraction * n).
+    floor(train_fraction * n).
     """
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError("train_fraction must lie in (0, 1)")
     n = len(d)
-    n_train = int(math.floor(spec.train_fraction * n))
+    n_train = int(math.floor(train_fraction * n))
     if n < 2 or n_train < 1 or n - n_train < 1:
-        raise TooFewSamples(f"cannot split {n} samples at "
-                            f"{spec.train_fraction}")
-    rng = np.random.default_rng(spec.seed)
+        raise TooFewSamples(f"cannot split {n} samples at {train_fraction}")
+    rng = np.random.default_rng(seed)
     y = d.labels()
     if (y == 0).sum() == 0 or (y == 1).sum() == 0:
         raise TooFewSamples("stratified split needs both classes")
     targets = {}
     remainders = []
     for c in (0, 1):
-        exact = spec.train_fraction * int((y == c).sum())
+        exact = train_fraction * int((y == c).sum())
         targets[c] = int(math.floor(exact))
         remainders.append((-(exact - math.floor(exact)), c))
     short = n_train - sum(targets.values())
@@ -82,9 +73,9 @@ def split(d: Dataset, spec: SplitSpec):
             d.subset(np.flatnonzero(~in_train)))
 
 
-def balance(d: Dataset, seed: int = 0, downsample: bool = False) -> Dataset:
-    """Equalize class counts; oversamples the minority with replacement
-    by default, or discards majority rows when downsample is set."""
+def balance(d: Dataset, seed: int = 0) -> Dataset:
+    """Equalize class counts by oversampling the minority with
+    replacement."""
     y = d.labels()
     n0, n1 = int((y == 0).sum()), int((y == 1).sum())
     if n0 == 0 or n1 == 0:
@@ -95,9 +86,6 @@ def balance(d: Dataset, seed: int = 0, downsample: bool = False) -> Dataset:
     minority = 0 if n0 < n1 else 1
     min_idx = np.flatnonzero(y == minority)
     maj_idx = np.flatnonzero(y != minority)
-    if downsample:
-        keep = rng.choice(maj_idx, size=min_idx.shape[0], replace=False)
-        return d.subset(np.sort(np.concatenate([min_idx, keep])))
     extra = rng.choice(min_idx, size=maj_idx.shape[0] - min_idx.shape[0],
                        replace=True)
     return d.subset(np.concatenate([np.arange(len(d)), extra]))
@@ -289,11 +277,11 @@ def _predict_trees(trees, X) -> np.ndarray:
 
 class _GrowingTree:
     """Node arrays of one tree under construction and its stack of nodes
-    still to grow, each (rows, depth, parent, is_right, malicious rows)."""
+    still to grow, each (rows, parent, is_right, malicious rows)."""
 
     def __init__(self, rows, c1, feature_rng):
         self.feature_rng = feature_rng
-        self.stack = [(rows, 0, -1, False, c1)]
+        self.stack = [(rows, -1, False, c1)]
         self.feature = []
         self.threshold = []
         self.left = []
@@ -321,8 +309,7 @@ class _GrowingTree:
             feature_names=tuple(feature_names), params=params)
 
 
-def _grow_trees(X, y, boots, feature_rngs, n_feats, max_depth,
-                min_samples_split, feature_names, params):
+def _grow_trees(X, y, boots, feature_rngs, n_feats, feature_names, params):
     """Grow one tree per row-index vector in boots, all in lockstep.
 
     X is rank-coded once, column by column. Each round pops the next
@@ -331,9 +318,10 @@ def _grow_trees(X, y, boots, feature_rngs, n_feats, max_depth,
     kernel calls of at most SPLIT_BATCH_ENTRIES entries (one node may
     exceed it alone). Children are pushed right then left, so node ids
     and feature_rng draws follow each tree's preorder and every tree
-    equals the one grown on its own. A tree whose feature_rng is None
-    searches all features at every node; otherwise it draws n_feats of
-    them per node.
+    equals the one grown on its own. A node holding both classes is
+    searched, and becomes a leaf when no split improves it. A tree whose
+    feature_rng is None searches all features at every node; otherwise it
+    draws n_feats of them per node.
     """
     all_feats = np.arange(X.shape[1], dtype=np.int64)
     codes, values, offsets = _kernels.rank_code(X.T)
@@ -342,11 +330,10 @@ def _grow_trees(X, y, boots, feature_rngs, n_feats, max_depth,
 
     def next_split(t):
         while t.stack:
-            rows, depth, parent, is_right, c1 = t.stack.pop()
+            rows, parent, is_right, c1 = t.stack.pop()
             c0 = rows.shape[0] - c1
             node = t.emit(parent, is_right, (c0, c1))
-            if (c0 == 0 or c1 == 0 or rows.shape[0] < min_samples_split
-                    or (max_depth is not None and depth >= max_depth)):
+            if c0 == 0 or c1 == 0:
                 continue
             if t.feature_rng is None:
                 feats = all_feats
@@ -354,7 +341,7 @@ def _grow_trees(X, y, boots, feature_rngs, n_feats, max_depth,
                 feats = t.feature_rng.choice(all_feats.shape[0],
                                              size=n_feats, replace=False)
                 feats.sort()
-            return t, node, rows, feats, depth, c1
+            return t, node, rows, feats, c1
         return None
 
     def split(batch):
@@ -371,11 +358,11 @@ def _grow_trees(X, y, boots, feature_rngs, n_feats, max_depth,
         go_left = (codes[np.repeat(f, sizes), rows]
                    <= np.repeat(below, sizes))
         go_right = ~go_left
-        # a searched node holds at least min_samples_split >= 2 rows, so
-        # every reduceat segment is non-empty
+        # a searched node holds both classes, so every reduceat segment
+        # is non-empty
         c1_left = np.add.reduceat(y_rows * go_left, np.cumsum(sizes) - sizes)
         end = 0
-        for (t, node, rows, _, depth, c1), n, fi, thr, ok, l1 in zip(
+        for (t, node, rows, _, c1), n, fi, thr, ok, l1 in zip(
                 batch, sizes.tolist(), f.tolist(), thrs.tolist(),
                 found.tolist(), c1_left.tolist()):
             start, end = end, end + n
@@ -383,10 +370,8 @@ def _grow_trees(X, y, boots, feature_rngs, n_feats, max_depth,
                 continue
             t.feature[node] = fi
             t.threshold[node] = thr
-            t.stack.append((rows[go_right[start:end]], depth + 1, node, True,
-                            c1 - l1))
-            t.stack.append((rows[go_left[start:end]], depth + 1, node, False,
-                            l1))
+            t.stack.append((rows[go_right[start:end]], node, True, c1 - l1))
+            t.stack.append((rows[go_left[start:end]], node, False, l1))
 
     trees = [_GrowingTree(rows, int(y[rows].sum()), rng)
              for rows, rng in zip(boots, feature_rngs)]
@@ -409,8 +394,7 @@ def _grow_trees(X, y, boots, feature_rngs, n_feats, max_depth,
     return [t.model(feature_names, params) for t in trees]
 
 
-def train_dt(train: Dataset, max_depth=None,
-             min_samples_split: int = 2) -> DecisionTreeModel:
+def train_dt(train: Dataset) -> DecisionTreeModel:
     """CART with Gini impurity on integer features.
 
     Thresholds are midpoints (integer floor) between adjacent distinct
@@ -420,13 +404,11 @@ def train_dt(train: Dataset, max_depth=None,
     """
     if len(train) == 0:
         raise EmptyDataset("decision tree needs at least one sample")
-    if min_samples_split < 2:
-        raise ValueError("min_samples_split must be >= 2")
     X = train.matrix()
-    params = {"max_depth": max_depth, "min_samples_split": min_samples_split}
+    # the model JSON records the CART settings every tree is grown with
+    params = {"max_depth": None, "min_samples_split": 2}
     return _grow_trees(X, train.labels(), [np.arange(X.shape[0])], [None],
-                       X.shape[1], max_depth, min_samples_split,
-                       train.feature_names, params)[0]
+                       X.shape[1], train.feature_names, params)[0]
 
 
 # --- random forest ------------------------------------------------------------
@@ -453,26 +435,13 @@ class RandomForestModel:
                    params=dict(d.get("params", {})))
 
 
-def _resolve_max_features(max_features, total: int) -> int:
-    if max_features is None:
-        return total
-    if max_features == "sqrt":
-        return min(total, math.isqrt(total - 1) + 1 if total > 1 else 1)
-    m = int(max_features)
-    if not 1 <= m <= total:
-        raise ValueError(f"max_features {m} outside [1, {total}]")
-    return m
-
-
-def train_rf(train: Dataset, n_trees: int = 100, seed: int = 0,
-             bootstrap: bool = True, max_features="sqrt", max_depth=None,
-             min_samples_split: int = 2) -> RandomForestModel:
+def train_rf(train: Dataset, n_trees: int = 100,
+             seed: int = 0) -> RandomForestModel:
     """Bagged trees with per-split random feature subsets.
 
     Every tree gets its own generator spawned from the master seed, which
-    draws its bootstrap rows and then its feature subsets, so a tree does
-    not depend on the others. max_features: "sqrt" (ceil of sqrt, the
-    default), an int, or None for all features.
+    draws its bootstrap rows and then, at each node, ceil(sqrt(F)) of the
+    F features, so a tree does not depend on the others.
     """
     if len(train) == 0:
         raise EmptyDataset("random forest needs at least one sample")
@@ -480,19 +449,18 @@ def train_rf(train: Dataset, n_trees: int = 100, seed: int = 0,
         raise ValueError("n_trees must be >= 1")
     X = train.matrix()
     n, total = X.shape
-    m = _resolve_max_features(max_features, total)
+    m = math.isqrt(total - 1) + 1  # ceil(sqrt(total))
     rngs = [np.random.default_rng(c)
             for c in np.random.SeedSequence(seed).spawn(n_trees)]
-    boots = [rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-             for rng in rngs]
+    boots = [rng.integers(0, n, size=n) for rng in rngs]
     trees = _grow_trees(X, train.labels(), boots,
                         rngs if m < total else [None] * n_trees, m,
-                        max_depth, min_samples_split, train.feature_names, {})
+                        train.feature_names, {})
     return RandomForestModel(
         trees=trees, feature_names=tuple(train.feature_names),
-        params={"n_trees": n_trees, "seed": seed, "bootstrap": bootstrap,
-                "max_features": max_features, "max_depth": max_depth,
-                "min_samples_split": min_samples_split})
+        params={"n_trees": n_trees, "seed": seed, "bootstrap": True,
+                "max_features": "sqrt", "max_depth": None,
+                "min_samples_split": 2})
 
 
 # --- neural network -----------------------------------------------------------
@@ -702,7 +670,7 @@ def train_eval(kind: str, ds: Dataset, seed: int,
     """Split ds, optionally balance the training side, fit a model and
     score it on the held-out side; one seed drives all three. Returns
     (model, EvalReport)."""
-    tr, te = split(ds, SplitSpec(train_fraction=train_fraction, seed=seed))
+    tr, te = split(ds, train_fraction, seed)
     if balanced:
         tr = balance(tr, seed=seed)
     model = fit(kind, tr, seed, **hp)

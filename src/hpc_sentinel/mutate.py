@@ -260,13 +260,13 @@ _SECTION_COMMENTS = {
 }
 
 
-def synth_base_listing(seed: int = 0, plan=_SECTION_PLAN) -> str:
+def synth_base_listing(seed: int = 0) -> str:
     """Deterministic stand-in for a disassembled microinverter firmware."""
     rng = np.random.default_rng([seed, 0x5EC7])
     lines = ["; solar microinverter control firmware (synthetic listing)",
              "    .text"]
     addr = 0x8000
-    for section, count in plan:
+    for section, count in _SECTION_PLAN:
         motif = _SECTION_MOTIFS[section]
         lines.append(f"; --- {_SECTION_COMMENTS[section]} ---")
         lines.append(f"{section}:")

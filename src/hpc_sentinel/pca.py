@@ -118,16 +118,12 @@ def eliminate(classes, full_features=FEATURE_NAMES) -> EliminationSpec:
     return EliminationSpec(excluded=excluded, features=kept)
 
 
-def all_specs(max_excluded: int = 2):
+def all_specs():
     """Every single and double exclusion, singles first, each group in
     CLASS_ORDER."""
-    out = []
-    if max_excluded >= 1:
-        out.extend(eliminate((c,)) for c in CLASS_ORDER)
-    if max_excluded >= 2:
-        out.extend(eliminate(pair)
-                   for pair in itertools.combinations(CLASS_ORDER, 2))
-    return out
+    return ([eliminate((c,)) for c in CLASS_ORDER]
+            + [eliminate(pair)
+               for pair in itertools.combinations(CLASS_ORDER, 2)])
 
 
 @dataclass(frozen=True)

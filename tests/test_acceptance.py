@@ -176,7 +176,7 @@ def test_criterion_07_elimination_cardinalities():
 
 def test_criterion_08_corpus_detection_floor(corpus_dataset):
     t0 = time.perf_counter()
-    train, test = ml.split(corpus_dataset, ml.SplitSpec(0.7, seed=42))
+    train, test = ml.split(corpus_dataset, 0.7, 42)
     balanced = ml.balance(train, seed=42)
     forest = ml.train_rf(balanced, n_trees=100, seed=42)
     rep = ml.evaluate(forest, test)

@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpc_sentinel.asm import CategoryMap, InstructionCategory, parse_listing
-from hpc_sentinel.errors import MalformedLine
 
 _ORACLE_INSTR_RE = re.compile(
     r"^([0-9a-fA-F]+)\s+([0-9a-fA-F]+)\s+(\S+)(?:\s+(.*))?$")
 _ORACLE_LABEL_RE = re.compile(r"^[A-Za-z_.$]\w*:$")
 
 
-def oracle_parse(text, cmap=None, strict=False):
+def oracle_parse(text, cmap=None):
     """Reference parse, one rule at a time on each comment-stripped line.
 
     Returns the category codes of the instructions and the skipped-line
@@ -26,7 +25,7 @@ def oracle_parse(text, cmap=None, strict=False):
     instructions = []
     skipped = {"blank": 0, "comment": 0, "label": 0, "directive": 0,
                "unrecognized": 0}
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+    for raw_line in text.splitlines():
         body, _, _ = raw_line.partition(";")
         stripped = body.strip()
         if not stripped:
@@ -44,8 +43,6 @@ def oracle_parse(text, cmap=None, strict=False):
             if m is not None:  # data word rendered as a pseudo-mnemonic
                 skipped["directive"] += 1
                 continue
-            if strict:
-                raise MalformedLine(line_no, raw_line)
             skipped["unrecognized"] += 1
             continue
         instructions.append(cmap.classify(m.group(3).upper()).code)
@@ -93,15 +90,6 @@ def test_comment_stripped_from_operands():
         listing = parse_listing(line)
         assert listing.codes.tolist() == [InstructionCategory.ARITHMETIC.code]
         assert sum(listing.skipped.values()) == 0
-
-
-def test_strict_mode_raises_with_line_number():
-    text = "008000 a501 MOV AL,@VarA\nthis is not assembly\n"
-    assert len(parse_listing(text)) == 1
-    with pytest.raises(MalformedLine) as exc:
-        parse_listing(text, strict=True)
-    assert exc.value.line_no == 2
-    assert "line 2" in str(exc.value)
 
 
 def test_lenient_mode_tallies_unrecognized():
@@ -166,15 +154,6 @@ def test_parse_matches_oracle(text):
     listing = parse_listing(text, _CMAP)
     assert listing.codes.tolist() == want
     assert listing.skipped == skipped
-    try:
-        oracle_parse(text, _CMAP, strict=True)
-    except MalformedLine as exc:
-        with pytest.raises(MalformedLine) as got:
-            parse_listing(text, _CMAP, strict=True)
-        assert got.value.line_no == exc.line_no
-        assert got.value.line == exc.line
-    else:
-        assert parse_listing(text, _CMAP, strict=True).skipped == skipped
 
 
 def test_category_codes_alphabetical():

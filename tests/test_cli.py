@@ -165,6 +165,8 @@ def test_report_renders_charts(tmp_path):
     "0.0,1.0,60.0,1,1\n0.01,1.0\n",               # ragged row
     "time_s,pv_kw,freq_hz,mppt_on,inverter_on\n"
     "0.0,n/a,60.0,1,1\n",                         # not a number
+    pytest.param("time_s,pv_kw,freq_hz,mppt_on,inverter_on\n0.0,"
+                 + "1" * 200000 + ",60.0,1,1\n", id="field_over_csv_limit"),
 ])
 def test_report_rejects_broken_sim_csv(tmp_path, capsys, text):
     bundle = tmp_path / "bundle"
@@ -199,6 +201,17 @@ def test_usage_errors_exit_2(tmp_path, corpus_csv):
         assert run_cli("reproduce", flag, value,
                        "--out", str(tmp_path / "bundle")) == 2, flag
         assert not (tmp_path / "bundle").exists(), flag
+    # train's numeric flags are range-checked before the data is read
+    for model, flag, value in (
+            ("dt", "--split", "0"), ("dt", "--split", "1"),
+            ("rf", "--trees", "0"), ("nn", "--hidden", "-1"),
+            ("nn", "--epochs", "0"), ("nn", "--lr", "0"),
+            ("nn", "--lr", "-0.5"), ("nn", "--lr", "nan"),
+            ("nn", "--lr", "inf")):
+        assert run_cli("train", "--model", model, "--data", str(corpus_csv),
+                       flag, value, "--out", str(tmp_path / "m.json")) == 2, \
+            (flag, value)
+        assert not (tmp_path / "m.json").exists(), (flag, value)
 
 
 def test_data_errors_exit_3(tmp_path, base_asm):
@@ -223,6 +236,13 @@ def test_data_errors_exit_3(tmp_path, base_asm):
     for data in (short, empty):
         assert run_cli("rank", "--data", str(data),
                        "--out", str(tmp_path / "r.json")) == 3, data
+    # a header without counter columns, which no tree can split on
+    bare = tmp_path / "bare.csv"
+    bare.write_text("firmware_id,window_index,partial,label,attack_kind\n"
+                    + "f,0,0,benign,\ng,0,0,malicious,mppt_dos\n" * 3)
+    for model in ("dt", "rf"):
+        assert run_cli("train", "--model", model, "--data", str(bare),
+                       "--out", str(tmp_path / "m.json")) == 3, model
     # mutate with an anchorless base listing
     flat = tmp_path / "flat.asm"
     flat.write_text("008000 a501 MOV AL,@VarA\n")
@@ -351,10 +371,13 @@ _TEMPLATE = default_template(AttackKind.MPPT_DOS).to_dict()
     ("mutate", json.dumps({**_TEMPLATE, "period_ticks": 1.5}).encode()),
     ("train", b"firmware_id,window_index,partial,a,label,attack_kind\n"
               b"f,0,0,99999999999999999999,benign,\n"),
+    ("train", b"firmware_id,window_index,partial,a,label,attack_kind\n"
+              b"f,0,0," + b"1" * 200000 + b",benign,\n"),
 ], ids=["template_deep_nesting", "scenario_deep_nesting",
         "model_deep_nesting", "model_list", "template_int_attack",
         "template_int_payload_line", "template_string_payload",
-        "template_float_period", "dataset_count_overflow"])
+        "template_float_period", "dataset_count_overflow",
+        "dataset_field_over_csv_limit"])
 def test_malformed_input_exits_3_naming_file(tmp_path, capsys, base_asm,
                                              corpus_csv, command, content):
     path = tmp_path / "input.json"

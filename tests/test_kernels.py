@@ -131,17 +131,25 @@ def _mixed_extremes():
 @given(_split_batches())
 @example(_mixed_extremes())
 @settings(max_examples=60, deadline=None)
-def test_best_split_batch_matches_loop_per_node(nodes):
+def test_best_split_codes_matches_loop_per_node(nodes):
+    # the batch is rank-coded as a whole, so a node's codes skip the
+    # values only other nodes hold; best_split codes each node alone
     xs, ys = zip(*nodes)
-    sizes = [x.shape[0] for x in xs]
-    col, thr, found = _kernels.best_split_batch(
-        np.concatenate(xs), np.concatenate(ys), sizes)
+    codes, values, offsets = _kernels.rank_code(np.concatenate(xs).T)
+    bins = np.broadcast_to(np.diff(offsets), (len(nodes), codes.shape[0]))
+    col, lo, hi, found = _kernels.best_split_codes(
+        codes, np.concatenate(ys), [x.shape[0] for x in xs], bins)
     for i, (x, y) in enumerate(nodes):
         feats = np.arange(x.shape[1], dtype=np.int64)
-        want = best_split_loop(
-            x, y, feats, x.shape[0] <= _kernels.EXACT_SPLIT_LIMIT)
-        assert (int(col[i]), int(thr[i]), int(found[i])) == \
-            tuple(int(v) for v in want), i
+        want = tuple(int(v) for v in best_split_loop(
+            x, y, feats, x.shape[0] <= _kernels.EXACT_SPLIT_LIMIT))
+        thr = 0
+        if found[i]:
+            at = offsets[col[i]]
+            thr = int((values[at + lo[i]] + values[at + hi[i]]) // 2)
+        assert (int(col[i]), thr, int(found[i])) == want, i
+        assert tuple(int(v) for v in _kernels.best_split(x, y, feats)) \
+            == want, i
 
 
 # --- flattened prediction against a per-row walk -----------------------------

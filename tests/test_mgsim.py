@@ -91,6 +91,14 @@ def test_pno_symmetric_steers_on_power_rise():
         pno(1000.0, 500.0, 510.0, 1.0, symmetric=True)
 
 
+def test_pno_backs_off_at_zero_volts():
+    # at or past short circuit power and voltage stay 0 whatever the
+    # command does, so both variants lower the current
+    for symmetric in (False, True):
+        assert pno(0.0, 0.0, 0.0, 437.0, i_ref=437.0,
+                   symmetric=symmetric)[2] == pytest.approx(435.0)
+
+
 def test_pno_clamps_to_current_limits():
     assert pno(1000.0, 500.0, 510.0, 1.0, i_ref=436.5)[2] == 437.0
     assert pno(1000.0, 500.0, 490.0, 1.0, i_ref=1.0)[2] == 0.0
@@ -293,6 +301,19 @@ def test_mppt_converges_near_mpp():
     p_star, _ = grid_sweep_mpp()
     tail = trace.pv_kw[trace.time_s >= 10.0]
     assert np.mean(tail) * 1000.0 == pytest.approx(p_star, rel=0.02)
+
+
+def test_mppt_tracks_trapezoid_from_dark_start():
+    # irradiance ramps up from 0, where every command is at or past the
+    # short-circuit current; the tracker still reaches the plateau's MPP
+    s = mgsim.Scenario.from_dict({
+        **_short("nominal", duration=20.0).to_dict(),
+        "irradiance": {"kind": "trapezoid", "rise_start_s": 0.0,
+                       "rise_end_s": 10.0, "fall_start_s": 20.0,
+                       "fall_end_s": 30.0, "peak": 1.0}})
+    trace = mgsim.run_scenario(s)
+    plateau = trace.pv_kw[trace.time_s >= 15.0]
+    assert plateau.min() >= 0.95 * s.pv.p_rated_kw
 
 
 def test_inverter_dos_gates_pv_output():

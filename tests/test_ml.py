@@ -69,13 +69,11 @@ def _purity(c0, c1):
     return Fraction(c0 * c0 + c1 * c1, c0 + c1)
 
 
-def _ref_grow(X, y, idx, depth, max_depth, min_samples_split):
+def _ref_grow(X, y, idx):
     c1 = sum(y[i] for i in idx)
     c0 = len(idx) - c1
     leaf = ("leaf", 1 if c1 > c0 else 0)
-    if c0 == 0 or c1 == 0 or len(idx) < min_samples_split:
-        return leaf
-    if max_depth is not None and depth >= max_depth:
+    if c0 == 0 or c1 == 0:
         return leaf
     parent = _purity(c0, c1)
     best = None  # (score, feature, threshold, left_idx, right_idx)
@@ -96,9 +94,7 @@ def _ref_grow(X, y, idx, depth, max_depth, min_samples_split):
     if best is None:
         return leaf
     _, f, t, left, right = best
-    return ("split", f, t,
-            _ref_grow(X, y, left, depth + 1, max_depth, min_samples_split),
-            _ref_grow(X, y, right, depth + 1, max_depth, min_samples_split))
+    return ("split", f, t, _ref_grow(X, y, left), _ref_grow(X, y, right))
 
 
 def _ref_predict(node, x):
@@ -108,15 +104,15 @@ def _ref_predict(node, x):
     return node[1]
 
 
-def reference_tree_predictions(X, y, max_depth=None, min_samples_split=2):
-    root = _ref_grow(X, y, list(range(len(y))), 0, max_depth, min_samples_split)
+def reference_tree_predictions(X, y):
+    root = _ref_grow(X, y, list(range(len(y))))
     return [_ref_predict(root, x) for x in X]
 
 
-def _dt_predictions(X, y, **kwargs):
+def _dt_predictions(X, y):
     names = hpc.FEATURE_NAMES[: X.shape[1]]
     ds = make_dataset(X, y, feature_names=names).project(names)
-    model = ml.train_dt(ds, **kwargs)
+    model = ml.train_dt(ds)
     return ml.evaluate(model, ds).predictions
 
 
@@ -142,16 +138,6 @@ def test_dt_matches_reference_all_labelings_small_grid():
         assert got == want, bits
 
 
-def test_dt_respects_max_depth_and_reference_agrees():
-    rng = np.random.default_rng(5)
-    X = rng.integers(0, 3, size=(8, 3))
-    y = rng.integers(0, 2, size=8)
-    for depth in (0, 1, 2):
-        want = reference_tree_predictions(X, y, max_depth=depth)
-        got = list(_dt_predictions(X, y, max_depth=depth))
-        assert got == want
-
-
 def test_dt_constant_features_single_leaf_majority():
     X = np.zeros((5, 3), dtype=np.int64)
     y = np.array([1, 1, 1, 0, 0])
@@ -169,9 +155,10 @@ def test_dt_pure_training_set_is_memorized(tiny_dataset):
     assert rep.metrics.accuracy == 1.0
 
 
-def test_dt_exact_mode_equals_float_mode(tiny_dataset):
-    # huge counter values force the int64-overflow-safe comparison path on
-    # one side of the node-size limit; both must pick identical trees
+def test_dt_matches_reference_on_large_values():
+    # values up to 2^40: split scores count rows, not values, and every
+    # threshold must be the floor of the midpoint of two such values, as
+    # in the reference; 12 rows keep every node on the exact-fraction path
     rng = np.random.default_rng(3)
     X = rng.integers(0, 2**40, size=(12, 4)).astype(np.int64)
     y = rng.integers(0, 2, size=12)
@@ -199,14 +186,6 @@ def test_rf_vote_tie_goes_benign(tiny_dataset):
     assert preds.tolist() == [0] * len(tiny_dataset)
 
 
-def test_rf_degenerate_equals_dt(tiny_dataset):
-    forest = ml.train_rf(tiny_dataset, n_trees=1, seed=0, bootstrap=False,
-                         max_features=None)
-    dt = ml.train_dt(tiny_dataset)
-    X = tiny_dataset.matrix()
-    assert forest.predict(X).tolist() == dt.predict(X).tolist()
-
-
 def test_rf_parallel_equals_serial(monkeypatch):
     # trees grown in lockstep equal trees grown one at a time from the
     # same spawned generators, however the rounds are cut into kernel
@@ -215,12 +194,11 @@ def test_rf_parallel_equals_serial(monkeypatch):
     d = make_dataset(rng.integers(0, 10, size=(60, 30)),
                      rng.integers(0, 2, size=60))
     X, y = d.matrix(), d.labels()
-    m = ml._resolve_max_features("sqrt", X.shape[1])
     alone = []
     for child in np.random.SeedSequence(4).spawn(12):
         tree_rng = np.random.default_rng(child)
         boot = tree_rng.integers(0, X.shape[0], size=X.shape[0])
-        alone.append(ml._grow_trees(X, y, [boot], [tree_rng], m, None, 2,
+        alone.append(ml._grow_trees(X, y, [boot], [tree_rng], 6,
                                     d.feature_names, {})[0].to_dict())
     assert min(len(t["feature"]) for t in alone) > 5
     for batch_entries in (ml.SPLIT_BATCH_ENTRIES, 500):
@@ -298,7 +276,7 @@ def test_trees_on_wide_values_match_recursive_reference(monkeypatch):
     d = _wide_values_dataset(3)
     X, y = d.matrix(), d.labels()
     n, n_cols = X.shape
-    m = ml._resolve_max_features("sqrt", n_cols)
+    m = 3  # ceil(sqrt(5)) features drawn per node
     # drawing all n_cols columns searches every feature, as train_dt does
     want_dt = _recursive_tree(X, y, np.arange(n), np.random.default_rng(0),
                               n_cols)
@@ -312,9 +290,9 @@ def test_trees_on_wide_values_match_recursive_reference(monkeypatch):
     nodes_per_call = []
     kernel = _kernels.best_split_codes
 
-    def counting(codes, y, sizes, bins, exact=None):
+    def counting(codes, y, sizes, bins):
         nodes_per_call.append(len(sizes))
-        return kernel(codes, y, sizes, bins, exact)
+        return kernel(codes, y, sizes, bins)
 
     monkeypatch.setattr(_kernels, "best_split_codes", counting)
     max_bins = max(len(set(col)) for col in X.T.tolist())
@@ -503,7 +481,7 @@ def _mixed_dataset(n_benign, n_malicious, seed=0):
 
 def test_split_stratified_quotas():
     ds = _mixed_dataset(10, 6)
-    train, test = ml.split(ds, ml.SplitSpec(0.7, seed=1))
+    train, test = ml.split(ds, 0.7, 1)
     assert len(train) + len(test) == 16
     tb, tm = train.class_counts()
     assert tb == 7 and tm == 4  # round(0.7*10), largest-remainder of 0.7*6
@@ -512,8 +490,8 @@ def test_split_stratified_quotas():
 
 def test_split_deterministic_and_disjoint():
     ds = _mixed_dataset(12, 12)
-    t1, e1 = ml.split(ds, ml.SplitSpec(0.7, seed=5))
-    t2, e2 = ml.split(ds, ml.SplitSpec(0.7, seed=5))
+    t1, e1 = ml.split(ds, 0.7, 5)
+    t2, e2 = ml.split(ds, 0.7, 5)
     keys = lambda d: list(zip(d.firmware_id.tolist(), d.window_index.tolist()))
     assert keys(t1) == keys(t2)
     assert keys(e1) == keys(e2)
@@ -522,14 +500,15 @@ def test_split_deterministic_and_disjoint():
 
 def test_split_needs_both_classes():
     with pytest.raises(TooFewSamples):
-        ml.split(_mixed_dataset(5, 0), ml.SplitSpec(0.7, 0))
+        ml.split(_mixed_dataset(5, 0), 0.7, 0)
 
 
 def test_split_fraction_bounds():
+    ds = _mixed_dataset(10, 6)
     with pytest.raises(ValueError):
-        ml.SplitSpec(0.0, 0)
+        ml.split(ds, 0.0, 0)
     with pytest.raises(ValueError):
-        ml.SplitSpec(1.0, 0)
+        ml.split(ds, 1.0, 0)
 
 
 def test_balance_upsamples_minority():
@@ -539,12 +518,6 @@ def test_balance_upsamples_minority():
     # upsampling only repeats existing samples
     keys = lambda d: list(zip(d.firmware_id.tolist(), d.window_index.tolist()))
     assert set(keys(bal)) <= set(keys(ds))
-
-
-def test_balance_downsamples_majority():
-    ds = _mixed_dataset(10, 4)
-    bal = ml.balance(ds, seed=0, downsample=True)
-    assert bal.class_counts() == (4, 4)
 
 
 def test_balance_deterministic():
