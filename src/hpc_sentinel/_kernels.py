@@ -237,15 +237,17 @@ def pno_update(p_i, v_i, i_ref, d_i, v_rt, i_rt, i_max, symmetric):
 
     The literal form perturbs only on a power drop; the symmetric variant
     also keeps perturbing while power grows, which is what lets the tracker
-    climb from a cold start. Either form lowers the current while the
-    panel sits at 0 V: a command at or past the short-circuit current
-    measures no power and no voltage change, so without that rule the
-    tracker never leaves it. History always advances.
+    climb from a cold start. The symmetric form also lowers the current
+    while the panel sits at 0 V: a command at or past the short-circuit
+    current measures no power and no voltage change, so without that rule
+    it never leaves it. The literal form holds its command there, so a
+    dark spell cannot wind its current down to 0 A, where it would measure
+    no power drop ever again. History always advances.
     """
     p_rt = v_rt * i_rt
     dp = p_rt - p_i
     dv = v_rt - v_i
-    if v_rt == 0.0:
+    if v_rt == 0.0 and symmetric:
         i_ref -= d_i
     elif dp < 0.0:
         if dv > 0.0:

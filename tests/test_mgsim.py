@@ -91,12 +91,13 @@ def test_pno_symmetric_steers_on_power_rise():
         pno(1000.0, 500.0, 510.0, 1.0, symmetric=True)
 
 
-def test_pno_backs_off_at_zero_volts():
+def test_pno_at_zero_volts():
     # at or past short circuit power and voltage stay 0 whatever the
-    # command does, so both variants lower the current
-    for symmetric in (False, True):
-        assert pno(0.0, 0.0, 0.0, 437.0, i_ref=437.0,
-                   symmetric=symmetric)[2] == pytest.approx(435.0)
+    # command does: the symmetric variant lowers the current, the literal
+    # one holds it
+    assert pno(0.0, 0.0, 0.0, 437.0, i_ref=437.0,
+               symmetric=True)[2] == pytest.approx(435.0)
+    assert pno(0.0, 0.0, 0.0, 437.0, i_ref=437.0)[2] == 437.0
 
 
 def test_pno_clamps_to_current_limits():
@@ -314,6 +315,23 @@ def test_mppt_tracks_trapezoid_from_dark_start():
     trace = mgsim.run_scenario(s)
     plateau = trace.pv_kw[trace.time_s >= 15.0]
     assert plateau.min() >= 0.95 * s.pv.p_rated_kw
+
+
+def test_literal_tracker_holds_command_through_dark_start():
+    # the literal rule sees no power drop while the panel is dark, so it
+    # keeps its initial command and the plateau gives that command's power
+    s = mgsim.Scenario.from_dict({
+        **mgsim.Scenario(duration_s=20.0).to_dict(),
+        "irradiance": {"kind": "trapezoid", "rise_start_s": 0.0,
+                       "rise_end_s": 10.0, "fall_start_s": 20.0,
+                       "fall_end_s": 30.0, "peak": 1.0}})
+    assert s.pno_variant == "literal"
+    trace = mgsim.run_scenario(s)
+    i0 = s.i_ref0_a
+    p0_kw = i0 * _kernels.pv_voltage(i0, 1.0, s.pv.v_oc_v, s.pv.i_sc_a,
+                                     s.pv.knee) / 1000.0
+    plateau = trace.pv_kw[trace.time_s >= 15.0]
+    assert np.allclose(plateau, p0_kw, rtol=1e-12)
 
 
 def test_inverter_dos_gates_pv_output():
