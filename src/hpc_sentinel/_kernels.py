@@ -312,16 +312,36 @@ def frequency_step(f, imbalance_kw, s_base_kw, k_f, damping, f_nom, dt):
     return f_eq + (f - f_eq) * math.exp(-damping * dt)
 
 
+# Largest number of steps simulate_core keeps for replay. The shipped
+# scenarios need at most 19 over 6000 steps; an irradiance ramp makes
+# every step a new key, so the table is emptied whenever it is full.
+REPLAY_SLOTS = 1024
+
+
 def simulate_core(n_steps, substeps, grid_dt, mppt_dt,
-                   load_kw, irr, mppt_on, inv_on, pert_amp, pert_freq,
-                   params):
+                  load_kw, irr, mppt_on, inv_on, pert_amp, pert_freq,
+                  params, replay=None):
     """Fixed-step scenario loop. One output row per grid step.
 
     params layout: [v_oc, i_sc, knee, d_i, i_ref0, ess_p_max, ess_cap,
     ess_e0, diesel_max, tau_d, diesel0, f_nom, k_f, damping, s_base_kw,
     symmetric_flag]. Output columns: freq_hz, pv_kw, diesel_kw, ess_kw,
     ess_kwh, i_ref.
+
+    A step of the inverter with no sensor perturbation depends only on
+    (irradiance, tracker on, i_ref, p_i, v_i) at its start, so its mean
+    PV and end state are kept in `replay` (a fresh dict by default,
+    emptied when it holds REPLAY_SLOTS steps) and a repeat of the key
+    replays them: the same floats the substep loop would compute. Keys
+    compare floats by value, so 0.0 and -0.0 share an entry; the loop
+    uses p_i and v_i only in comparisons and adds the panel power to a
+    +0.0 sum, so the sign of a zero cannot change a result.
     """
+    # Python floats step about twice as fast as numpy scalars, with the
+    # same IEEE results.
+    load_kw, irr, mppt_on, inv_on, pert_amp, pert_freq, params = (
+        a.tolist() for a in (load_kw, irr, mppt_on, inv_on, pert_amp,
+                             pert_freq, params))
     v_oc = params[0]
     i_sc = params[1]
     knee = params[2]
@@ -344,32 +364,44 @@ def simulate_core(n_steps, substeps, grid_dt, mppt_dt,
     p_i = 0.0
     v_i = 0.0
     freq = f_nom
+    if replay is None:
+        replay = {}
     out = np.empty((n_steps, 6), dtype=np.float64)
     for k in range(n_steps):
         g = irr[k]
         t0 = k * grid_dt
         if inv_on[k] != 0:
-            acc = 0.0
-            for j in range(substeps):
-                i_act = i_ref
-                lim = g * i_sc
-                if i_act > lim:
-                    i_act = lim
-                v_rt = pv_voltage(i_act, g, v_oc, i_sc, knee)
-                acc += v_rt * i_act
-                if mppt_on[k] != 0:
-                    amp = pert_amp[k]
-                    if amp > 0.0:
-                        wig = 1.0 + amp * math.sin(
-                            two_pi * pert_freq[k] * (t0 + j * mppt_dt))
-                        vm = v_rt * wig
-                        im = i_act * wig
-                    else:
-                        vm = v_rt
-                        im = i_act
-                    p_i, v_i, i_ref = pno_update(
-                        p_i, v_i, i_ref, d_i, vm, im, i_sc, symmetric)
-            pv_kw = acc / substeps / 1000.0
+            tracking = mppt_on[k] != 0
+            amp = pert_amp[k] if tracking else 0.0
+            key = None if amp > 0.0 else (g, tracking, i_ref, p_i, v_i)
+            hit = None if key is None else replay.get(key)
+            if hit is not None:
+                pv_kw, p_i, v_i, i_ref = hit
+            else:
+                acc = 0.0
+                for j in range(substeps):
+                    i_act = i_ref
+                    lim = g * i_sc
+                    if i_act > lim:
+                        i_act = lim
+                    v_rt = pv_voltage(i_act, g, v_oc, i_sc, knee)
+                    acc += v_rt * i_act
+                    if tracking:
+                        if amp > 0.0:
+                            wig = 1.0 + amp * math.sin(
+                                two_pi * pert_freq[k] * (t0 + j * mppt_dt))
+                            vm = v_rt * wig
+                            im = i_act * wig
+                        else:
+                            vm = v_rt
+                            im = i_act
+                        p_i, v_i, i_ref = pno_update(
+                            p_i, v_i, i_ref, d_i, vm, im, i_sc, symmetric)
+                pv_kw = acc / substeps / 1000.0
+                if key is not None:
+                    if len(replay) >= REPLAY_SLOTS:
+                        replay.clear()
+                    replay[key] = (pv_kw, p_i, v_i, i_ref)
         else:
             pv_kw = 0.0
         diesel, ess, ess_e = dispatch_update(

@@ -5,9 +5,10 @@ report, and the end-to-end reproduce pipeline. Exit codes: 0 success,
 2 usage error, 3 data error, 4 numeric divergence. Every subcommand is
 deterministic given its inputs, flags and --seed.
 
-reproduce runs its five simulations in one worker process made with
-os.fork, alongside the detection stages, so it uses up to two cores and
-needs a POSIX os.fork.
+reproduce runs its five simulations and a share of the class-elimination
+sweep in one worker process made with os.fork after extract, alongside
+the other detection stages, so it uses up to two cores and needs a POSIX
+os.fork.
 """
 
 import argparse
@@ -175,13 +176,15 @@ def cmd_simulate(args) -> int:
 
 def _read_sim_csv(path):
     """The float columns of a simulate CSV; DataError naming the file if
-    it is not CSV, or has no data rows, a row of the wrong width or a
-    non-number."""
+    it is not UTF-8 CSV, or has no data rows, a row of the wrong width or
+    a non-number."""
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             rows = list(csv.reader(fh))
         except csv.Error as e:
             raise DataError(f"report: {path}: {e}") from e
+        except UnicodeDecodeError as e:
+            raise DataError(f"report: {path} is not UTF-8 text: {e}") from e
     if len(rows) < 2:
         raise DataError(f"report: {path} has no data rows")
     header = rows[0]
@@ -343,22 +346,39 @@ def _simulate_bundle(out):
     return sim_stats
 
 
-class _Forked:
-    """fn(*args) run in one child process made with os.fork.
+# Exclusion specs of the class-elimination sweep that reproduce's worker
+# runs after its simulations: the trailing ones of pca.all_specs(), three
+# cells each. The split is static, so the parent's share, and every count
+# a trace of the parent reports, is the same in every run. In one process
+# on a 2-CPU host, a spec took 0.09-0.15 s, train and rank 0.4-0.5 s and
+# the five simulations 0.6-0.7 s, which balances the two processes at 7;
+# eight interleaved reproduce runs each of 6, 7 and 8 gave median wall
+# times of 1.91, 1.85 and 2.26 s.
+WORKER_SPECS = 7
 
-    The child pickles fn's result, or its error as (is it a NumericError,
-    message), into a pipe and always leaves through os._exit, so it never
-    returns into the caller's code. Errors travel as text because
+
+class _Forked:
+    """Named stages, (name, fn) pairs, run in order in one child process
+    made with os.fork.
+
+    The child pickles each stage's name into a pipe as the stage starts,
+    then the list of the fns' results, or the first error as (is it a
+    NumericError, message), and always leaves through os._exit, so it
+    never returns into the caller's code. Errors travel as text because
     exceptions with their own __init__ signature do not unpickle.
-    join() waits for the child and re-raises its error as NumericError or
-    DataError under the stage name; leaving the with block kills and
-    reaps a child that was not joined.
+    join() waits for the child and returns the results, or re-raises its
+    error as NumericError or DataError under the name of the stage that
+    was running, also when the child ended without a result; leaving the
+    with block kills and reaps a child that was not joined.
+
+    Make it before the process's first BLAS call (numpy matrix work in
+    ml and pca): with some BLAS builds, a child forked after the thread
+    pool has started can hang in its own first BLAS call.
     """
 
-    def __init__(self, stage: str, fn, *args):
+    def __init__(self, stages):
         import os
         import pickle
-        self.stage = stage
         sys.stdout.flush()  # or the child could write buffered text again
         sys.stderr.flush()
         read_fd, write_fd = os.pipe()
@@ -367,12 +387,19 @@ class _Forked:
             status = 1
             try:
                 os.close(read_fd)
-                try:
-                    payload = (None, fn(*args))
-                except Exception as e:
-                    payload = (isinstance(e, NumericError), str(e))
                 with open(write_fd, "wb") as fh:
-                    pickle.dump(payload, fh)
+                    results = []
+                    for name, fn in stages:
+                        pickle.dump(name, fh)
+                        fh.flush()
+                        try:
+                            results.append(fn())
+                        except Exception as e:
+                            pickle.dump((isinstance(e, NumericError),
+                                         str(e)), fh)
+                            break
+                    else:
+                        pickle.dump((None, results), fh)
                 status = 0
             finally:
                 os._exit(status)
@@ -383,21 +410,30 @@ class _Forked:
         return self
 
     def join(self):
+        import io
         import os
         import pickle
         with self._pipe:
-            data = self._pipe.read()
+            data = io.BytesIO(self._pipe.read())
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
+        records = []
+        try:
+            while True:
+                records.append(pickle.load(data))
+        except (EOFError, pickle.UnpicklingError):
+            pass    # the end of the pipe, or of a record cut short
+        names = [r for r in records if isinstance(r, str)]
+        stage = names[-1] if names else "worker"
         code = os.waitstatus_to_exitcode(status)
-        if code != 0 or not data:
-            raise DataError(f"stage {self.stage}: worker process ended "
+        if code != 0 or not records or isinstance(records[-1], str):
+            raise DataError(f"stage {stage}: worker process ended "
                             f"with exit status {code} and no result")
-        numeric, value = pickle.loads(data)
+        numeric, value = records[-1]
         if numeric is None:
             return value
         error = NumericError if numeric else DataError
-        raise error(f"stage {self.stage}: {value}")
+        raise error(f"stage {stage}: {value}")
 
     def __exit__(self, *exc_info):
         if self.pid is not None:
@@ -406,6 +442,10 @@ class _Forked:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self._pipe.close()
+
+
+def _stage(name):
+    print(f"[reproduce] {name}")
 
 
 def cmd_reproduce(args) -> int:
@@ -418,23 +458,10 @@ def cmd_reproduce(args) -> int:
                          f"[1, {len(hpc.FEATURE_NAMES)}]")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    # The simulations make no BLAS call, so forking is safe even where
-    # numpy's BLAS has started threads in this process.
-    with _Forked("simulate", _simulate_bundle, out) as sims:
-        return _reproduce_stages(args, out, sims)
-
-
-def _reproduce_stages(args, out: Path, sims: _Forked) -> int:
-    """Every reproduce stage but the simulations, which `sims` runs in a
-    worker; their results are joined at the simulate stage."""
     seed = args.seed
     cmap = _load_map(args.map)
 
-    def stage(name):
-        print(f"[reproduce] {name}")
-
-    # corpus
-    stage("mutate")
+    _stage("mutate")
     try:
         if args.base:
             base = _read_text(args.base, "mutate")
@@ -447,13 +474,34 @@ def _reproduce_stages(args, out: Path, sims: _Forked) -> int:
     for fid, fname in zip(ids, BUNDLE_ASM):
         (out / fname).write_text(corpus[fid], encoding="utf-8")
 
-    stage("extract")
+    _stage("extract")
     runs = [(fid, "benign" if fid == "benign" else "malicious",
              None if fid == "benign" else fid,
              parse_listing(corpus[fid], cmap)) for fid in ids]
     ds = hpc.emit_dataset(runs, args.window, out / "dataset.csv")
 
-    stage("train")
+    # Forked before the first BLAS call, which ml and pca make and mutate
+    # and extract do not, so the worker's own numpy work is safe even
+    # where numpy's BLAS starts threads in this process. The worker
+    # inherits ds and runs the simulations, then the trailing
+    # WORKER_SPECS specs of the class-elimination sweep.
+    specs = pca.all_specs()
+    cut = len(specs) - WORKER_SPECS
+    with _Forked([
+            ("simulate", lambda: _simulate_bundle(out)),
+            ("ablate", lambda: pca.run_ablation(
+                ds, specs=specs[cut:], seed=seed,
+                train_fraction=args.split).rows)]) as worker:
+        return _reproduce_stages(args, out, ds, specs[:cut], worker)
+
+
+def _reproduce_stages(args, out: Path, ds, specs, worker: _Forked) -> int:
+    """The reproduce stages after extract: the parent's share of the
+    class-elimination sweep is `specs`, and the simulations and the rest
+    of the sweep are joined from `worker` at the simulate stage."""
+    seed = args.seed
+
+    _stage("train")
     unbal = _train_eval_all(ds, seed, balanced=False,
                             train_fraction=args.split)
     bal = _train_eval_all(ds, seed, balanced=True,
@@ -462,7 +510,7 @@ def _reproduce_stages(args, out: Path, sims: _Forked) -> int:
         ml.save_model(unbal[name][0], out / f"{name}_unbalanced.json")
         ml.save_model(bal[name][0], out / f"{name}_balanced.json")
 
-    stage("rank")
+    _stage("rank")
     ranking = pca.rank_features(ds, n_components=args.components)
     (out / "ranking.json").write_text(ranking.to_json(), encoding="utf-8")
     top3 = ranking.top(3)
@@ -472,20 +520,22 @@ def _reproduce_stages(args, out: Path, sims: _Forked) -> int:
     top_bal = _train_eval_all(top_ds, ml.derive_seed(seed, 3, 1),
                               balanced=True, train_fraction=args.split)
 
-    stage("ablate")
-    ablation = pca.run_ablation(ds, seed=seed, train_fraction=args.split)
+    _stage("ablate")
+    ablation = pca.run_ablation(ds, specs=specs, seed=seed,
+                                train_fraction=args.split)
+
+    _stage("simulate")
+    sim_stats, worker_rows = worker.join()
+    ablation.rows += worker_rows
     ablation.to_csv(out / "ablation.csv")
 
-    stage("simulate")
-    sim_stats = sims.join()
-
-    stage("summary")
+    _stage("summary")
     n0, n1 = ds.class_counts()
     lines = [
         "# Firmware-counter detection and microgrid impact study", "",
         f"Seed {seed}; kernel backend `{_kernels.backend()}`.",
-        f"Corpus: {len(ids)} firmware listings, {len(ds)} windows of "
-        f"{args.window} instructions ({n0} benign / {n1} malicious), "
+        f"Corpus: {len(BUNDLE_ASM)} firmware listings, {len(ds)} windows "
+        f"of {args.window} instructions ({n0} benign / {n1} malicious), "
         f"{len(ds.feature_names)} counters.", "",
         f"## Detection metrics, unbalanced training "
         f"({_split_label(args.split)} split)", "",

@@ -156,7 +156,8 @@ def write_dataset_csv(ds, path):
 
 def read_dataset_csv(path):
     """Dataset from a CSV in write_dataset_csv's layout; a malformed file
-    raises DataError naming the file and the line."""
+    raises DataError naming the file and the line, a non-UTF-8 one
+    naming the file."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -194,6 +195,8 @@ def read_dataset_csv(path):
                 rows.append(row[:3] + row[-2:])
         except csv.Error as e:
             raise DataError(f"{path}: line {reader.line_num}: {e}") from e
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path} is not UTF-8 text: {e}") from e
     try:
         return Dataset(
             X=np.array(counts, dtype=np.int64).reshape(len(rows), len(names)),

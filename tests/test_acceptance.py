@@ -279,11 +279,19 @@ GOLDEN_SEED_42 = {
 }
 
 
-def test_criterion_12_reproduce_byte_identical(tmp_path):
-    out1 = tmp_path / "one"
-    out2 = tmp_path / "two"
-    assert cli.main(["reproduce", "--seed", "42", "--out", str(out1)]) == 0
-    assert cli.main(["reproduce", "--seed", "42", "--out", str(out2)]) == 0
+@pytest.fixture(scope="module")
+def seed42_bundles(tmp_path_factory):
+    """Two reproduce --seed 42 bundles, made once for criterion 12 and
+    the split-sweep check."""
+    root = tmp_path_factory.mktemp("seed42")
+    for name in ("one", "two"):
+        assert cli.main(["reproduce", "--seed", "42",
+                         "--out", str(root / name)]) == 0
+    return root / "one", root / "two"
+
+
+def test_criterion_12_reproduce_byte_identical(seed42_bundles):
+    out1, out2 = seed42_bundles
     names1 = sorted(p.name for p in out1.iterdir() if p.is_file())
     names2 = sorted(p.name for p in out2.iterdir() if p.is_file())
     assert names1 == names2 and len(names1) == 20
@@ -295,3 +303,17 @@ def test_criterion_12_reproduce_byte_identical(tmp_path):
     print(f"criterion 12 PASS: two seed-42 bundles byte-identical across "
           f"all {len(names1)} files; {len(GOLDEN_SEED_42)} match their "
           f"golden digests")
+
+
+def test_split_sweep_matches_one_process_sweep(seed42_bundles, tmp_path):
+    # reproduce's worker runs the trailing specs of the sweep; the same
+    # call in this process gives the same trailing rows of ablation.csv
+    bundle = seed42_bundles[0]
+    ds = hpc.read_dataset_csv(bundle / "dataset.csv")
+    specs = pca.all_specs()[-cli.WORKER_SPECS:]
+    out = tmp_path / "tail.csv"
+    pca.run_ablation(ds, specs=specs, seed=42).to_csv(out)
+    tail = out.read_text().splitlines()[1:]
+    lines = (bundle / "ablation.csv").read_text().splitlines()
+    assert len(tail) == 3 * cli.WORKER_SPECS
+    assert lines[-len(tail):] == tail

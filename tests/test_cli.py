@@ -177,6 +177,17 @@ def test_report_rejects_broken_sim_csv(tmp_path, capsys, text):
     assert "sim_nominal.csv" in err and "Traceback" not in err
 
 
+def test_report_rejects_non_utf8_sim_csv(tmp_path, capsys):
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    sim = bundle / "sim_nominal.csv"
+    sim.write_bytes(b"time_s,pv_kw,freq_hz,mppt_on,inverter_on\n"
+                    b"0.0,\xff,60.0,1,1\n")
+    assert run_cli("report", "--bundle", str(bundle)) == 3
+    err = capsys.readouterr().err
+    assert str(sim) in err and "UTF-8" in err and "Traceback" not in err
+
+
 # --- exit codes -----------------------------------------------------------------
 
 def test_usage_errors_exit_2(tmp_path, corpus_csv):
@@ -660,20 +671,60 @@ def _raise(error):
     return run
 
 
-@pytest.mark.parametrize("run_scenario,code,words", [
-    (_raise(AnchorNotFound("isr_block")), 3, "anchor label 'isr_block'"),
-    (_raise(NonFiniteLoss(7, float("nan"))), 4, "epoch 7"),
-    (lambda *args, **kwargs: os._exit(9), 3, "exit status 9"),
-], ids=["anchor_not_found", "non_finite_loss", "exit_9"])
+@pytest.mark.parametrize("stage,fail,code,words", [
+    ("simulate", _raise(AnchorNotFound("isr_block")), 3,
+     "anchor label 'isr_block'"),
+    ("simulate", _raise(NonFiniteLoss(7, float("nan"))), 4, "epoch 7"),
+    ("simulate", lambda *args, **kwargs: os._exit(9), 3, "exit status 9"),
+    ("ablate", _raise(NonFiniteLoss(5, float("inf"))), 4, "epoch 5"),
+    ("ablate", _raise(DataError("no cell")), 3, "no cell"),
+], ids=["anchor_not_found", "non_finite_loss", "exit_9",
+        "ablate_non_finite_loss", "ablate_data_error"])
 def test_simulation_failure_in_worker(tmp_path, capsys, monkeypatch, dt_only,
-                                      run_scenario, code, words):
+                                      stage, fail, code, words):
     # the worker is forked from this process, so it runs the patched
-    # scenario runner; its exceptions cannot be unpickled and travel as text
-    monkeypatch.setattr(mgsim, "run_scenario", run_scenario)
+    # functions; its exceptions cannot be unpickled and travel as text
+    if stage == "simulate":
+        monkeypatch.setattr(mgsim, "run_scenario", fail)
+    else:
+        parent, run_ablation = os.getpid(), pca.run_ablation
+
+        def worker_share_fails(ds, **kwargs):   # the parent's share runs
+            if os.getpid() != parent:
+                return fail()
+            return run_ablation(ds, **kwargs)
+
+        monkeypatch.setattr(pca, "run_ablation", worker_share_fails)
     assert run_cli("reproduce", "--out", str(tmp_path / "bundle")) == code
     err = capsys.readouterr().err
-    assert "stage simulate" in err and words in err
+    assert f"stage {stage}:" in err and words in err
     assert "Traceback" not in err
+
+
+def test_reproduce_forks_before_blas(tmp_path, monkeypatch, dt_only):
+    # ml and pca make this process's BLAS calls; the worker must be forked
+    # before the first of them
+    calls = []
+    fork, fit, rank = os.fork, ml.fit, pca.rank_features
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            calls.append("fork")
+        return pid
+
+    def recording(name, fn):
+        def run(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(ml, "fit", recording("fit", fit))
+    monkeypatch.setattr(pca, "rank_features", recording("rank", rank))
+    assert run_cli("reproduce", "--out", str(tmp_path / "bundle")) == 0
+    assert calls.count("fork") == 1 and calls[0] == "fork"
+    assert "fit" in calls and "rank" in calls
 
 
 def test_failed_stage_kills_worker(tmp_path, monkeypatch, dt_only):
@@ -726,7 +777,7 @@ def test_reproduce_ablation_follows_split(tmp_path, monkeypatch, dt_only):
 def test_worker_never_returns_into_caller(tmp_path, error):
     parent = os.getpid()
     try:
-        with cli._Forked("simulate", _raise(error)) as worker:
+        with cli._Forked([("simulate", _raise(error))]) as worker:
             with pytest.raises(DataError, match="exit status 1"):
                 worker.join()
     finally:
@@ -745,7 +796,7 @@ def test_text_before_fork_printed_once():
             "    print('worker')\n"
             "    sys.stdout.flush()\n"
             "print('before fork')\n"
-            "with cli._Forked('simulate', work) as worker:\n"
+            "with cli._Forked([('simulate', work)]) as worker:\n"
             "    worker.join()\n"
             "print('after join')\n")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hpc_sentinel import hpc
 from hpc_sentinel.asm import Listing, parse_listing
-from hpc_sentinel.errors import InconsistentFeatures
+from hpc_sentinel.errors import DataError, InconsistentFeatures
 
 N_FEATURES = len(hpc.FEATURE_NAMES)
 
@@ -252,3 +252,13 @@ def test_csv_rejects_unknown_feature_columns(tmp_path):
                     "f,0,0,3,benign,\n")
     with pytest.raises(InconsistentFeatures):
         hpc.read_dataset_csv(path)
+
+
+def test_csv_not_utf8_names_file(tmp_path):
+    ds = _dataset([0, 1], ["", "input_sine"], seed=5)
+    path = tmp_path / "data.csv"
+    hpc.write_dataset_csv(ds, path)
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    with pytest.raises(DataError, match="not UTF-8") as info:
+        hpc.read_dataset_csv(path)
+    assert str(path) in str(info.value)

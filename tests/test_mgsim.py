@@ -351,3 +351,112 @@ def test_load_step_appears_in_rows():
     after = trace.load_kw[trace.time_s >= 35.0]
     assert set(before.tolist()) == {500.0}
     assert set(after.tolist()) == {800.0}
+
+
+# --- step replay ------------------------------------------------------------------
+
+def reference_simulate_core(n_steps, substeps, grid_dt, mppt_dt, load_kw, irr,
+                            mppt_on, inv_on, pert_amp, pert_freq, params):
+    """_kernels.simulate_core without step replay: every tracker substep
+    of every step is computed, on numpy scalars."""
+    (v_oc, i_sc, knee, d_i, i_ref, ess_p_max, ess_cap, ess_e, diesel_max,
+     tau_d, diesel, f_nom, k_f, damping, s_base) = params[:15]
+    symmetric = params[15] > 0.5
+    ramp_k = math.exp(-grid_dt / tau_d)
+    p_i = v_i = 0.0
+    freq = f_nom
+    out = np.empty((n_steps, 6), dtype=np.float64)
+    for k in range(n_steps):
+        g = irr[k]
+        t0 = k * grid_dt
+        if inv_on[k] != 0:
+            acc = 0.0
+            for j in range(substeps):
+                i_act = i_ref
+                lim = g * i_sc
+                if i_act > lim:
+                    i_act = lim
+                v_rt = _kernels.pv_voltage(i_act, g, v_oc, i_sc, knee)
+                acc += v_rt * i_act
+                if mppt_on[k] != 0:
+                    amp = pert_amp[k]
+                    if amp > 0.0:
+                        wig = 1.0 + amp * math.sin(
+                            2.0 * math.pi * pert_freq[k] * (t0 + j * mppt_dt))
+                        vm = v_rt * wig
+                        im = i_act * wig
+                    else:
+                        vm = v_rt
+                        im = i_act
+                    p_i, v_i, i_ref = _kernels.pno_update(
+                        p_i, v_i, i_ref, d_i, vm, im, i_sc, symmetric)
+            pv_kw = acc / substeps / 1000.0
+        else:
+            pv_kw = 0.0
+        diesel, ess, ess_e = _kernels.dispatch_update(
+            load_kw[k], pv_kw, diesel, ess_e,
+            ess_p_max, ess_cap, diesel_max, ramp_k, grid_dt)
+        imbalance = pv_kw + diesel + ess - load_kw[k]
+        freq = _kernels.frequency_step(freq, imbalance, s_base, k_f, damping,
+                                       f_nom, grid_dt)
+        out[k] = (freq, pv_kw, diesel, ess, ess_e, i_ref)
+    return out
+
+
+def _kernel_args(spec):
+    """The arguments run_scenario passes simulate_core for a scenario
+    given as a dict over the defaults of a 10 s symmetric-tracker run."""
+    s = mgsim.Scenario.from_dict({
+        **mgsim.Scenario(duration_s=10.0, pno_variant="symmetric").to_dict(),
+        **spec})
+    captured = []
+    kernel = _kernels.simulate_core
+
+    def capture(*args):
+        captured.append(args)
+        return kernel(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "simulate_core", capture)
+        mgsim.run_scenario(s)
+    return captured[0]
+
+
+DARK_START = {"kind": "trapezoid", "rise_start_s": 0.0, "rise_end_s": 3.0,
+              "fall_start_s": 6.0, "fall_end_s": 9.0, "peak": 1.0}
+
+
+@pytest.mark.parametrize("spec", [
+    {"load_schedule": [[0.0, 500.0], [5.0, 800.0]]},
+    {"irradiance": DARK_START},
+    {"irradiance": DARK_START, "pno_variant": "literal"},
+    {"attack_schedule": [[2.0, 5.0, {"kind": "mppt_off"}]]},
+    {"attack_schedule": [[2.0, 4.0, {"kind": "inverter_off"}]]},
+    {"attack_schedule": [[3.0, 6.0, {"kind": "sensor_perturb",
+                                     "amplitude": 0.1,
+                                     "frequency_hz": 2.0}]]},
+], ids=["load_step", "dark_start_symmetric", "dark_start_literal",
+        "mppt_off", "inverter_off", "sensor_perturb"])
+def test_step_replay_matches_full_substep_loop(spec):
+    args = _kernel_args(spec)
+    replay = {}
+    got = _kernels.simulate_core(*args, replay=replay)
+    assert got.tobytes() == reference_simulate_core(*args).tobytes()
+    assert 0 < len(replay) < args[0]     # some steps were replayed
+
+
+def test_step_replay_table_stays_bounded(monkeypatch):
+    class Watched(dict):
+        largest = 0
+
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            self.largest = max(self.largest, len(self))
+
+    # every step of the ramps is a new key
+    monkeypatch.setattr(_kernels, "REPLAY_SLOTS", 16)
+    args = _kernel_args({"irradiance": DARK_START})
+    replay = Watched()
+    got = _kernels.simulate_core(*args, replay=replay)
+    assert replay.largest == 16
+    assert got.tobytes() == reference_simulate_core(*args).tobytes()
