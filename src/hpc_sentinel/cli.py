@@ -5,10 +5,10 @@ report, and the end-to-end reproduce pipeline. Exit codes: 0 success,
 2 usage error, 3 data error, 4 numeric divergence. Every subcommand is
 deterministic given its inputs, flags and --seed.
 
-reproduce runs its five simulations and a share of the class-elimination
-sweep in one worker process made with os.fork after extract, alongside
-the other detection stages, so it uses up to two cores and needs a POSIX
-os.fork.
+reproduce runs its five simulations and then the decision-tree and
+network cells of the class-elimination sweep in one worker process made
+with os.fork after extract, while the parent trains, ranks and runs the
+sweep's forest cells; it uses up to two cores and needs a POSIX os.fork.
 """
 
 import argparse
@@ -174,10 +174,16 @@ def cmd_simulate(args) -> int:
 
 # --- report (SVG charts from bundle CSVs) --------------------------------------
 
+# The simulate CSV columns that report charts.
+CHART_COLUMNS = ("time_s", "pv_kw", "diesel_kw", "ess_kw", "load_kw",
+                 "freq_hz")
+
+
 def _read_sim_csv(path):
-    """The float columns of a simulate CSV; DataError naming the file if
-    it is not UTF-8 CSV, or has no data rows, a row of the wrong width or
-    a non-number."""
+    """The CHART_COLUMNS of a simulate CSV as float lists; DataError naming
+    the file if it is not UTF-8 CSV, has no data rows, has a row of the
+    wrong width, lacks a chart column, or has a chart value that is not a
+    finite number (naming the line)."""
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             rows = list(csv.reader(fh))
@@ -192,12 +198,22 @@ def _read_sim_csv(path):
         if len(row) != len(header):
             raise DataError(f"report: {path} line {line} has {len(row)} "
                             f"fields, the header {len(header)}")
-    try:
-        cols = {name: [float(r[i]) for r in rows[1:]]
-                for i, name in enumerate(header[:-2])}
-    except ValueError as e:
-        raise DataError(f"report: {path}: {e}") from e
-    return cols
+    missing = [name for name in CHART_COLUMNS if name not in header]
+    if missing:
+        raise DataError(f"report: {path} has no {missing[0]!r} column")
+    at = [header.index(name) for name in CHART_COLUMNS]
+    values = []
+    for line, row in enumerate(rows[1:], 2):
+        try:
+            floats = [float(row[i]) for i in at]
+        except ValueError as e:
+            raise DataError(f"report: {path} line {line}: {e}") from e
+        for name, i, value in zip(CHART_COLUMNS, at, floats):
+            if not math.isfinite(value):
+                raise DataError(f"report: {path} line {line}: {name} is "
+                                f"{row[i]!r}, not a finite number")
+        values.append(floats)
+    return dict(zip(CHART_COLUMNS, map(list, zip(*values))))
 
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
@@ -346,15 +362,14 @@ def _simulate_bundle(out):
     return sim_stats
 
 
-# Exclusion specs of the class-elimination sweep that reproduce's worker
-# runs after its simulations: the trailing ones of pca.all_specs(), three
-# cells each. The split is static, so the parent's share, and every count
-# a trace of the parent reports, is the same in every run. In one process
-# on a 2-CPU host, a spec took 0.09-0.15 s, train and rank 0.4-0.5 s and
-# the five simulations 0.6-0.7 s, which balances the two processes at 7;
-# eight interleaved reproduce runs each of 6, 7 and 8 gave median wall
-# times of 1.91, 1.85 and 2.26 s.
-WORKER_SPECS = 7
+# Model kinds of the class-elimination sweep that reproduce's worker runs
+# for every spec after its simulations; the parent runs the others after
+# train and rank. The worker's networks train as two stacks, one per
+# spec shape, and the parent's share is the forests. Run in one process
+# on a 2-CPU x86-64 host, each share took 0.8-0.9 s of CPU, and a split
+# by kind has no count to tune; a traced parent's counts repeat.
+WORKER_MODELS = ("dt", "nn")
+PARENT_MODELS = ("rf",)
 
 
 class _Forked:
@@ -483,22 +498,21 @@ def cmd_reproduce(args) -> int:
     # Forked before the first BLAS call, which ml and pca make and mutate
     # and extract do not, so the worker's own numpy work is safe even
     # where numpy's BLAS starts threads in this process. The worker
-    # inherits ds and runs the simulations, then the trailing
-    # WORKER_SPECS specs of the class-elimination sweep.
-    specs = pca.all_specs()
-    cut = len(specs) - WORKER_SPECS
+    # inherits ds and runs the simulations, then the WORKER_MODELS cells
+    # of the class-elimination sweep.
     with _Forked([
             ("simulate", lambda: _simulate_bundle(out)),
             ("ablate", lambda: pca.run_ablation(
-                ds, specs=specs[cut:], seed=seed,
+                ds, models=WORKER_MODELS, seed=seed,
                 train_fraction=args.split).rows)]) as worker:
-        return _reproduce_stages(args, out, ds, specs[:cut], worker)
+        return _reproduce_stages(args, out, ds, worker)
 
 
-def _reproduce_stages(args, out: Path, ds, specs, worker: _Forked) -> int:
-    """The reproduce stages after extract: the parent's share of the
-    class-elimination sweep is `specs`, and the simulations and the rest
-    of the sweep are joined from `worker` at the simulate stage."""
+def _reproduce_stages(args, out: Path, ds, worker: _Forked) -> int:
+    """The reproduce stages after extract: the parent runs the
+    PARENT_MODELS cells of the class-elimination sweep, and the
+    simulations and the other cells are joined from `worker` at the
+    simulate stage."""
     seed = args.seed
 
     _stage("train")
@@ -521,12 +535,14 @@ def _reproduce_stages(args, out: Path, ds, specs, worker: _Forked) -> int:
                               balanced=True, train_fraction=args.split)
 
     _stage("ablate")
-    ablation = pca.run_ablation(ds, specs=specs, seed=seed,
+    ablation = pca.run_ablation(ds, models=PARENT_MODELS, seed=seed,
                                 train_fraction=args.split)
 
     _stage("simulate")
     sim_stats, worker_rows = worker.join()
-    ablation.rows += worker_rows
+    grid = {spec.excluded: i for i, spec in enumerate(pca.all_specs())}
+    ablation.rows = sorted(ablation.rows + worker_rows, key=lambda r: (
+        grid[r.excluded], ml.TRAINERS.index(r.model)))
     ablation.to_csv(out / "ablation.csv")
 
     _stage("summary")

@@ -6,13 +6,19 @@ forest grows all its trees in lockstep, batching the split searches of
 one node per tree into one histogram kernel call over the rank codes of
 its features; every tree draws from its own generator spawned from the
 master seed, so it equals the tree grown on its own. Trees and forests
-predict from one flattened node table.
+predict from one flattened node table. A forest tree draws the feature
+subsets of its nodes in blocks, equal to per-node Generator.choice draws.
 
-Every caller trains through fit, which dispatches on the model kind, or
-train_eval (split, optional balancing, fit, evaluate), and derives the
+Networks of one (rows, features) shape train as one stack
+(train_nn_stack), each bit for bit the network train_nn gives alone.
+
+Every caller trains through fit, which dispatches on the model kind,
+train_eval (split, optional balancing, fit, evaluate) or its many-cell
+form train_eval_cells, which stacks the cells' networks, and derives the
 seeds of its sub-runs with derive_seed.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -33,6 +39,12 @@ SPLIT_BATCH_ENTRIES = 16384
 # (row, tree) pairs advanced together per prediction step, for the same
 # reason.
 PREDICT_BLOCK_PAIRS = 8192
+
+# Nodes whose feature subsets a forest tree draws with one generator call.
+# Most trees of the class-elimination sweep search fewer nodes than this,
+# so a tree usually draws once; draws a tree never uses cost nothing
+# else, because nothing reads its generator after it is grown.
+FEATURE_DRAW_NODES = 16
 
 
 # --- splitting and balancing -------------------------------------------------
@@ -276,11 +288,14 @@ def _predict_trees(trees, X) -> np.ndarray:
 
 
 class _GrowingTree:
-    """Node arrays of one tree under construction and its stack of nodes
-    still to grow, each (rows, parent, is_right, malicious rows)."""
+    """Node arrays of one tree under construction, its stack of nodes
+    still to grow, each (rows, parent, is_right, malicious rows), and the
+    drawn feature subsets its next searched nodes take in turn."""
 
-    def __init__(self, rows, c1, feature_rng):
+    def __init__(self, rows, c1, feature_rng, subsets):
         self.feature_rng = feature_rng
+        self.subsets = subsets
+        self.drawn = 0
         self.stack = [(rows, -1, False, c1)]
         self.feature = []
         self.threshold = []
@@ -309,6 +324,33 @@ class _GrowingTree:
             feature_names=tuple(feature_names), params=params)
 
 
+def _draw_feature_subsets(rngs, n_total, n_feats):
+    """FEATURE_DRAW_NODES sorted n_feats-of-n_total feature subsets per
+    generator, as an (len(rngs), FEATURE_DRAW_NODES, n_feats) array.
+
+    Each generator makes one integers call, which takes the draws that
+    successive rng.choice(n_total, n_feats, replace=False) calls take for
+    n_total up to 10,000: Floyd's n_feats draws with highs
+    n_total - n_feats + 1 ... n_total, then the n_feats - 1 draws of its
+    shuffle with highs n_feats ... 2. Floyd's rule is decoded for every
+    node at once on a boolean mask, whose nonzero columns are the sorted
+    subsets, so each subset equals the sorted choice draw.
+    """
+    highs = np.concatenate([np.arange(n_total - n_feats + 1, n_total + 1),
+                            np.arange(n_feats, 1, -1)])
+    block = np.tile(highs, FEATURE_DRAW_NODES)
+    draws = np.concatenate([rng.integers(0, block) for rng in rngs])
+    draws = draws.reshape(-1, highs.shape[0])
+    base = np.arange(draws.shape[0]) * n_total
+    chosen = np.zeros(draws.shape[0] * n_total, dtype=bool)
+    for i, top in enumerate(range(n_total - n_feats, n_total)):
+        pick = base + draws[:, i]
+        chosen[np.where(chosen[pick], base + top, pick)] = True
+    feats = np.nonzero(chosen)[0].reshape(draws.shape[0], n_feats)
+    return (feats - base[:, None]).reshape(len(rngs), FEATURE_DRAW_NODES,
+                                           n_feats)
+
+
 def _grow_trees(X, y, boots, feature_rngs, n_feats, feature_names, params):
     """Grow one tree per row-index vector in boots, all in lockstep.
 
@@ -320,10 +362,13 @@ def _grow_trees(X, y, boots, feature_rngs, n_feats, feature_names, params):
     and feature_rng draws follow each tree's preorder and every tree
     equals the one grown on its own. A node holding both classes is
     searched, and becomes a leaf when no split improves it. A tree whose
-    feature_rng is None searches all features at every node; otherwise it
-    draws n_feats of them per node.
+    feature_rng is None searches all features at every node; otherwise
+    each searched node takes the next of its n_feats-feature subsets,
+    drawn FEATURE_DRAW_NODES at a time (_draw_feature_subsets), the first
+    block of every tree in one decode.
     """
-    all_feats = np.arange(X.shape[1], dtype=np.int64)
+    n_total = X.shape[1]
+    all_feats = np.arange(n_total, dtype=np.int64)
     codes, values, offsets = _kernels.rank_code(X.T)
     n_bins = np.diff(offsets)
     max_bins = int(n_bins.max(initial=0))
@@ -338,9 +383,12 @@ def _grow_trees(X, y, boots, feature_rngs, n_feats, feature_names, params):
             if t.feature_rng is None:
                 feats = all_feats
             else:
-                feats = t.feature_rng.choice(all_feats.shape[0],
-                                             size=n_feats, replace=False)
-                feats.sort()
+                if t.drawn == FEATURE_DRAW_NODES:
+                    t.subsets = _draw_feature_subsets(
+                        [t.feature_rng], n_total, n_feats)[0]
+                    t.drawn = 0
+                feats = t.subsets[t.drawn]
+                t.drawn += 1
             return t, node, rows, feats, c1
         return None
 
@@ -373,7 +421,11 @@ def _grow_trees(X, y, boots, feature_rngs, n_feats, feature_names, params):
             t.stack.append((rows[go_right[start:end]], node, True, c1 - l1))
             t.stack.append((rows[go_left[start:end]], node, False, l1))
 
-    trees = [_GrowingTree(rows, int(y[rows].sum()), rng)
+    drawing = [rng for rng in feature_rngs if rng is not None]
+    subsets = iter(_draw_feature_subsets(drawing, n_total, n_feats)
+                   if drawing else ())
+    trees = [_GrowingTree(rows, int(y[rows].sum()), rng,
+                          None if rng is None else next(subsets))
              for rows, rng in zip(boots, feature_rngs)]
     active = trees
     while active:
@@ -541,68 +593,116 @@ def _init_nn(n_features: int, hidden: int, rng):
     return w1, b1, w2, b2
 
 
-def _forward_grads(w1, b1, w2, b2, Xs, y):
-    """Output probabilities and the analytic gradients of the BCE loss;
-    Xs already standardized."""
-    n = Xs.shape[0]
-    z1 = Xs @ w1 + b1
-    a1 = _relu(z1)
-    p = _sigmoid(a1 @ w2 + b2)
+def _hidden_buffers(k: int, n: int, hidden: int):
+    """Hidden-layer arrays for _forward_grads on a stack of k networks
+    over n rows: z1, a1 and dz1 (float) and the active-unit mask."""
+    return (np.empty((k, n, hidden)), np.empty((k, n, hidden)),
+            np.empty((k, n, hidden)), np.empty((k, n, hidden), dtype=bool))
+
+
+def _forward_grads(w1, b1, w2, b2, Xs, y, hidden_buffers):
+    """Output probabilities and the analytic gradients of the BCE loss of
+    a stack of K networks: Xs (K, n, f), already standardized, y (K, n),
+    w1 (K, f, h), b1 and w2 (K, h), b2 (K,).
+
+    Each network's slice goes through the same BLAS calls and elementwise
+    steps, in the same order, as one network's 2-D arrays, so it is
+    computed bit for bit as if alone. The (K, n, h) values are written
+    into hidden_buffers (_hidden_buffers), which a training loop reuses:
+    fresh arrays of that size each epoch cost more in page faults than
+    the arithmetic once they pass the allocator's mmap threshold.
+    """
+    z1, a1, dz1, active = hidden_buffers
+    n = Xs.shape[1]
+    np.matmul(Xs, w1, out=z1)
+    z1 += b1[:, None, :]
+    np.maximum(z1, 0.0, out=a1)
+    p = _sigmoid((a1 @ w2[:, :, None])[:, :, 0] + b2[:, None])
     dz2 = (p - y) / n
-    gw2 = a1.T @ dz2
-    gb2 = float(dz2.sum())
-    dz1 = dz2[:, None] * w2 * (z1 > 0)
-    gw1 = Xs.T @ dz1
-    gb1 = dz1.sum(axis=0)
+    gw2 = (a1.transpose(0, 2, 1) @ dz2[:, :, None])[:, :, 0]
+    gb2 = dz2.sum(axis=1)
+    np.multiply(dz2[:, :, None], w2[:, None, :], out=dz1)
+    dz1 *= np.greater(z1, 0.0, out=active)
+    gw1 = Xs.transpose(0, 2, 1) @ dz1
+    gb1 = dz1.sum(axis=1)
     return p, gw1, gb1, gw2, gb2
 
 
 def nn_loss_and_grads(w1, b1, w2, b2, Xs, y):
-    """Full-batch BCE loss and analytic gradients; Xs already
-    standardized."""
-    p, gw1, gb1, gw2, gb2 = _forward_grads(w1, b1, w2, b2, Xs, y)
-    return _bce(p, y), gw1, gb1, gw2, gb2
+    """Full-batch BCE loss and analytic gradients of one network; Xs
+    already standardized."""
+    p, gw1, gb1, gw2, gb2 = _forward_grads(
+        w1[None], b1[None], w2[None], np.array([b2]), Xs[None], y[None],
+        _hidden_buffers(1, Xs.shape[0], w1.shape[1]))
+    return _bce(p[0], y), gw1[0], gb1[0], gw2[0], float(gb2[0])
 
 
 def train_nn(train: Dataset, hidden: int = 16, epochs: int = 600,
              lr: float = 0.5, seed: int = 0) -> NeuralNetModel:
     """Full-batch gradient descent; raises NonFiniteLoss on divergence.
+    The one-network case of train_nn_stack."""
+    return train_nn_stack([train], [seed], hidden, epochs, lr)[0]
+
+
+def train_nn_stack(trains, seeds, hidden: int = 16, epochs: int = 600,
+                   lr: float = 0.5) -> list:
+    """The networks that train_nn gives for each training set and seed,
+    trained as one stack: the sets share one (rows, features) shape, and
+    every epoch steps all K networks through (K, n, f) inputs and
+    (K, f, hidden) weights.
 
     The loss is computed once, after the last epoch. An epoch checks the
-    output-bias gradient instead: p is clipped inside the loss, so the
-    loss is non-finite exactly when some p is NaN, which is exactly when
-    that gradient, a sum over every p, is NaN.
+    output-bias gradients instead: p is clipped inside the loss, so a
+    network's loss is non-finite exactly when some p is NaN, which is
+    exactly when its gradient, a sum over every p, is NaN. A failure
+    raises what training the networks one after another would: the
+    NonFiniteLoss of the first network in order whose gradient turned NaN
+    at some epoch or whose final loss is not finite. Training stops early
+    only when the first network diverges, since a later one's error
+    cannot come first.
     """
-    if len(train) == 0:
+    if any(len(tr) == 0 for tr in trains):
         raise EmptyDataset("network training needs at least one sample")
-    X = train.matrix().astype(np.float64)
-    y = train.labels().astype(np.float64)
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
+    X = np.stack([tr.matrix() for tr in trains]).astype(np.float64)
+    y = np.stack([tr.labels() for tr in trains]).astype(np.float64)
+    mean = X.mean(axis=1)
+    std = X.std(axis=1)
     std[std == 0.0] = 1.0
-    Xs = (X - mean) / std
-    rng = np.random.default_rng(seed)
-    w1, b1, w2, b2 = _init_nn(X.shape[1], hidden, rng)
-    loss = float("nan")
+    Xs = (X - mean[:, None, :]) / std[:, None, :]
+    w1, b1, w2, b2 = (np.stack(parts) for parts in zip(*(
+        _init_nn(X.shape[2], hidden, np.random.default_rng(s))
+        for s in seeds)))
+    buffers = _hidden_buffers(len(trains), X.shape[1], hidden)
+    diverged = np.full(len(trains), -1)
+    losses = [float("nan")] * len(trains)
     # divergence is detected explicitly below; silence the overflow chatter
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs):
-            _, gw1, gb1, gw2, gb2 = _forward_grads(w1, b1, w2, b2, Xs, y)
-            if math.isnan(gb2):
-                raise NonFiniteLoss(epoch, float("nan"))
+            _, gw1, gb1, gw2, gb2 = _forward_grads(w1, b1, w2, b2, Xs, y,
+                                                   buffers)
+            if math.isnan(gb2.sum()):
+                diverged[np.isnan(gb2) & (diverged < 0)] = epoch
+                if diverged[0] >= 0:
+                    break
             w1 -= lr * gw1
             b1 -= lr * gb1
             w2 -= lr * gw2
             b2 -= lr * gb2
-        if epochs > 0:
-            loss, *_ = nn_loss_and_grads(w1, b1, w2, b2, Xs, y)
-            if not math.isfinite(loss):
-                raise NonFiniteLoss(epochs, loss)
-    return NeuralNetModel(w1=w1, b1=b1, w2=w2, b2=b2, mean=mean, std=std,
-                          feature_names=tuple(train.feature_names),
-                          final_loss=loss,
-                          params={"hidden": hidden, "epochs": epochs,
-                                  "lr": lr, "seed": seed})
+        if epochs > 0 and diverged[0] < 0:
+            p, *_ = _forward_grads(w1, b1, w2, b2, Xs, y, buffers)
+            losses = [_bce(p[k], y[k]) for k in range(len(trains))]
+    for epoch, loss in zip(diverged.tolist(), losses):
+        if epoch >= 0:
+            raise NonFiniteLoss(epoch, float("nan"))
+        if not math.isfinite(loss) and epochs > 0:
+            raise NonFiniteLoss(epochs, loss)
+    return [NeuralNetModel(w1=w1[k], b1=b1[k], w2=w2[k], b2=float(b2[k]),
+                           mean=mean[k], std=std[k],
+                           feature_names=tuple(tr.feature_names),
+                           final_loss=losses[k],
+                           params={"hidden": hidden, "epochs": epochs,
+                                   "lr": lr, "seed": seed})
+            for k, (tr, seed) in enumerate(zip(trains, seeds))]
 
 
 # --- evaluation and serialization ---------------------------------------------
@@ -670,11 +770,49 @@ def train_eval(kind: str, ds: Dataset, seed: int,
     """Split ds, optionally balance the training side, fit a model and
     score it on the held-out side; one seed drives all three. Returns
     (model, EvalReport)."""
+    tr, te = _split_cell(ds, seed, train_fraction, balanced)
+    model = fit(kind, tr, seed, **hp)
+    return model, evaluate(model, te)
+
+
+def train_eval_cells(cells, train_fraction: float = 0.7,
+                     balanced: bool = False):
+    """train_eval of every (kind, dataset, seed) cell, yielded in cell
+    order.
+
+    The networks' cells are split first and train in runs: networks that
+    follow one another among the cells' networks and whose training sets
+    share a shape are one train_nn_stack call, which raises what the
+    first failing network of the run would. Every other cell is split and
+    fit when it is reached, so only one such model and split is held at a
+    time. Each result equals the cell's own train_eval.
+    """
+    cells = list(cells)
+    nets = [(i, *_split_cell(ds, seed, train_fraction, balanced), seed)
+            for i, (kind, ds, seed) in enumerate(cells) if kind == "nn"]
+    trained = {}
+    for _, run in itertools.groupby(nets, key=lambda net: net[1].X.shape):
+        run = list(run)
+        models = train_nn_stack([tr for _, tr, _, _ in run],
+                                [seed for _, _, _, seed in run])
+        trained.update((i, (model, te))
+                       for (i, _, te, _), model in zip(run, models))
+    for i, (kind, ds, seed) in enumerate(cells):
+        if kind == "nn":
+            model, te = trained.pop(i)
+        else:
+            tr, te = _split_cell(ds, seed, train_fraction, balanced)
+            model = fit(kind, tr, seed)
+        yield model, evaluate(model, te)
+
+
+def _split_cell(ds: Dataset, seed: int, train_fraction: float,
+                balanced: bool):
+    """(train, test) of one cell, the train side balanced if asked."""
     tr, te = split(ds, train_fraction, seed)
     if balanced:
         tr = balance(tr, seed=seed)
-    model = fit(kind, tr, seed, **hp)
-    return model, evaluate(model, te)
+    return tr, te
 
 
 _MODEL_KINDS = {"dt": DecisionTreeModel, "rf": RandomForestModel,

@@ -157,24 +157,26 @@ class AblationReport:
 def run_ablation(d: Dataset, models=ml.TRAINERS, specs=None, seed: int = 0,
                  train_fraction: float = 0.7,
                  balanced: bool = False) -> AblationReport:
-    """Train and score every model on every eliminated feature set.
+    """Train and score every model on every eliminated feature set; the
+    rows come in grid order, spec by spec, each spec's models in the
+    order given.
 
     Each (spec, model) cell derives its own seed from the master and the
     cell's place in the full grid (the spec's index in all_specs(), with
     eliminate(()) after them, and the model's index in ml.TRAINERS), so a
-    cell scores the same whatever grid it is run in.
+    cell scores the same whatever grid it is run in. All cells train
+    through one ml.train_eval_cells call, which trains the networks of
+    each run of same-shape specs as one stack.
     """
     grid = all_specs() + [eliminate(())]
     specs = grid[:-1] if specs is None else list(specs)
-    report = AblationReport()
-    for spec in specs:
-        proj = d.project(spec.features)
-        for model in models:
-            cell_seed = ml.derive_seed(seed, grid.index(spec),
-                                       ml.TRAINERS.index(model))
-            _, rep = ml.train_eval(model, proj, cell_seed, train_fraction,
-                                   balanced)
-            report.rows.append(AblationRow(
-                spec_name=spec.name, excluded=spec.excluded, model=model,
-                n_features=len(spec.features), metrics=rep.metrics))
-    return report
+    keys = [(spec, model) for spec in specs for model in models]
+    projections = {spec: d.project(spec.features) for spec in specs}
+    results = ml.train_eval_cells(
+        [(model, projections[spec],
+          ml.derive_seed(seed, grid.index(spec), ml.TRAINERS.index(model)))
+         for spec, model in keys], train_fraction, balanced)
+    return AblationReport(rows=[
+        AblationRow(spec_name=spec.name, excluded=spec.excluded, model=model,
+                    n_features=len(spec.features), metrics=rep.metrics)
+        for (spec, model), (_, rep) in zip(keys, results)])

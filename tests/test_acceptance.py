@@ -282,7 +282,7 @@ GOLDEN_SEED_42 = {
 @pytest.fixture(scope="module")
 def seed42_bundles(tmp_path_factory):
     """Two reproduce --seed 42 bundles, made once for criterion 12 and
-    the split-sweep check."""
+    the worker-share check."""
     root = tmp_path_factory.mktemp("seed42")
     for name in ("one", "two"):
         assert cli.main(["reproduce", "--seed", "42",
@@ -305,15 +305,19 @@ def test_criterion_12_reproduce_byte_identical(seed42_bundles):
           f"golden digests")
 
 
-def test_split_sweep_matches_one_process_sweep(seed42_bundles, tmp_path):
-    # reproduce's worker runs the trailing specs of the sweep; the same
-    # call in this process gives the same trailing rows of ablation.csv
+def test_worker_sweep_rows_match_bundle(seed42_bundles, tmp_path):
+    # reproduce's worker runs the sweep's WORKER_MODELS cells of every
+    # spec; the same call in this process gives the bundle's rows of those
+    # kinds, and the merged rows are in grid order
     bundle = seed42_bundles[0]
     ds = hpc.read_dataset_csv(bundle / "dataset.csv")
-    specs = pca.all_specs()[-cli.WORKER_SPECS:]
-    out = tmp_path / "tail.csv"
-    pca.run_ablation(ds, specs=specs, seed=42).to_csv(out)
-    tail = out.read_text().splitlines()[1:]
-    lines = (bundle / "ablation.csv").read_text().splitlines()
-    assert len(tail) == 3 * cli.WORKER_SPECS
-    assert lines[-len(tail):] == tail
+    out = tmp_path / "worker.csv"
+    pca.run_ablation(ds, models=cli.WORKER_MODELS, seed=42).to_csv(out)
+    worker = out.read_text().splitlines()[1:]
+    lines = (bundle / "ablation.csv").read_text().splitlines()[1:]
+    assert len(worker) == 15 * len(cli.WORKER_MODELS)
+    assert [line for line in lines
+            if line.split(",")[2] in cli.WORKER_MODELS] == worker
+    assert [(line.split(",")[0], line.split(",")[2]) for line in lines] == [
+        (spec.name, model) for spec in pca.all_specs()
+        for model in ml.TRAINERS]

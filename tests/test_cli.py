@@ -177,6 +177,42 @@ def test_report_rejects_broken_sim_csv(tmp_path, capsys, text):
     assert "sim_nominal.csv" in err and "Traceback" not in err
 
 
+_SIM_HEADER = ",".join(mgsim.CSV_COLUMNS)
+_SIM_ROW = "0.000000,60.0,35.0,1.0,100.0,50.0,500.0,1,1"
+
+
+@pytest.mark.parametrize("row,words", [
+    ("0.010000,60.0,inf,1.0,100.0,50.0,500.0,1,1", "pv_kw is 'inf'"),
+    ("0.010000,nan,35.0,1.0,100.0,50.0,500.0,1,1", "freq_hz is 'nan'"),
+    ("0.010000,60.0,35.0,1.0,100.0,50.0,-inf,1,1", "load_kw is '-inf'"),
+    ("0.010000,60.0,35.0,1.0,n/a,50.0,500.0,1,1", "'n/a'"),
+    ("0.010000,60.0,35.0,1.0,100.0", "has 5 fields"),
+], ids=["inf", "nan", "minus_inf", "not_a_number", "ragged"])
+def test_report_names_line_of_bad_value(tmp_path, capsys, row, words):
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    sim = bundle / "sim_nominal.csv"
+    sim.write_text(f"{_SIM_HEADER}\n{_SIM_ROW}\n{row}\n{_SIM_ROW}\n")
+    assert run_cli("report", "--bundle", str(bundle)) == 3
+    err = capsys.readouterr().err
+    assert f"{sim} line 3" in err and words in err
+    assert "Traceback" not in err
+    assert not (bundle / "plots" / "nominal_power.svg").exists()
+
+
+@pytest.mark.parametrize("column", cli.CHART_COLUMNS)
+def test_report_names_missing_column(tmp_path, capsys, column):
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    sim = bundle / "sim_nominal.csv"
+    header = _SIM_HEADER.replace(column, column.upper())
+    sim.write_text(f"{header}\n{_SIM_ROW}\n{_SIM_ROW}\n")
+    assert run_cli("report", "--bundle", str(bundle)) == 3
+    err = capsys.readouterr().err
+    assert str(sim) in err and f"no {column!r} column" in err
+    assert "Traceback" not in err
+
+
 def test_report_rejects_non_utf8_sim_csv(tmp_path, capsys):
     bundle = tmp_path / "bundle"
     bundle.mkdir()
@@ -663,6 +699,8 @@ def dt_only(monkeypatch):
     fit = ml.fit
     monkeypatch.setattr(ml, "fit", lambda kind, train, seed=0, **hp:
                         fit("dt", train, seed))
+    monkeypatch.setattr(ml, "train_nn_stack", lambda trains, seeds, **hp:
+                        [fit("dt", train) for train in trains])
 
 
 def _raise(error):

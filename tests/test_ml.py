@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpc_sentinel import _kernels, hpc, ml
+from hpc_sentinel import _kernels, hpc, ml, mutate, pca
+from hpc_sentinel.asm import parse_listing
 from hpc_sentinel.errors import (EmptyDataset, InconsistentFeatures,
                                  NonFiniteLoss, SingleClass, TooFewSamples)
 
@@ -248,6 +249,58 @@ def test_rf_trees_match_recursive_reference():
         assert got == want
 
 
+@pytest.mark.parametrize("n_total,n_feats", [(30, 6), (20, 5), (12, 4),
+                                             (3, 2)])
+def test_feature_subsets_equal_choice_draws(n_total, n_feats):
+    # after the bootstrap draw, as in train_rf; odd and even bootstrap
+    # sizes leave the generator's buffered 32-bit half in both states, and
+    # three blocks per tree stand for trees that search more nodes than
+    # one block holds
+    blocks = 3
+    for seed in range(100):
+        n = 20 + seed % 7
+        want = []
+        for s in (seed, seed + 1000):
+            ref = np.random.default_rng(s)
+            ref.integers(0, n, size=n)
+            want.append([np.sort(ref.choice(n_total, n_feats, replace=False))
+                         .tolist()
+                         for _ in range(blocks * ml.FEATURE_DRAW_NODES)])
+        rngs = [np.random.default_rng(s) for s in (seed, seed + 1000)]
+        for rng in rngs:
+            rng.integers(0, n, size=n)
+        # the first block of several generators is decoded in one call
+        got = [block.tolist() for block in
+               ml._draw_feature_subsets(rngs, n_total, n_feats)]
+        for _ in range(blocks - 1):
+            for tree, rng in zip(got, rngs):
+                tree += ml._draw_feature_subsets(
+                    [rng], n_total, n_feats)[0].tolist()
+        assert got == want
+
+
+def test_rf_trees_taking_several_feature_blocks_match_reference(
+        monkeypatch):
+    # trees whose searched nodes need several blocks, at the shipped block
+    # size and at blocks of one and two nodes, still take the per-node
+    # choice draws of the recursive reference
+    rng = np.random.default_rng(5)
+    d = make_dataset(rng.integers(0, 10, size=(80, 30)),
+                     rng.integers(0, 2, size=80))
+    X, y = d.matrix(), d.labels()
+    want = []
+    for child in np.random.SeedSequence(3).spawn(6):
+        tree_rng = np.random.default_rng(child)
+        boot = tree_rng.integers(0, X.shape[0], size=X.shape[0])
+        want.append(_recursive_tree(X, y, boot, tree_rng, 6))
+    searched = [sum(1 for c0, c1 in t[4] if c0 and c1) for t in want]
+    assert max(searched) > ml.FEATURE_DRAW_NODES
+    for nodes in (ml.FEATURE_DRAW_NODES, 1, 2):
+        monkeypatch.setattr(ml, "FEATURE_DRAW_NODES", nodes)
+        forest = ml.train_rf(d, n_trees=6, seed=3)
+        assert [_tree_columns(t) for t in forest.trees] == want, nodes
+
+
 def _wide_values_dataset(seed, n=60):
     """Columns whose rank codes differ from their values: negative,
     +-10^6, near +-2^60, constant, and small of both signs."""
@@ -435,6 +488,118 @@ def test_nn_divergence_matches_per_epoch_loss(tiny_dataset, lr, seed,
         ml.train_nn(tiny_dataset, hidden=8, epochs=epochs, lr=lr, seed=seed)
     assert got.value.epoch == want.epoch
     assert str(got.value) == str(want)
+
+
+def _forward_grads_alone(w1, b1, w2, b2, Xs, y):
+    """One network's step on its own 2-D arrays: the reference that each
+    network of the stacked step equals bit for bit."""
+    n = Xs.shape[0]
+    z1 = Xs @ w1 + b1
+    a1 = np.maximum(z1, 0.0)
+    p = ml._sigmoid(a1 @ w2 + b2)
+    dz2 = (p - y) / n
+    gw2 = a1.T @ dz2
+    gb2 = float(dz2.sum())
+    dz1 = dz2[:, None] * w2 * (z1 > 0)
+    gw1 = Xs.T @ dz1
+    gb1 = dz1.sum(axis=0)
+    return p, gw1, gb1, gw2, gb2
+
+
+def _train_alone(ds, hidden, epochs, lr, seed):
+    """(w1, b1, w2, b2, final loss) of one network trained on its own, or
+    the NonFiniteLoss it raises."""
+    X = ds.matrix().astype(np.float64)
+    y = ds.labels().astype(np.float64)
+    mean = X.mean(axis=0)
+    std = X.std(axis=0)
+    std[std == 0.0] = 1.0
+    Xs = (X - mean) / std
+    w1, b1, w2, b2 = ml._init_nn(X.shape[1], hidden,
+                                 np.random.default_rng(seed))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            _, gw1, gb1, gw2, gb2 = _forward_grads_alone(w1, b1, w2, b2,
+                                                         Xs, y)
+            if math.isnan(gb2):
+                return NonFiniteLoss(epoch, float("nan"))
+            w1 -= lr * gw1
+            b1 -= lr * gb1
+            w2 -= lr * gw2
+            b2 -= lr * gb2
+        p, *_ = _forward_grads_alone(w1, b1, w2, b2, Xs, y)
+    loss = ml._bce(p, y)
+    if not math.isfinite(loss):
+        return NonFiniteLoss(epochs, loss)
+    return w1, b1, w2, b2, loss
+
+
+@pytest.fixture(scope="module")
+def double_exclusion_cells():
+    """Training sides of the ten 12-feature cells of a seed-42 sweep."""
+    corpus = mutate.build_corpus(mutate.synth_base_listing(seed=42),
+                                 seed=42)
+    ds = hpc.emit_dataset(
+        [(kind, "benign" if kind == "benign" else "malicious",
+          None if kind == "benign" else kind, parse_listing(text))
+         for kind, text in sorted(corpus.items())])
+    specs = [s for s in pca.all_specs() if len(s.excluded) == 2]
+    return [(ml.split(ds.project(s.features), 0.7,
+                      ml.derive_seed(42, 5 + i, 2))[0],
+             ml.derive_seed(42, 5 + i, 2)) for i, s in enumerate(specs)]
+
+
+@pytest.mark.parametrize("k", [1, 3, 10])
+def test_nn_stack_equals_networks_trained_alone(double_exclusion_cells, k):
+    cells = double_exclusion_cells[:k]
+    nets = ml.train_nn_stack([tr for tr, _ in cells],
+                             [seed for _, seed in cells], epochs=150)
+    assert len(nets) == k
+    for net, (tr, seed) in zip(nets, cells):
+        w1, b1, w2, b2, loss = _train_alone(tr, 16, 150, 0.5, seed)
+        assert net.w1.tobytes() == w1.tobytes()
+        assert net.b1.tobytes() == b1.tobytes()
+        assert net.w2.tobytes() == w2.tobytes()
+        assert net.b2 == b2 and net.final_loss == loss
+        assert net.params["seed"] == seed
+
+
+@pytest.mark.parametrize("lr,epochs,seeds", [
+    (1e3, 100, (1, 2, 4)),   # the second diverges 30 epochs before the first
+    (1e3, 100, (4, 1, 2)),   # the first never diverges
+    (100.0, 90, (1, 27)),    # the first's final loss, the second's epoch
+])
+def test_nn_stack_raises_first_networks_error(tiny_dataset, lr, epochs,
+                                              seeds):
+    alone = [_train_alone(tiny_dataset, 8, epochs, lr, s) for s in seeds]
+    failed = [a for a in alone if isinstance(a, NonFiniteLoss)]
+    assert len(failed) >= 2
+    # a later network fails at an earlier epoch than the first failure
+    assert failed[1].epoch < failed[0].epoch
+    with pytest.raises(NonFiniteLoss) as got:
+        ml.train_nn_stack([tiny_dataset] * len(seeds), list(seeds),
+                          hidden=8, epochs=epochs, lr=lr)
+    assert got.value.epoch == failed[0].epoch
+    assert str(got.value) == str(failed[0])
+
+
+@pytest.mark.parametrize("balanced", [False, True])
+def test_train_eval_cells_equal_train_eval(balanced):
+    # networks of alternating shapes, with trees between them, train as
+    # runs of stacks; each cell's model and report equal its train_eval's
+    rng = np.random.default_rng(8)
+    d = make_dataset(rng.integers(0, 8, size=(50, 30)),
+                     rng.integers(0, 2, size=50))
+    wide, narrow = d, d.project(hpc.FEATURE_NAMES[:12])
+    cells = [("nn", wide, 1), ("dt", narrow, 2), ("nn", wide, 3),
+             ("nn", narrow, 4), ("dt", wide, 5), ("nn", narrow, 6),
+             ("nn", wide, 7)]
+    got = ml.train_eval_cells(cells, 0.7, balanced)
+    for (kind, ds, seed), (model, report) in zip(cells, got):
+        want_model, want_report = ml.train_eval(kind, ds, seed, 0.7,
+                                                balanced)
+        assert ml.model_to_json(model) == ml.model_to_json(want_model)
+        assert repr(report) == repr(want_report)
 
 
 def _masked_sigmoid(z):

@@ -193,3 +193,20 @@ def test_run_ablation_rows_and_determinism(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()[0]
     assert header.startswith("spec,excluded,model,n_features,accuracy")
+
+
+def test_run_ablation_cells_equal_train_eval():
+    # specs whose shapes alternate cut the networks into several stacks;
+    # the rows follow the given specs and models, and each scores what its
+    # cell's own train_eval does
+    ds = _ranking_dataset(4)
+    grid = pca.all_specs()
+    specs = [grid[5], grid[1], grid[9]]
+    keys = [(s, m) for s in specs for m in ("nn", "dt")]
+    rep = pca.run_ablation(ds, models=("nn", "dt"), specs=specs, seed=5)
+    assert [(r.spec_name, r.model) for r in rep.rows] == [
+        (s.name, m) for s, m in keys]
+    for row, (spec, model) in zip(rep.rows, keys):
+        seed = ml.derive_seed(5, grid.index(spec), ml.TRAINERS.index(model))
+        _, want = ml.train_eval(model, ds.project(spec.features), seed)
+        assert repr(row.metrics) == repr(want.metrics)
