@@ -57,15 +57,17 @@ def window_counts(cats, window):
 # sums give each cut's child class counts. This is the histogram split
 # finding of LightGBM and XGBoost's `hist`, exact here because the bins
 # are the distinct values themselves (a 50-instruction window's counter
-# takes at most 51 values).
+# takes at most 51 values). Each entry carries an integer weight, the number
+# of identical (codes, label) rows it stands for, so repeated rows are
+# counted once per histogram instead of once per copy.
 #
 # The split score maximized is sum_children (c0^2 + c1^2) / n_child, which
 # orders splits identically to minimizing weighted Gini impurity. Scores are
 # integer fractions; exact cross-multiplied comparison keeps the search
 # bit-deterministic and makes the documented tie-break (lowest feature index,
-# then lowest threshold) exact. int64 products reach n^5 / 16, in range for
-# nodes up to EXACT_SPLIT_LIMIT rows; larger nodes compare in float64
-# instead (still deterministic, same operation order).
+# then lowest threshold) exact. int64 products reach n^5 / 16, n the node's
+# weighted size, in range up to EXACT_SPLIT_LIMIT; larger nodes compare in
+# float64 instead (still deterministic, same operation order).
 EXACT_SPLIT_LIMIT = 4000
 
 
@@ -97,18 +99,20 @@ def _run_starts(a):
     return lead
 
 
-def best_split_codes(codes, y, sizes, bins):
+def best_split_codes(codes, y, weights, sizes, bins):
     """Best split of every node of a batch in one loop-free pass.
 
-    codes holds rank codes by candidate column, (k, rows) int64: node i
-    owns the next sizes[i] entries of every row, and bins[i, j]
-    bounds the codes of its column j. y holds the 0/1 labels of the
-    rows. Node i scores with exact integer fractions when sizes[i] <=
-    EXACT_SPLIT_LIMIT, else in float64. Returns
-    int64 arrays (column, lo, hi, found) with one entry per node: the
-    column of the best split that strictly improves on the node's own
-    score and the adjacent present codes it cuts between (left child:
-    code <= lo), or found == 0 when none does.
+    codes holds rank codes by candidate column, (k, entries) int64: node i
+    owns the next sizes[i] entries of every row, and bins[i, j] bounds the
+    codes of its column j. y holds the 0/1 labels of the entries and
+    weights their positive integer multiplicities: an entry of weight w
+    scores as w identical rows. A node's size is the sum of its weights;
+    node i scores with exact integer fractions when that is at most
+    EXACT_SPLIT_LIMIT, else in float64. Returns int64 arrays (column, lo,
+    hi, found) with one entry per node: the column of the best split that
+    strictly improves on the node's own score and the adjacent present
+    codes it cuts between (left child: code <= lo), or found == 0 when
+    none does.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     n_nodes = sizes.shape[0]
@@ -120,15 +124,19 @@ def best_split_codes(codes, y, sizes, bins):
         return col_out, lo_out, hi_out, found_out
     k = codes.shape[0]
     y = np.asarray(y, dtype=np.int64)
-    tot1 = np.bincount(np.repeat(np.arange(n_nodes), sizes), weights=y,
-                       minlength=n_nodes).astype(np.int64)
-    tot0 = sizes - tot1
+    # Weighted counts are sums of integers in float64, exact below 2^53;
+    # bincount takes float64 weights without a conversion pass.
+    w = np.asarray(weights, dtype=np.float64)
+    entry_node = np.repeat(np.arange(n_nodes), sizes)
+    n_rows = np.bincount(entry_node, w, n_nodes).astype(np.int64)
+    tot1 = np.bincount(entry_node, w * y, n_nodes).astype(np.int64)
+    tot0 = n_rows - tot1
     parent = tot0 * tot0 + tot1 * tot1
-    exact = sizes <= EXACT_SPLIT_LIMIT
+    exact = n_rows <= EXACT_SPLIT_LIMIT
 
     # One segment per (node, column), packed in that order, with one slot
-    # per code; one bincount over (slot, label) keys counts rows and
-    # malicious rows together. The present slots come out of flatnonzero
+    # per code; one weighted bincount over (slot, label) keys counts rows
+    # and malicious rows together. The present slots come out of flatnonzero
     # already ordered by (node, column, threshold).
     seg_bins = np.asarray(bins, dtype=np.int64).ravel()
     seg_off = np.cumsum(seg_bins) - seg_bins
@@ -136,14 +144,15 @@ def best_split_codes(codes, y, sizes, bins):
     key += codes
     key *= 2
     key += y
-    hist = np.bincount(key.ravel(), minlength=2 * int(seg_bins.sum()))
+    hist = np.bincount(key.ravel(), np.broadcast_to(w, key.shape).ravel(),
+                       2 * int(seg_bins.sum()))
     hist1 = hist[1::2]
     hist = hist[::2] + hist1
     slot = np.flatnonzero(hist)
     sseg = np.searchsorted(seg_off, slot, side="right") - 1
-    c_all = np.cumsum(hist[slot])
-    c1_all = np.cumsum(hist1[slot])
-    seg_len = np.repeat(sizes, k)
+    c_all = np.cumsum(hist[slot]).astype(np.int64)
+    c1_all = np.cumsum(hist1[slot]).astype(np.int64)
+    seg_len = np.repeat(n_rows, k)
     seg_start = np.cumsum(seg_len) - seg_len
     seg_tot1 = np.repeat(tot1, k)
     base = np.cumsum(seg_tot1) - seg_tot1
@@ -152,7 +161,7 @@ def best_split_codes(codes, y, sizes, bins):
     cut = np.flatnonzero(sseg[:-1] == sseg[1:])
     s = sseg[cut]
     node = s // k
-    n = sizes[node]
+    n = n_rows[node]
     nl = c_all[cut] - seg_start[s]
     nr = n - nl
     c1 = c1_all[cut] - base[s]
@@ -207,8 +216,9 @@ def best_split(x, y, feats):
     (-1, 0, 0) when no split improves the node.
     """
     codes, values, offsets = rank_code(np.asarray(x)[:, feats].T)
-    col, lo, hi, found = best_split_codes(codes, y, [x.shape[0]],
-                                          np.diff(offsets)[None])
+    col, lo, hi, found = best_split_codes(
+        codes, y, np.ones(x.shape[0], dtype=np.int64), [x.shape[0]],
+        np.diff(offsets)[None])
     if not found[0]:
         return np.int64(-1), np.int64(0), np.int64(0)
     at = offsets[col[0]]

@@ -5,13 +5,16 @@ report, and the end-to-end reproduce pipeline. Exit codes: 0 success,
 2 usage error, 3 data error, 4 numeric divergence. Every subcommand is
 deterministic given its inputs, flags and --seed.
 
-reproduce runs its five simulations and then the decision-tree and
-network cells of the class-elimination sweep in one worker process made
-with os.fork after extract, while the parent trains, ranks and runs the
-sweep's forest cells; it uses up to two cores and needs a POSIX os.fork.
+reproduce makes one worker process with os.fork before mutate. The
+worker runs the five simulations while the parent mutates and extracts,
+then receives the dataset over a pipe and runs the decision-tree and
+network cells of the class-elimination sweep, while the parent trains,
+ranks and runs the sweep's forest cells; reproduce uses up to two cores
+and needs a POSIX os.fork. An error names the stage that raised it.
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -137,7 +140,13 @@ def cmd_eval(args) -> int:
 # --- rank / ablate ------------------------------------------------------------
 
 def cmd_rank(args) -> int:
+    if args.components < 1:
+        raise UsageError("--components must be >= 1")
     ds = hpc.read_dataset_csv(args.data)
+    if args.components > len(ds.feature_names):
+        raise UsageError(f"--components must lie in "
+                         f"[1, {len(ds.feature_names)}]: {args.data} has "
+                         f"{len(ds.feature_names)} counters")
     ranking = pca.rank_features(ds, n_components=args.components)
     Path(args.out).write_text(ranking.to_json(), encoding="utf-8")
     top = ", ".join(ranking.top(3))
@@ -376,15 +385,17 @@ class _Forked:
     """Named stages, (name, fn) pairs, run in order in one child process
     made with os.fork.
 
-    The child pickles each stage's name into a pipe as the stage starts,
-    then the list of the fns' results, or the first error as (is it a
-    NumericError, message), and always leaves through os._exit, so it
-    never returns into the caller's code. Errors travel as text because
-    exceptions with their own __init__ signature do not unpickle.
-    join() waits for the child and returns the results, or re-raises its
-    error as NumericError or DataError under the name of the stage that
-    was running, also when the child ended without a result; leaving the
-    with block kills and reaps a child that was not joined.
+    Each fn is called with `receive`, which returns the object the parent
+    passes to send(), waiting for it if need be. The child pickles each
+    stage's name into a pipe as the stage starts, then the list of the
+    fns' results, or the first error as (is it a NumericError, message),
+    and always leaves through os._exit, so it never returns into the
+    caller's code. Errors travel as text because exceptions with their own
+    __init__ signature do not unpickle. join() waits for the child and
+    returns the results, or re-raises its error as NumericError or
+    DataError under the name of the stage that was running, also when the
+    child ended without a result; leaving the with block kills and reaps
+    a child that was not joined.
 
     Make it before the process's first BLAS call (numpy matrix work in
     ml and pca): with some BLAS builds, a child forked after the thread
@@ -397,18 +408,26 @@ class _Forked:
         sys.stdout.flush()  # or the child could write buffered text again
         sys.stderr.flush()
         read_fd, write_fd = os.pipe()
+        inbox_fd, self._outbox_fd = os.pipe()
+        self._sender = None
         self.pid = os.fork()
         if self.pid == 0:
             status = 1
             try:
                 os.close(read_fd)
+                os.close(self._outbox_fd)
+                inbox = open(inbox_fd, "rb")
+
+                def receive():
+                    return pickle.load(inbox)
+
                 with open(write_fd, "wb") as fh:
                     results = []
                     for name, fn in stages:
                         pickle.dump(name, fh)
                         fh.flush()
                         try:
-                            results.append(fn())
+                            results.append(fn(receive))
                         except Exception as e:
                             pickle.dump((isinstance(e, NumericError),
                                          str(e)), fh)
@@ -419,10 +438,34 @@ class _Forked:
             finally:
                 os._exit(status)
         os.close(write_fd)
+        os.close(inbox_fd)
         self._pipe = open(read_fd, "rb")
 
     def __enter__(self):
         return self
+
+    def send(self, obj):
+        """Pickle obj to the child's receive, once. A thread writes it, so
+        the parent never waits on a full pipe while the child is busy; if
+        the child has ended, the bytes are dropped and join() reports how
+        it ended."""
+        import pickle
+        import threading
+        data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+        self._sender = threading.Thread(
+            target=_write_and_close, args=(self._outbox_fd, data),
+            daemon=True)
+        self._outbox_fd = None
+        self._sender.start()
+
+    def _close_outbox(self):
+        """Close the pipe to the child, once send's thread has written."""
+        import os
+        if self._outbox_fd is not None:
+            os.close(self._outbox_fd)
+            self._outbox_fd = None
+        if self._sender is not None:
+            self._sender.join()
 
     def join(self):
         import io
@@ -432,6 +475,7 @@ class _Forked:
             data = io.BytesIO(self._pipe.read())
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
+        self._close_outbox()
         records = []
         try:
             while True:
@@ -457,10 +501,34 @@ class _Forked:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self._pipe.close()
+            self._close_outbox()
 
 
+def _write_and_close(fd, data):
+    """Write data to the pipe fd and close it; a reader that has gone
+    (EPIPE) drops what is left."""
+    import os
+    view = memoryview(data)
+    try:
+        while view:
+            view = view[os.write(fd, view):]
+    except OSError:
+        pass    # the child has ended; join() reports how
+    finally:
+        os.close(fd)
+
+
+@contextlib.contextmanager
 def _stage(name):
+    """Announce a reproduce stage run in this process; an error raised in
+    it names the stage and keeps its exit code."""
     print(f"[reproduce] {name}")
+    try:
+        yield
+    except NumericError as e:
+        raise NumericError(f"stage {name}: {e}") from e
+    except (SentinelError, OSError, ValueError) as e:
+        raise DataError(f"stage {name}: {e}") from e
 
 
 def cmd_reproduce(args) -> int:
@@ -476,76 +544,77 @@ def cmd_reproduce(args) -> int:
     seed = args.seed
     cmap = _load_map(args.map)
 
-    _stage("mutate")
-    try:
+    # Forked before mutate, so before this process's first BLAS call (ml
+    # and pca make them) and before send() starts its thread: the
+    # worker's own numpy work is safe even where numpy's BLAS starts
+    # threads in this process. The worker runs the simulations while this
+    # process mutates and extracts, then receives ds and runs the
+    # WORKER_MODELS cells of the class-elimination sweep.
+    with _Forked([
+            ("simulate", lambda receive: _simulate_bundle(out)),
+            ("ablate", lambda receive: pca.run_ablation(
+                receive(), models=WORKER_MODELS, seed=seed,
+                train_fraction=args.split).rows)]) as worker:
+        return _reproduce_stages(args, out, cmap, worker)
+
+
+def _reproduce_stages(args, out: Path, cmap, worker: _Forked) -> int:
+    """The reproduce stages of this process: it sends the dataset to
+    `worker` after extract, runs the PARENT_MODELS cells of the
+    class-elimination sweep, and joins the simulations and the other
+    cells from `worker` at the simulate stage."""
+    seed = args.seed
+
+    with _stage("mutate"):
         if args.base:
             base = _read_text(args.base, "mutate")
         else:
             base = mutate.synth_base_listing(seed=seed)
         corpus = mutate.build_corpus(base, seed=seed, cmap=cmap)
-    except SentinelError as e:
-        raise DataError(f"stage mutate: {e}") from e
-    ids = ["benign"] + [k.value for k in mutate.AttackKind]
-    for fid, fname in zip(ids, BUNDLE_ASM):
-        (out / fname).write_text(corpus[fid], encoding="utf-8")
+        ids = ["benign"] + [k.value for k in mutate.AttackKind]
+        for fid, fname in zip(ids, BUNDLE_ASM):
+            (out / fname).write_text(corpus[fid], encoding="utf-8")
 
-    _stage("extract")
-    runs = [(fid, "benign" if fid == "benign" else "malicious",
-             None if fid == "benign" else fid,
-             parse_listing(corpus[fid], cmap)) for fid in ids]
-    ds = hpc.emit_dataset(runs, args.window, out / "dataset.csv")
+    with _stage("extract"):
+        runs = [(fid, "benign" if fid == "benign" else "malicious",
+                 None if fid == "benign" else fid,
+                 parse_listing(corpus[fid], cmap)) for fid in ids]
+        ds = hpc.emit_dataset(runs, args.window, out / "dataset.csv")
+    worker.send(ds)
 
-    # Forked before the first BLAS call, which ml and pca make and mutate
-    # and extract do not, so the worker's own numpy work is safe even
-    # where numpy's BLAS starts threads in this process. The worker
-    # inherits ds and runs the simulations, then the WORKER_MODELS cells
-    # of the class-elimination sweep.
-    with _Forked([
-            ("simulate", lambda: _simulate_bundle(out)),
-            ("ablate", lambda: pca.run_ablation(
-                ds, models=WORKER_MODELS, seed=seed,
-                train_fraction=args.split).rows)]) as worker:
-        return _reproduce_stages(args, out, ds, worker)
-
-
-def _reproduce_stages(args, out: Path, ds, worker: _Forked) -> int:
-    """The reproduce stages after extract: the parent runs the
-    PARENT_MODELS cells of the class-elimination sweep, and the
-    simulations and the other cells are joined from `worker` at the
-    simulate stage."""
-    seed = args.seed
-
-    _stage("train")
-    unbal = _train_eval_all(ds, seed, balanced=False,
-                            train_fraction=args.split)
-    bal = _train_eval_all(ds, seed, balanced=True,
-                          train_fraction=args.split)
-    for name in ml.TRAINERS:
-        ml.save_model(unbal[name][0], out / f"{name}_unbalanced.json")
-        ml.save_model(bal[name][0], out / f"{name}_balanced.json")
-
-    _stage("rank")
-    ranking = pca.rank_features(ds, n_components=args.components)
-    (out / "ranking.json").write_text(ranking.to_json(), encoding="utf-8")
-    top3 = ranking.top(3)
-    top_ds = ds.project(top3)
-    top_unbal = _train_eval_all(top_ds, ml.derive_seed(seed, 3, 0),
-                                balanced=False, train_fraction=args.split)
-    top_bal = _train_eval_all(top_ds, ml.derive_seed(seed, 3, 1),
-                              balanced=True, train_fraction=args.split)
-
-    _stage("ablate")
-    ablation = pca.run_ablation(ds, models=PARENT_MODELS, seed=seed,
+    with _stage("train"):
+        unbal = _train_eval_all(ds, seed, balanced=False,
                                 train_fraction=args.split)
+        bal = _train_eval_all(ds, seed, balanced=True,
+                              train_fraction=args.split)
+        for name in ml.TRAINERS:
+            ml.save_model(unbal[name][0], out / f"{name}_unbalanced.json")
+            ml.save_model(bal[name][0], out / f"{name}_balanced.json")
 
-    _stage("simulate")
+    with _stage("rank"):
+        ranking = pca.rank_features(ds, n_components=args.components)
+        (out / "ranking.json").write_text(ranking.to_json(),
+                                          encoding="utf-8")
+        top3 = ranking.top(3)
+        top_ds = ds.project(top3)
+        top_unbal = _train_eval_all(top_ds, ml.derive_seed(seed, 3, 0),
+                                    balanced=False, train_fraction=args.split)
+        top_bal = _train_eval_all(top_ds, ml.derive_seed(seed, 3, 1),
+                                  balanced=True, train_fraction=args.split)
+
+    with _stage("ablate"):
+        ablation = pca.run_ablation(ds, models=PARENT_MODELS, seed=seed,
+                                    train_fraction=args.split)
+
+    # The worker's errors name the worker stage that failed.
+    print("[reproduce] simulate")
     sim_stats, worker_rows = worker.join()
     grid = {spec.excluded: i for i, spec in enumerate(pca.all_specs())}
     ablation.rows = sorted(ablation.rows + worker_rows, key=lambda r: (
         grid[r.excluded], ml.TRAINERS.index(r.model)))
     ablation.to_csv(out / "ablation.csv")
 
-    _stage("summary")
+    print("[reproduce] summary")
     n0, n1 = ds.class_counts()
     lines = [
         "# Firmware-counter detection and microgrid impact study", "",

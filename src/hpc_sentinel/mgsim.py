@@ -9,7 +9,6 @@ whatever is left drives the frequency deviation. All constants live in
 the Scenario, not in code.
 """
 
-import csv
 import enum
 import json
 import math
@@ -350,16 +349,17 @@ def run_scenario(s: Scenario, out_path=None) -> MgTrace:
 
 def write_states_csv(trace: MgTrace, path):
     """One row per step in CSV_COLUMNS order: time_s to the microsecond,
-    the other floats as the csv module writes them (repr, so they read
-    back bit for bit) and the two flags as 0/1."""
-    times = map("{:.6f}".format, trace.time_s.tolist())
-    floats = [getattr(trace, name).tolist() for name in CSV_COLUMNS[1:-2]]
-    flags = [getattr(trace, name).astype(int).tolist()
-             for name in CSV_COLUMNS[-2:]]
+    the other floats as repr (so they read back bit for bit) and the two
+    flags as 0/1, in CRLF-ended lines: the bytes csv.writer gives, with
+    each column formatted in one pass."""
+    columns = [map("{:.6f}".format, trace.time_s.tolist())]
+    columns += [map(repr, getattr(trace, name).tolist())
+                for name in CSV_COLUMNS[1:-2]]
+    columns += [map("01".__getitem__, getattr(trace, name).tolist())
+                for name in CSV_COLUMNS[-2:]]
+    lines = [",".join(CSV_COLUMNS), *map(",".join, zip(*columns)), ""]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_COLUMNS)
-        w.writerows(zip(times, *floats, *flags))
+        fh.write("\r\n".join(lines))
 
 
 SCENARIO_NAMES = ("nominal", "mppt_dos", "inverter_dos", "input_sine",

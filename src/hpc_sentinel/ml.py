@@ -1,13 +1,17 @@
 """Classifiers over counter datasets: decision tree, random forest, and a
 small neural network, plus splitting, balancing, and evaluation metrics.
 
-All three trainers are deterministic given (dataset, params, seed). A
-forest grows all its trees in lockstep, batching the split searches of
-one node per tree into one histogram kernel call over the rank codes of
-its features; every tree draws from its own generator spawned from the
-master seed, so it equals the tree grown on its own. Trees and forests
-predict from one flattened node table. A forest tree draws the feature
-subsets of its nodes in blocks, equal to per-node Generator.choice draws.
+All three trainers are deterministic given (dataset, params, seed).
+Trees grow on the distinct (counter vector, label) rows of their fit,
+each weighted by how often it occurs, which gives the trees the repeated
+rows would. A forest grows all its trees in lockstep, batching the split
+searches of one node per tree into one histogram kernel call over the
+rank codes of its features; every tree draws from its own generator
+spawned from the master seed, so it equals the tree grown on its own. A
+decision tree searches all its pending nodes in each call. Trees and
+forests predict from one flattened node table. A forest tree draws the
+feature subsets of its nodes in blocks, equal to per-node
+Generator.choice draws.
 
 Networks of one (rows, features) shape train as one stack
 (train_nn_stack), each bit for bit the network train_nn gives alone.
@@ -288,39 +292,55 @@ def _predict_trees(trees, X) -> np.ndarray:
 
 
 class _GrowingTree:
-    """Node arrays of one tree under construction, its stack of nodes
-    still to grow, each (rows, parent, is_right, malicious rows), and the
-    drawn feature subsets its next searched nodes take in turn."""
+    """One tree under construction. A node is a list [counts, feature,
+    threshold, left, right], its children nodes themselves. pending is a
+    stack of the nodes still to search, each (node, ids, rows, malicious
+    rows) with ids the node's entries (see _grow_trees) and the counts
+    weighted; its top is the next of them in preorder. A forest tree also
+    keeps the drawn feature subsets its searched nodes take in turn."""
 
-    def __init__(self, rows, c1, feature_rng, subsets):
+    def __init__(self, ids, n, c1, feature_rng, subsets):
         self.feature_rng = feature_rng
         self.subsets = subsets
         self.drawn = 0
-        self.stack = [(rows, -1, False, c1)]
-        self.feature = []
-        self.threshold = []
-        self.left = []
-        self.right = []
-        self.counts = []
+        self.pending = []
+        self.root = self.add(ids, n, c1)
 
-    def emit(self, parent, is_right, counts) -> int:
-        node = len(self.feature)
-        self.feature.append(-1)
-        self.threshold.append(0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.counts.append(counts)
-        if parent >= 0:
-            (self.right if is_right else self.left)[parent] = node
+    def add(self, ids, n, c1):
+        """A new leaf of n rows, c1 of them malicious; one that holds both
+        classes is pushed for a split search."""
+        node = [(n - c1, c1), -1, 0, None, None]
+        if 0 < c1 < n:
+            self.pending.append((node, ids, n, c1))
         return node
 
+    def next_subset(self, n_total, n_feats):
+        """The feature subset of the tree's next searched node."""
+        if self.drawn == FEATURE_DRAW_NODES:
+            self.subsets = _draw_feature_subsets(
+                [self.feature_rng], n_total, n_feats)[0]
+            self.drawn = 0
+        self.drawn += 1
+        return self.subsets[self.drawn - 1]
+
     def model(self, feature_names, params) -> DecisionTreeModel:
+        """The node table, node ids in preorder: a node's left child
+        follows it, and its right child follows the left one's subtree."""
+        rows, stack = [], [(self.root, -1)]
+        while stack:
+            (counts, feature, threshold, left, right), parent = stack.pop()
+            if parent >= 0:
+                rows[parent][3] = len(rows)
+            if left is None:
+                rows.append([feature, threshold, -1, -1, *counts])
+            else:
+                rows.append([feature, threshold, len(rows) + 1, -1,
+                             *counts])
+                stack += ((right, len(rows) - 1), (left, -1))
+        table = np.array(rows, dtype=np.int64)
         return DecisionTreeModel(
-            feature=np.asarray(self.feature, dtype=np.int64),
-            threshold=np.asarray(self.threshold, dtype=np.int64),
-            left=np.asarray(self.left, dtype=np.int64),
-            right=np.asarray(self.right, dtype=np.int64),
-            counts=np.asarray(self.counts, dtype=np.int64),
+            feature=table[:, 0], threshold=table[:, 1], left=table[:, 2],
+            right=table[:, 3], counts=table[:, 4:],
             feature_names=tuple(feature_names), params=params)
 
 
@@ -351,98 +371,144 @@ def _draw_feature_subsets(rngs, n_total, n_feats):
                                            n_feats)
 
 
+def _row_groups(codes, n_bins, y):
+    """Groups of equal samples: codes holds the samples' rank codes by
+    feature, feature j taking n_bins[j] codes, and y their labels.
+    Returns each sample's group id and one sample of each group.
+
+    The codes of several features pack into one int64 key by mixed radix,
+    and the few keys are lexsorted (np.unique would import numpy.ma,
+    about 1.6 MB)."""
+    keys, key, span = [], y, 2
+    for col, bins in zip(codes, n_bins.tolist()):
+        if span * bins > 2**62:
+            keys.append(key)
+            key, span = col, bins
+        else:
+            key = key * bins + col
+            span *= bins
+    keys.append(key)
+    order = np.lexsort(keys)
+    new = np.zeros(order.shape[0], dtype=bool)
+    new[:1] = True
+    for key in keys:
+        ordered = key[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    group = np.empty(order.shape[0], dtype=np.int64)
+    group[order] = np.cumsum(new) - 1
+    return group, order[new]
+
+
 def _grow_trees(X, y, boots, feature_rngs, n_feats, feature_names, params):
     """Grow one tree per row-index vector in boots, all in lockstep.
 
-    X is rank-coded once, column by column. Each round pops the next
-    node of every tree, emitting leaves until it reaches one that needs a
-    split search, and searches those nodes through batched histogram
-    kernel calls of at most SPLIT_BATCH_ENTRIES entries (one node may
-    exceed it alone). Children are pushed right then left, so node ids
-    and feature_rng draws follow each tree's preorder and every tree
-    equals the one grown on its own. A node holding both classes is
-    searched, and becomes a leaf when no split improves it. A tree whose
-    feature_rng is None searches all features at every node; otherwise
-    each searched node takes the next of its n_feats-feature subsets,
-    drawn FEATURE_DRAW_NODES at a time (_draw_feature_subsets), the first
-    block of every tree in one decode.
+    X is rank-coded once, column by column, and its rows are grouped once
+    by (codes, label) (_row_groups). A tree grows on the distinct rows its
+    boot draws, each weighted by how many of the boot's draws fall in its
+    group, so a decision tree, whose boot is every row, weights each by
+    its group's size; every split search and leaf count equals the one on
+    the repeated rows.
+
+    A node holding both classes is searched, and becomes a leaf when no
+    split improves it. Each round searches the next pending node of every
+    forest tree, and every pending node of a decision tree, through
+    batched histogram kernel calls of at most SPLIT_BATCH_ENTRIES entries
+    (one node may exceed it alone). A tree whose feature_rng is None
+    searches all features at every node; otherwise each searched node
+    takes the next of its n_feats-feature subsets, drawn
+    FEATURE_DRAW_NODES at a time (_draw_feature_subsets), the first block
+    of every tree in one decode. Children are pushed right then left, so
+    a forest tree searches its nodes, and takes its subsets, in preorder;
+    node ids are numbered in preorder once a tree is grown, so every tree
+    equals the one grown on its own.
     """
     n_total = X.shape[1]
     all_feats = np.arange(n_total, dtype=np.int64)
     codes, values, offsets = _kernels.rank_code(X.T)
     n_bins = np.diff(offsets)
     max_bins = int(n_bins.max(initial=0))
-
-    def next_split(t):
-        while t.stack:
-            rows, parent, is_right, c1 = t.stack.pop()
-            c0 = rows.shape[0] - c1
-            node = t.emit(parent, is_right, (c0, c1))
-            if c0 == 0 or c1 == 0:
-                continue
-            if t.feature_rng is None:
-                feats = all_feats
-            else:
-                if t.drawn == FEATURE_DRAW_NODES:
-                    t.subsets = _draw_feature_subsets(
-                        [t.feature_rng], n_total, n_feats)[0]
-                    t.drawn = 0
-                feats = t.subsets[t.drawn]
-                t.drawn += 1
-            return t, node, rows, feats, c1
-        return None
+    group, distinct = _row_groups(codes, n_bins, y)
+    codes = codes[:, distinct]
+    y = y[distinct]
+    # A node's entries are ids tree * n_distinct + distinct row, and
+    # weights[id] is that row's multiplicity in that tree's boot.
+    n_distinct = distinct.shape[0]
+    n_trees = len(boots)
+    weights = np.bincount(
+        np.repeat(np.arange(n_trees) * n_distinct,
+                  [boot.shape[0] for boot in boots])
+        + group[np.concatenate(boots)], minlength=n_trees * n_distinct)
 
     def split(batch):
+        # a batch item: (tree, node, ids, rows, malicious rows, features)
         sizes = np.array([item[2].shape[0] for item in batch])
-        rows = np.concatenate([item[2] for item in batch])
-        feats = np.array([item[3] for item in batch])
+        ids = np.concatenate([item[2] for item in batch])
+        rows = ids % n_distinct
+        w = weights[ids]
+        feats = np.array([item[5] for item in batch])
         y_rows = y[rows]
         cols, below, above, found = _kernels.best_split_codes(
-            codes[np.repeat(feats.T, sizes, axis=1), rows], y_rows, sizes,
-            n_bins[feats])
+            codes[np.repeat(feats.T, sizes, axis=1), rows], y_rows, w,
+            sizes, n_bins[feats])
         f = feats[np.arange(len(batch)), cols]
         at = offsets[f]
         thrs = (values[at + below] + values[at + above]) // 2
         go_left = (codes[np.repeat(f, sizes), rows]
                    <= np.repeat(below, sizes))
-        go_right = ~go_left
         # a searched node holds both classes, so every reduceat segment
         # is non-empty
-        c1_left = np.add.reduceat(y_rows * go_left, np.cumsum(sizes) - sizes)
-        end = 0
-        for (t, node, rows, _, c1), n, fi, thr, ok, l1 in zip(
-                batch, sizes.tolist(), f.tolist(), thrs.tolist(),
-                found.tolist(), c1_left.tolist()):
-            start, end = end, end + n
-            if not ok:
-                continue
-            t.feature[node] = fi
-            t.threshold[node] = thr
-            t.stack.append((rows[go_right[start:end]], node, True, c1 - l1))
-            t.stack.append((rows[go_left[start:end]], node, False, l1))
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        w_left = w * go_left
+        n_left = np.add.reduceat(w_left, starts)
+        c1_left = np.add.reduceat(w_left * y_rows, starts)
+        # each node's children are consecutive runs of left and right
+        left, right = ids[go_left], ids[~go_left]
+        left_end = np.cumsum(np.add.reduceat(go_left, starts,
+                                             dtype=np.int64))
+        ls = rs = 0
+        for (t, node, _, n, c1, _), fi, thr, ok, nl, l1, le, re in zip(
+                batch, f.tolist(), thrs.tolist(), found.tolist(),
+                n_left.tolist(), c1_left.tolist(), left_end.tolist(),
+                (ends - left_end).tolist()):
+            if ok:
+                # the right child is pushed first, so the left one is
+                # searched next
+                right_child = t.add(right[rs:re], n - nl, c1 - l1)
+                node[1:] = fi, thr, t.add(left[ls:le], nl, l1), right_child
+            ls, rs = le, re
 
     drawing = [rng for rng in feature_rngs if rng is not None]
     subsets = iter(_draw_feature_subsets(drawing, n_total, n_feats)
                    if drawing else ())
-    trees = [_GrowingTree(rows, int(y[rows].sum()), rng,
+    per_tree = weights.reshape(n_trees, n_distinct)
+    roots = np.split(np.flatnonzero(weights),
+                     np.cumsum(np.count_nonzero(per_tree, axis=1))[:-1])
+    trees = [_GrowingTree(ids, n, c1, rng,
                           None if rng is None else next(subsets))
-             for rows, rng in zip(boots, feature_rngs)]
-    active = trees
+             for ids, n, c1, rng in zip(roots, per_tree.sum(axis=1).tolist(),
+                                        (per_tree @ y).tolist(), feature_rngs)]
+    active = [t for t in trees if t.pending]
     while active:
         batch, entries = [], 0
         for t in active:
-            item = next_split(t)
-            if item is None:
-                continue
-            size = item[3].shape[0] * max(item[2].shape[0], max_bins)
-            if batch and entries + size > SPLIT_BATCH_ENTRIES:
-                split(batch)
-                batch, entries = [], 0
-            batch.append(item)
-            entries += size
+            if t.feature_rng is None:
+                # no feature draws to keep in preorder
+                items = [(t, *item, all_feats) for item in t.pending]
+                t.pending = []
+            else:
+                items = [(t, *t.pending.pop(),
+                          t.next_subset(n_total, n_feats))]
+            for item in items:
+                size = item[5].shape[0] * max(item[2].shape[0], max_bins)
+                if batch and entries + size > SPLIT_BATCH_ENTRIES:
+                    split(batch)
+                    batch, entries = [], 0
+                batch.append(item)
+                entries += size
         if batch:
             split(batch)
-        active = [t for t in active if t.stack]
+        active = [t for t in active if t.pending]
     return [t.model(feature_names, params) for t in trees]
 
 

@@ -3,6 +3,7 @@ contract (0 ok, 2 usage, 3 bad data, 4 numeric divergence)."""
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpc_sentinel import cli, mgsim, ml, pca
-from hpc_sentinel.errors import AnchorNotFound, DataError, NonFiniteLoss
+from hpc_sentinel import cli, hpc, mgsim, ml, mutate, pca
+from hpc_sentinel.errors import (AnchorNotFound, DataError,
+                                 DegenerateCovariance, NonFiniteLoss)
 from hpc_sentinel.mutate import (AttackKind, default_template,
                                  synth_base_listing)
 
@@ -158,27 +160,34 @@ def test_report_renders_charts(tmp_path):
     assert power.read_text().lstrip().startswith("<svg")
 
 
-@pytest.mark.parametrize("text", [
-    "",                                          # empty
-    "time_s,pv_kw,freq_hz,mppt_on,inverter_on\n",  # header only
-    "time_s,pv_kw,freq_hz,mppt_on,inverter_on\n"
-    "0.0,1.0,60.0,1,1\n0.01,1.0\n",               # ragged row
-    "time_s,pv_kw,freq_hz,mppt_on,inverter_on\n"
-    "0.0,n/a,60.0,1,1\n",                         # not a number
-    pytest.param("time_s,pv_kw,freq_hz,mppt_on,inverter_on\n0.0,"
-                 + "1" * 200000 + ",60.0,1,1\n", id="field_over_csv_limit"),
-])
-def test_report_rejects_broken_sim_csv(tmp_path, capsys, text):
-    bundle = tmp_path / "bundle"
-    bundle.mkdir()
-    (bundle / "sim_nominal.csv").write_text(text)
-    assert run_cli("report", "--bundle", str(bundle)) == 3
-    err = capsys.readouterr().err
-    assert "sim_nominal.csv" in err and "Traceback" not in err
-
-
 _SIM_HEADER = ",".join(mgsim.CSV_COLUMNS)
 _SIM_ROW = "0.000000,60.0,35.0,1.0,100.0,50.0,500.0,1,1"
+
+
+@pytest.mark.parametrize("text,words", [
+    pytest.param("", "has no data rows", id=""),
+    pytest.param("time_s,pv_kw,freq_hz,mppt_on,inverter_on\n",
+                 "has no data rows",
+                 id="time_s,pv_kw,freq_hz,mppt_on,inverter_on\n"),
+    pytest.param(f"{_SIM_HEADER}\n{_SIM_ROW}\n0.01,1.0\n",
+                 "line 3 has 2 fields, the header 9", id="ragged"),
+    pytest.param(f"{_SIM_HEADER}\n0.000000,60.0,n/a,1.0,100.0,50.0,500.0,"
+                 "1,1\n", "line 2: could not convert string to float: 'n/a'",
+                 id="not_a_number"),
+    pytest.param(f"{_SIM_HEADER}\n0.000000,60.0," + "1" * 200000
+                 + ",1.0,100.0,50.0,500.0,1,1\n",
+                 "field larger than field limit", id="field_over_csv_limit"),
+])
+def test_report_rejects_broken_sim_csv(tmp_path, capsys, text, words):
+    # each case stops at its own check: the full header takes the ragged,
+    # not-a-number and oversized rows past the chart-column check
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    sim = bundle / "sim_nominal.csv"
+    sim.write_text(text)
+    assert run_cli("report", "--bundle", str(bundle)) == 3
+    err = capsys.readouterr().err
+    assert str(sim) in err and words in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("row,words", [
@@ -259,6 +268,22 @@ def test_usage_errors_exit_2(tmp_path, corpus_csv):
                        flag, value, "--out", str(tmp_path / "m.json")) == 2, \
             (flag, value)
         assert not (tmp_path / "m.json").exists(), (flag, value)
+
+
+def test_rank_components_range(tmp_path, capsys, corpus_csv):
+    out = tmp_path / "ranking.json"
+    # below 1 is refused before the data is read, so a missing file
+    # still exits 2
+    assert run_cli("rank", "--data", str(tmp_path / "missing.csv"),
+                   "--components", "0", "--out", str(out)) == 2
+    # more components than the data's counters
+    assert run_cli("rank", "--data", str(corpus_csv),
+                   "--components", "31", "--out", str(out)) == 2
+    assert "[1, 30]" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli("rank", "--data", str(corpus_csv),
+                   "--components", "30", "--out", str(out)) == 0
+    assert json.loads(out.read_text())["n_components"] == 30
 
 
 def test_data_errors_exit_3(tmp_path, base_asm):
@@ -765,16 +790,40 @@ def test_reproduce_forks_before_blas(tmp_path, monkeypatch, dt_only):
     assert "fit" in calls and "rank" in calls
 
 
-def test_failed_stage_kills_worker(tmp_path, monkeypatch, dt_only):
-    pids = []
+def _recording_fork(monkeypatch, calls):
+    """Make os.fork append the worker's pid to calls in the parent."""
     fork = os.fork
 
     def recording_fork():
         pid = fork()
         if pid:
-            pids.append(pid)
+            calls.append(pid)
         return pid
 
+    monkeypatch.setattr(os, "fork", recording_fork)
+
+
+def test_reproduce_forks_before_mutate(tmp_path, monkeypatch, dt_only):
+    # the simulations start before the corpus is built
+    calls = []
+    _recording_fork(monkeypatch, calls)
+    build_corpus = mutate.build_corpus
+
+    def recording(*args, **kwargs):
+        calls.append("mutate")
+        return build_corpus(*args, **kwargs)
+
+    monkeypatch.setattr(mutate, "build_corpus", recording)
+    assert run_cli("reproduce", "--out", str(tmp_path / "bundle")) == 0
+    assert len(calls) == 2 and calls[1] == "mutate"
+
+
+def _failure_kills_worker(tmp_path, monkeypatch, owner, name, error):
+    """reproduce with owner.name raising error while the worker's
+    simulations wait: it exits 3, and its worker is killed and reaped
+    before it writes a simulation file."""
+    pids = []
+    _recording_fork(monkeypatch, pids)
     release = tmp_path / "release"
 
     def held_run(scenario, path):
@@ -785,9 +834,8 @@ def test_failed_stage_kills_worker(tmp_path, monkeypatch, dt_only):
             time.sleep(0.01)
         Path(path).write_text("late\n")
 
-    monkeypatch.setattr(os, "fork", recording_fork)
     monkeypatch.setattr(mgsim, "run_scenario", held_run)
-    monkeypatch.setattr(pca, "run_ablation", _raise(DataError("no sweep")))
+    monkeypatch.setattr(owner, name, _raise(error))
     bundle = tmp_path / "bundle"
     assert run_cli("reproduce", "--out", str(bundle)) == 3
     assert len(pids) == 1
@@ -796,6 +844,105 @@ def test_failed_stage_kills_worker(tmp_path, monkeypatch, dt_only):
     release.touch()
     time.sleep(0.3)
     assert not list(bundle.glob("sim_*.csv"))
+
+
+def test_failed_stage_kills_worker(tmp_path, monkeypatch, dt_only):
+    _failure_kills_worker(tmp_path, monkeypatch, pca, "run_ablation",
+                          DataError("no sweep"))
+
+
+def test_mutate_error_kills_worker(tmp_path, capsys, monkeypatch, dt_only):
+    _failure_kills_worker(tmp_path, monkeypatch, mutate, "build_corpus",
+                          AnchorNotFound("isr_block"))
+    err = capsys.readouterr().err
+    assert "stage mutate: anchor label 'isr_block'" in err
+    assert "Traceback" not in err
+
+
+def test_large_dataset_reaches_busy_worker(tmp_path, monkeypatch, dt_only):
+    # a --window 7 dataset pickles to several pipe buffers; the worker
+    # reads it only after its simulations, and those wait here until the
+    # parent has started training, so a parent that waited on the pipe
+    # would never get there
+    release = tmp_path / "release"
+    run_scenario, fit = mgsim.run_scenario, ml.fit
+
+    def held_run(scenario, path):
+        deadline = time.monotonic() + 20.0
+        while not release.exists():
+            if time.monotonic() > deadline:
+                raise DataError("the parent never started training")
+            time.sleep(0.01)
+        return run_scenario(scenario, path)
+
+    def releasing_fit(*args, **kwargs):
+        release.touch()
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(mgsim, "run_scenario", held_run)
+    monkeypatch.setattr(ml, "fit", releasing_fit)
+    bundle = tmp_path / "bundle"
+    assert run_cli("reproduce", "--window", "7", "--out", str(bundle)) == 0
+    ds = hpc.read_dataset_csv(bundle / "dataset.csv")
+    assert len(pickle.dumps(ds, pickle.HIGHEST_PROTOCOL)) > 4 * 65536
+    cli.validate_bundle(bundle)
+
+
+def test_worker_dying_before_reading_dataset(tmp_path):
+    # the parent's write to the dead worker's pipe fails quietly, and the
+    # worker's end is reported under its stage; a subprocess, because
+    # pytest would catch a traceback printed by the writing thread
+    code = ("import os, sys\n"
+            "from hpc_sentinel import cli, mgsim, ml\n"
+            "fit = ml.fit\n"
+            "ml.fit = lambda kind, train, seed=0, **hp: fit('dt', train)\n"
+            "mgsim.run_scenario = lambda *args, **kwargs: os._exit(9)\n"
+            "sys.exit(cli.main(['reproduce', '--window', '7', '--out', "
+            f"{str(tmp_path / 'bundle')!r}]))\n")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "stage simulate:" in proc.stderr
+    assert "exit status 9" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Exception" not in proc.stderr
+
+
+@pytest.mark.parametrize("stage,patch,code,words", [
+    ("rank", (pca, "rank_features", DegenerateCovariance("flat")), 3,
+     "flat"),
+    ("ablate", (pca, "run_ablation", NonFiniteLoss(5, float("nan"))), 4,
+     "epoch 5"),
+    ("train", (ml, "train_eval", DataError("no cell")), 3, "no cell"),
+], ids=["rank", "ablate", "train"])
+def test_parent_stage_errors_name_stage(tmp_path, capsys, monkeypatch,
+                                        dt_only, stage, patch, code, words):
+    owner, name, error = patch
+    parent, real = os.getpid(), getattr(owner, name)
+
+    def failing_in_parent(*args, **kwargs):  # the worker's share runs
+        if os.getpid() == parent:
+            raise error
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, failing_in_parent)
+    assert run_cli("reproduce", "--out", str(tmp_path / "bundle")) == code
+    err = capsys.readouterr().err
+    assert f"error: stage {stage}: " in err and words in err
+    assert "Traceback" not in err
+
+
+def test_single_class_train_split_names_stage(tmp_path, capsys):
+    # a window longer than every listing leaves one window per listing,
+    # the stratified split trains on malicious windows only, and
+    # balancing rejects that
+    assert run_cli("reproduce", "--seed", "3", "--window", "100000",
+                   "--out", str(tmp_path / "bundle")) == 3
+    err = capsys.readouterr().err
+    assert ("error: stage train: balancing needs both classes present"
+            in err)
+    assert "Traceback" not in err
 
 
 def test_reproduce_ablation_follows_split(tmp_path, monkeypatch, dt_only):
@@ -830,7 +977,7 @@ def test_text_before_fork_printed_once():
     # did not flush would be written again by a worker that flushes
     code = ("import sys\n"
             "from hpc_sentinel import cli\n"
-            "def work():\n"
+            "def work(receive):\n"
             "    print('worker')\n"
             "    sys.stdout.flush()\n"
             "print('before fork')\n"

@@ -138,7 +138,8 @@ def test_best_split_codes_matches_loop_per_node(nodes):
     codes, values, offsets = _kernels.rank_code(np.concatenate(xs).T)
     bins = np.broadcast_to(np.diff(offsets), (len(nodes), codes.shape[0]))
     col, lo, hi, found = _kernels.best_split_codes(
-        codes, np.concatenate(ys), [x.shape[0] for x in xs], bins)
+        codes, np.concatenate(ys), np.ones(codes.shape[1], dtype=np.int64),
+        [x.shape[0] for x in xs], bins)
     for i, (x, y) in enumerate(nodes):
         feats = np.arange(x.shape[1], dtype=np.int64)
         want = tuple(int(v) for v in best_split_loop(
@@ -150,6 +151,48 @@ def test_best_split_codes_matches_loop_per_node(nodes):
         assert (int(col[i]), thr, int(found[i])) == want, i
         assert tuple(int(v) for v in _kernels.best_split(x, y, feats)) \
             == want, i
+
+
+@st.composite
+def _weighted_batches(draw):
+    """Batches of _split_batches with a positive weight per row; the
+    weights of a heavy node lift its weighted size above
+    EXACT_SPLIT_LIMIT, whatever its row count."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    limit = _kernels.EXACT_SPLIT_LIMIT
+    nodes = []
+    for x, y in draw(_split_batches()):
+        n = x.shape[0]
+        w = rng.integers(1, 4, size=n)
+        if draw(st.booleans()):
+            w += limit // n
+        nodes.append((x, y, w))
+    return nodes
+
+
+def _heavy_node():
+    # 12 entries standing for about 25,000 rows, scored in float64
+    rng = np.random.default_rng(9)
+    x, y = _node(rng, 12, 3, "ties", "mixed")
+    return [(x, y, rng.integers(1500, 2700, size=12))]
+
+
+@given(_weighted_batches())
+@example(_heavy_node())
+@settings(max_examples=40, deadline=None)
+def test_weighted_split_equals_repeated_rows(nodes):
+    # an entry of weight w scores as w copies of its row, and the exact
+    # or float comparison follows the weighted node size
+    xs, ys, ws = zip(*nodes)
+    codes, _, offsets = _kernels.rank_code(np.concatenate(xs).T)
+    bins = np.broadcast_to(np.diff(offsets), (len(nodes), codes.shape[0]))
+    y, w = np.concatenate(ys), np.concatenate(ws)
+    got = _kernels.best_split_codes(codes, y, w, [len(v) for v in ys], bins)
+    want = _kernels.best_split_codes(
+        np.repeat(codes, w, axis=1), np.repeat(y, w),
+        np.ones(int(w.sum()), dtype=np.int64), [int(v.sum()) for v in ws],
+        bins)
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
 
 
 # --- flattened prediction against a per-row walk -----------------------------

@@ -1,5 +1,6 @@
 """Microgrid dynamics against closed-form and grid-sweep oracles."""
 
+import csv
 import json
 import math
 
@@ -460,3 +461,29 @@ def test_step_replay_table_stays_bounded(monkeypatch):
     got = _kernels.simulate_core(*args, replay=replay)
     assert replay.largest == 16
     assert got.tobytes() == reference_simulate_core(*args).tobytes()
+
+
+def test_states_csv_equals_csv_writer(tmp_path):
+    # the line writer gives csv.writer's bytes: CRLF lines, floats as
+    # repr (signed zeros, subnormals, non-finite values), flags as 0/1
+    trace = mgsim.run_scenario(mgsim.named_scenario("input_sine"))
+    odd = [0.0, -0.0, 5e-324, -1.5e300, math.inf, -math.inf, math.nan,
+           1 / 3, 60.000000001]
+    cols = {name: getattr(trace, name).copy() for name in mgsim.CSV_COLUMNS}
+    for i, name in enumerate(mgsim.CSV_COLUMNS[1:-2]):
+        cols[name][:len(odd)] = np.roll(odd, i)
+    cols["time_s"][:3] = [1e-7, 2.5e-7, 123456.0000005]
+    cols["mppt_enabled"][::7] = False
+    trace = mgsim.MgTrace(**cols)
+    mgsim.write_states_csv(trace, tmp_path / "lines.csv")
+    with open(tmp_path / "writer.csv", "w", newline="",
+              encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(mgsim.CSV_COLUMNS)
+        w.writerows(zip(map("{:.6f}".format, trace.time_s.tolist()),
+                        *(getattr(trace, name).tolist()
+                          for name in mgsim.CSV_COLUMNS[1:-2]),
+                        *(getattr(trace, name).astype(int).tolist()
+                          for name in mgsim.CSV_COLUMNS[-2:])))
+    assert ((tmp_path / "lines.csv").read_bytes()
+            == (tmp_path / "writer.csv").read_bytes())

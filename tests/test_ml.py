@@ -301,6 +301,63 @@ def test_rf_trees_taking_several_feature_blocks_match_reference(
         assert [_tree_columns(t) for t in forest.trees] == want, nodes
 
 
+def _rows_dataset(duplicated):
+    """A heavily duplicated dataset (9 counter patterns over 180 rows, a
+    tenth of the copies relabeled, so some patterns carry both labels) or
+    one whose 90 rows are all distinct (values up to 10^6, so the rows'
+    codes need several packed sort keys)."""
+    rng = np.random.default_rng(21)
+    if duplicated:
+        pick = rng.integers(0, 9, size=180)
+        X = rng.integers(0, 4, size=(9, 30))[pick]
+        y = (pick % 3 == 0) ^ (rng.random(180) < 0.1)
+    else:
+        X = rng.integers(0, 10**6, size=(90, 30))
+        y = rng.integers(0, 2, size=90)
+    return make_dataset(X, y.astype(np.int64))
+
+
+@pytest.mark.parametrize("duplicated", [True, False],
+                         ids=["duplicated", "distinct"])
+def test_trees_on_duplicated_and_distinct_rows_match_reference(duplicated):
+    # trees grown on distinct rows weighted by multiplicity equal the
+    # reference grown on every copy
+    d = _rows_dataset(duplicated)
+    X, y = d.matrix(), d.labels()
+    distinct = len({(tuple(row), label)
+                    for row, label in zip(X.tolist(), y.tolist())})
+    assert distinct <= 18 if duplicated else distinct == len(y)
+    want_dt = _recursive_tree(X, y, np.arange(len(y)),
+                              np.random.default_rng(0), X.shape[1])
+    assert _tree_columns(ml.train_dt(d)) == want_dt
+    want_rf = []
+    for child in np.random.SeedSequence(8).spawn(6):
+        tree_rng = np.random.default_rng(child)
+        boot = tree_rng.integers(0, len(y), size=len(y))
+        want_rf.append(_recursive_tree(X, y, boot, tree_rng, 6))
+    assert max(len(t[0]) for t in want_rf) > 5
+    forest = ml.train_rf(d, n_trees=6, seed=8)
+    assert [_tree_columns(t) for t in forest.trees] == want_rf
+
+
+def test_row_groups_join_exactly_equal_rows():
+    # 40 columns of three or four values pack into two sort keys; copies
+    # changed in one column, or only in their label, form groups of their
+    # own
+    rng = np.random.default_rng(4)
+    X = rng.integers(0, 3, size=(12, 40))[rng.integers(0, 12, size=400)]
+    X[rng.integers(0, 400, size=30), rng.integers(0, 40, size=30)] += 1
+    y = rng.integers(0, 2, size=400)
+    codes, _, offsets = _kernels.rank_code(X.T)
+    bins = np.diff(offsets)
+    assert np.prod(bins.astype(float)) > 2.0**62
+    group, first = ml._row_groups(codes, bins, y)
+    keys = [(tuple(row), label) for row, label in zip(X.tolist(), y.tolist())]
+    assert len(first) == len(set(keys))
+    for i in range(400):
+        assert keys[first[group[i]]] == keys[i]
+
+
 def _wide_values_dataset(seed, n=60):
     """Columns whose rank codes differ from their values: negative,
     +-10^6, near +-2^60, constant, and small of both signs."""
@@ -343,15 +400,21 @@ def test_trees_on_wide_values_match_recursive_reference(monkeypatch):
     nodes_per_call = []
     kernel = _kernels.best_split_codes
 
-    def counting(codes, y, sizes, bins):
+    def counting(codes, y, weights, sizes, bins):
         nodes_per_call.append(len(sizes))
-        return kernel(codes, y, sizes, bins)
+        return kernel(codes, y, weights, sizes, bins)
 
     monkeypatch.setattr(_kernels, "best_split_codes", counting)
     max_bins = max(len(set(col)) for col in X.T.tolist())
+    searched = sum(1 for c0, c1 in want_dt[4] if c0 and c1)
     for cap, most in ((ml.SPLIT_BATCH_ENTRIES, 8), (m * max_bins, 1)):
         monkeypatch.setattr(ml, "SPLIT_BATCH_ENTRIES", cap)
+        nodes_per_call.clear()
         assert _tree_columns(ml.train_dt(d)) == want_dt
+        # the decision tree searches its pending nodes together, as far
+        # as the cap lets it
+        assert sum(nodes_per_call) == searched
+        assert (len(nodes_per_call) < searched) == (most > 1), cap
         nodes_per_call.clear()
         forest = ml.train_rf(d, n_trees=8, seed=2)
         assert [_tree_columns(t) for t in forest.trees] == want_rf
