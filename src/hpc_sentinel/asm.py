@@ -7,7 +7,7 @@ anything absent from the table counts as Other.
 
 parse_listing goes from text straight to a Listing: one int64 category
 code per instruction plus a tally of the skipped lines, with no per-line
-object.
+object and one regex scan per listing.
 """
 
 import enum
@@ -141,6 +141,13 @@ class CategoryMap:
 # str.strip use the same whitespace set and a mnemonic cannot hold ";".
 _LINE_RE = re.compile(
     r"\s*([0-9a-fA-F]+)\s+([0-9a-fA-F]+)\s+([^\s;]+)([^;]*)")
+# The same fields scanned over a whole listing whose lines are joined by
+# "\n": [^\S\n] is \s within a line, and every line is consumed through
+# its end, so group 1 is a line's mnemonic, or "" when _LINE_RE would not
+# match it.
+_SCAN_RE = re.compile(
+    r"^(?:[^\S\n]*[0-9a-fA-F]+[^\S\n]+[0-9a-fA-F]+[^\S\n]+([^\s;]+))?"
+    r"[^\n]*", re.MULTILINE)
 _LABEL_RE = re.compile(r"^[A-Za-z_.$]\w*:$")
 
 SKIP_KINDS = ("blank", "comment", "label", "directive", "unrecognized")
@@ -183,13 +190,15 @@ def parse_listing(text, cmap=None):
     code_of = {m: c.code for m, c in cmap.categories.items()}
     other = InstructionCategory.OTHER.code
     skipped = dict.fromkeys(SKIP_KINDS, 0)
-    codes = []
-    match = _LINE_RE.match
-    for raw_line in text.splitlines():
-        m = match(raw_line)
-        if m is not None and m[3][0] != ".":
-            codes.append(code_of.get(m[3].upper(), other))
-            continue
-        kind = "directive" if m is not None else _noncode_kind(raw_line)
-        skipped[kind] += 1
-    return Listing(codes=np.array(codes, dtype=np.int64), skipped=skipped)
+    lines = text.splitlines()
+    # "\n".join of no lines is "", which scans as one empty line
+    found = _SCAN_RE.findall("\n".join(lines)) if lines else []
+    # Each distinct mnemonic is looked up once: its category code, -1 for
+    # a line that holds no instruction, -2 for a data word.
+    code = {m: -1 if not m else -2 if m[0] == "."
+            else code_of.get(m.upper(), other) for m in set(found)}
+    codes = np.fromiter(map(code.__getitem__, found), np.int64, len(found))
+    for i in np.flatnonzero(codes == -1).tolist():
+        skipped[_noncode_kind(lines[i])] += 1
+    skipped["directive"] += int(np.count_nonzero(codes == -2))
+    return Listing(codes=codes[codes >= 0], skipped=skipped)

@@ -5,6 +5,13 @@ report, and the end-to-end reproduce pipeline. Exit codes: 0 success,
 2 usage error, 3 data error, 4 numeric divergence. Every subcommand is
 deterministic given its inputs, flags and --seed.
 
+Each command imports only the modules it runs, on top of asm, hpc,
+_kernels, errors and names, which building the parser loads: extract
+loads no other; mutate loads mutate; train and eval load ml; rank and
+ablate load pca and ml; simulate loads mgsim; report loads none; and
+reproduce loads them all before it forks. Every call is a fresh process,
+so a module a command does not run is not compiled or executed for it.
+
 reproduce makes one worker process with os.fork before mutate. The
 worker runs the five simulations while the parent mutates and extracts,
 then receives the dataset over a pipe and runs the decision-tree and
@@ -21,9 +28,10 @@ import math
 import sys
 from pathlib import Path
 
-from . import _kernels, hpc, mgsim, ml, mutate, pca
+from . import hpc
 from .asm import SKIP_KINDS, CategoryMap, parse_listing
 from .errors import DataError, NumericError, SentinelError
+from .names import SCENARIO_NAMES, AttackKind
 
 
 class UsageError(Exception):
@@ -63,8 +71,6 @@ def cmd_extract(args) -> int:
         raise UsageError("--label malicious requires --attack")
     if args.label == "benign" and args.attack:
         raise UsageError("--attack is only valid with --label malicious")
-    if args.window < 1:
-        raise UsageError("--window must be >= 1")
     cmap = _load_map(args.map)
     runs = []
     skipped = dict.fromkeys(SKIP_KINDS, 0)
@@ -86,8 +92,9 @@ def cmd_extract(args) -> int:
 # --- mutate -------------------------------------------------------------------
 
 def cmd_mutate(args) -> int:
+    from . import mutate
     base = _read_text(args.base, "mutate")
-    kind = mutate.AttackKind.from_name(args.attack)
+    kind = AttackKind.from_name(args.attack)
     if args.template:
         template = _read_json(args.template, "mutate",
                               mutate.InjectionTemplate.from_json)
@@ -106,11 +113,9 @@ def cmd_mutate(args) -> int:
 # --- train / eval -------------------------------------------------------------
 
 def cmd_train(args) -> int:
+    from . import ml
     if not 0.0 < args.split < 1.0:
         raise UsageError("--split must lie in (0, 1)")
-    for flag in ("trees", "hidden", "epochs"):
-        if getattr(args, flag) < 1:
-            raise UsageError(f"--{flag} must be >= 1")
     if not (math.isfinite(args.lr) and args.lr > 0.0):
         raise UsageError("--lr must be a finite number > 0")
     ds = hpc.read_dataset_csv(args.data)
@@ -126,6 +131,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import ml
     model = ml.load_model(Path(args.model))
     ds = hpc.read_dataset_csv(args.data).project(model.feature_names)
     report = ml.evaluate(model, ds)
@@ -140,6 +146,7 @@ def cmd_eval(args) -> int:
 # --- rank / ablate ------------------------------------------------------------
 
 def cmd_rank(args) -> int:
+    from . import pca
     if args.components < 1:
         raise UsageError("--components must be >= 1")
     ds = hpc.read_dataset_csv(args.data)
@@ -155,6 +162,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    from . import pca
     ds = hpc.read_dataset_csv(args.data)
     specs = [s for s in pca.all_specs() if args.exclusions == "all"
              or len(s.excluded) == int(args.exclusions)]
@@ -168,6 +176,7 @@ def cmd_ablate(args) -> int:
 # --- simulate -----------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
+    from . import mgsim
     if args.scenario_file:
         scenario = _read_json(args.scenario_file, "simulate",
                               mgsim.Scenario.from_json)
@@ -319,7 +328,7 @@ BUNDLE_ASM = ("benign.asm", "mppt_dos.asm", "inverter_dos.asm",
 BUNDLE_MODELS = ("dt_unbalanced.json", "rf_unbalanced.json",
                  "nn_unbalanced.json", "dt_balanced.json",
                  "rf_balanced.json", "nn_balanced.json")
-BUNDLE_SIMS = tuple(f"sim_{n}.csv" for n in mgsim.SCENARIO_NAMES)
+BUNDLE_SIMS = tuple(f"sim_{n}.csv" for n in SCENARIO_NAMES)
 BUNDLE_FILES = (BUNDLE_ASM + ("dataset.csv",) + BUNDLE_MODELS
                 + ("ranking.json", "ablation.csv") + BUNDLE_SIMS
                 + ("summary.md",))
@@ -348,6 +357,7 @@ def _ablation_table(rows) -> list:
 
 def _train_eval_all(ds, seed, balanced: bool, train_fraction: float = 0.7):
     """Every model kind through ml.train_eval, each on its own seed."""
+    from . import ml
     return {kind: ml.train_eval(kind, ds,
                                 ml.derive_seed(seed, int(balanced), i),
                                 train_fraction, balanced)
@@ -363,8 +373,9 @@ def _split_label(train_fraction: float) -> str:
 def _simulate_bundle(out):
     """The five named scenarios into the bundle's sim_*.csv files; returns
     (name, mean pv, min f, max f, final kWh) per scenario."""
+    from . import mgsim
     sim_stats = []
-    for name, fname in zip(mgsim.SCENARIO_NAMES, BUNDLE_SIMS):
+    for name, fname in zip(SCENARIO_NAMES, BUNDLE_SIMS):
         trace = mgsim.run_scenario(mgsim.named_scenario(name), out / fname)
         sim_stats.append((name, trace.pv_kw.mean(), trace.freq_hz.min(),
                           trace.freq_hz.max(), trace.ess_kwh[-1]))
@@ -532,8 +543,6 @@ def _stage(name):
 
 
 def cmd_reproduce(args) -> int:
-    if args.window < 1:
-        raise UsageError("--window must be >= 1")
     if not 0.0 < args.split < 1.0:
         raise UsageError("--split must lie in (0, 1)")
     if not 1 <= args.components <= len(hpc.FEATURE_NAMES):
@@ -544,12 +553,14 @@ def cmd_reproduce(args) -> int:
     seed = args.seed
     cmap = _load_map(args.map)
 
-    # Forked before mutate, so before this process's first BLAS call (ml
-    # and pca make them) and before send() starts its thread: the
+    # Imported before the fork, so that the worker does not import them
+    # again. Forked before mutate, so before this process's first BLAS
+    # call (ml and pca make them) and before send() starts its thread: the
     # worker's own numpy work is safe even where numpy's BLAS starts
     # threads in this process. The worker runs the simulations while this
     # process mutates and extracts, then receives ds and runs the
     # WORKER_MODELS cells of the class-elimination sweep.
+    from . import mgsim, ml, mutate, pca  # noqa: F401
     with _Forked([
             ("simulate", lambda receive: _simulate_bundle(out)),
             ("ablate", lambda receive: pca.run_ablation(
@@ -563,6 +574,7 @@ def _reproduce_stages(args, out: Path, cmap, worker: _Forked) -> int:
     `worker` after extract, runs the PARENT_MODELS cells of the
     class-elimination sweep, and joins the simulations and the other
     cells from `worker` at the simulate stage."""
+    from . import _kernels, ml, mutate, pca
     seed = args.seed
 
     with _stage("mutate"):
@@ -571,7 +583,7 @@ def _reproduce_stages(args, out: Path, cmap, worker: _Forked) -> int:
         else:
             base = mutate.synth_base_listing(seed=seed)
         corpus = mutate.build_corpus(base, seed=seed, cmap=cmap)
-        ids = ["benign"] + [k.value for k in mutate.AttackKind]
+        ids = ["benign"] + [k.value for k in AttackKind]
         for fid, fname in zip(ids, BUNDLE_ASM):
             (out / fname).write_text(corpus[fid], encoding="utf-8")
 
@@ -700,7 +712,7 @@ def validate_bundle(bundle_dir, seed: int = 0) -> dict:
                 "dataset_rows": rows("dataset.csv"),
                 "ablation_rows": rows("ablation.csv"),
                 "sim_rows": {n: rows(f"sim_{n}.csv")
-                             for n in mgsim.SCENARIO_NAMES}}
+                             for n in SCENARIO_NAMES}}
     checks = [("dataset_rows >= 10", manifest["dataset_rows"] >= 10),
               ("ablation_rows == 45", manifest["ablation_rows"] == 45)]
     checks += [(f"sim_rows[{n}] >= 100", r >= 100)
@@ -726,14 +738,14 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--window", type=int, default=hpc.DEFAULT_WINDOW)
     q.add_argument("--label", choices=("benign", "malicious"),
                    required=True)
-    q.add_argument("--attack", choices=[k.value for k in mutate.AttackKind])
+    q.add_argument("--attack", choices=[k.value for k in AttackKind])
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_extract)
 
     q = sub.add_parser("mutate", help="inject an attack payload")
     q.add_argument("--base", required=True)
     q.add_argument("--attack", required=True,
-                   choices=[k.value for k in mutate.AttackKind])
+                   choices=[k.value for k in AttackKind])
     q.add_argument("--template", help="custom template JSON")
     q.add_argument("--map", help="category map JSON (default: built-in)")
     q.add_argument("--seed", type=int, default=0)
@@ -776,7 +788,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("simulate", help="run a microgrid scenario")
     g = q.add_mutually_exclusive_group(required=True)
-    g.add_argument("--scenario", choices=mgsim.SCENARIO_NAMES)
+    g.add_argument("--scenario", choices=SCENARIO_NAMES)
     g.add_argument("--scenario-file")
     q.add_argument("--pno-variant", choices=("literal", "symmetric"))
     q.add_argument("--out", required=True)
@@ -800,9 +812,30 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Bounds [low, high] of the integer flags, high None for no bound, checked
+# before any command runs. A window indexes int64 instruction positions
+# in _kernels.window_counts, and numpy seeds its generators from
+# non-negative ints only.
+FLAG_BOUNDS = {"seed": (0, None), "window": (1, hpc.MAX_WINDOW),
+               "trees": (1, None), "hidden": (1, None), "epochs": (1, None)}
+
+
+def _check_flag_bounds(args):
+    """UsageError naming the first integer flag outside FLAG_BOUNDS."""
+    for flag, (low, high) in FLAG_BOUNDS.items():
+        value = getattr(args, flag, None)
+        if value is None:
+            continue
+        if high is None and value < low:
+            raise UsageError(f"--{flag} must be >= {low}")
+        if high is not None and not low <= value <= high:
+            raise UsageError(f"--{flag} must lie in [{low}, {high}]")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_flag_bounds(args)
         return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -15,6 +15,9 @@ from . import _kernels
 from .errors import DataError, InconsistentFeatures
 
 DEFAULT_WINDOW = 50
+# The longest window: _kernels.window_counts divides int64 instruction
+# indices by it.
+MAX_WINDOW = 2**63 - 1
 
 _CLASS_SYMBOLS = "ablns"  # code order
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import _kernels
+from .names import SCENARIO_NAMES
 
 NOMINAL_HZ = 60.0
 
@@ -360,10 +361,6 @@ def write_states_csv(trace: MgTrace, path):
     lines = [",".join(CSV_COLUMNS), *map(",".join, zip(*columns)), ""]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("\r\n".join(lines))
-
-
-SCENARIO_NAMES = ("nominal", "mppt_dos", "inverter_dos", "input_sine",
-                  "input_sine_fast")
 
 
 def named_scenario(name: str) -> Scenario:

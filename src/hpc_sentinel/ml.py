@@ -256,14 +256,20 @@ def _predict_trees(trees, X) -> np.ndarray:
     """Strict-majority vote of the trees on each row of X; a tied vote
     stays benign, and a tree of one votes its leaf's majority.
 
-    The trees' nodes are concatenated into one table, leaves pointing at
-    themselves, and each numpy step moves a block of (row, tree) pairs
-    one level down, as in QuickScorer's flattened traversal.
+    Each distinct row of X is traversed once (_groups) and its vote
+    copied to the rows equal to it. The trees' nodes are concatenated
+    into one table, leaves pointing at themselves, and each numpy step
+    moves a block of (row, tree) pairs one level down, as in
+    QuickScorer's flattened traversal.
     """
     X = np.asarray(X)
-    out = np.zeros(X.shape[0], dtype=np.int64)
     if not trees:
-        return out
+        return np.zeros(X.shape[0], dtype=np.int64)
+    # rows of no columns are all the same row, and lexsort needs a key
+    keys = X.T if X.shape[1] else np.zeros((1, X.shape[0]), dtype=np.int64)
+    group, first = _groups(keys)
+    X = X[first]
+    out = np.zeros(X.shape[0], dtype=np.int64)
     sizes = [t.n_nodes for t in trees]
     roots = np.cumsum(sizes) - sizes
     offset = np.repeat(roots, sizes)
@@ -288,7 +294,7 @@ def _predict_trees(trees, X) -> np.ndarray:
             node = np.where(go_left, left[node], right[node])
         votes = vote[node].reshape(-1, n_trees).sum(axis=1)
         out[lo:lo + step] = 2 * votes > n_trees
-    return out
+    return out[group]
 
 
 class _GrowingTree:
@@ -372,13 +378,12 @@ def _draw_feature_subsets(rngs, n_total, n_feats):
 
 
 def _row_groups(codes, n_bins, y):
-    """Groups of equal samples: codes holds the samples' rank codes by
-    feature, feature j taking n_bins[j] codes, and y their labels.
-    Returns each sample's group id and one sample of each group.
+    """Groups of equal samples (_groups): codes holds the samples' rank
+    codes by feature, feature j taking n_bins[j] codes, and y their
+    labels. Returns each sample's group id and one sample of each group.
 
     The codes of several features pack into one int64 key by mixed radix,
-    and the few keys are lexsorted (np.unique would import numpy.ma,
-    about 1.6 MB)."""
+    so that few keys are lexsorted."""
     keys, key, span = [], y, 2
     for col, bins in zip(codes, n_bins.tolist()):
         if span * bins > 2**62:
@@ -388,6 +393,16 @@ def _row_groups(codes, n_bins, y):
             key = key * bins + col
             span *= bins
     keys.append(key)
+    return _groups(keys)
+
+
+def _groups(keys):
+    """Groups of the samples equal on every key, keys a sequence of
+    arrays over the samples. Returns each sample's group id and one
+    sample of each group.
+
+    The keys are lexsorted, and a group starts wherever a key changes
+    (np.unique would import numpy.ma, about 1.6 MB)."""
     order = np.lexsort(keys)
     new = np.zeros(order.shape[0], dtype=bool)
     new[:1] = True

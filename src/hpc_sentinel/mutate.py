@@ -8,7 +8,6 @@ stands in for the real disassembly; any user listing with the anchor
 labels works too.
 """
 
-import enum
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -17,23 +16,10 @@ import numpy as np
 
 from .asm import _LINE_RE, CategoryMap, parse_listing
 from .errors import AnchorNotFound, EmptyPayload, PayloadUnparsable
+from .names import AttackKind
 
 # Section labels a base listing must expose for the shipped templates.
 ANCHORS = ("isr_block", "sensor_read", "mppt_entry")
-
-
-class AttackKind(enum.Enum):
-    MPPT_DOS = "mppt_dos"
-    INVERTER_DOS = "inverter_dos"
-    INPUT_ARRAY = "input_array"
-    INPUT_SINE = "input_sine"
-
-    @classmethod
-    def from_name(cls, name: str) -> "AttackKind":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown attack kind {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -260,9 +246,21 @@ _SECTION_COMMENTS = {
 }
 
 
+# Bounds [low, high) of the six draws each synthetic instruction takes, in
+# draw order: the {imm}, {small}, {bit}, {ar} and {n} operand fields (all
+# drawn whether or not its motif uses them), then the opcode word.
+_DRAW_BOUNDS = ((0, 1 << 16), (1, 16), (0, 16), (0, 8), (0, 4), (0, 1 << 16))
+
+
 def synth_base_listing(seed: int = 0) -> str:
-    """Deterministic stand-in for a disassembled microinverter firmware."""
+    """Deterministic stand-in for a disassembled microinverter firmware.
+
+    One integers call takes every instruction's draws, the bounds tiled;
+    it gives the values that six scalar calls per instruction would."""
     rng = np.random.default_rng([seed, 0x5EC7])
+    n = sum(count for _, count in _SECTION_PLAN)
+    lows, highs = np.tile(np.array(_DRAW_BOUNDS).T, n)
+    draws = iter(rng.integers(lows, highs).reshape(n, -1).tolist())
     lines = ["; solar microinverter control firmware (synthetic listing)",
              "    .text"]
     addr = 0x8000
@@ -272,12 +270,9 @@ def synth_base_listing(seed: int = 0) -> str:
         lines.append(f"{section}:")
         for k in range(count):
             mnemonic, opnds = motif[k % MOTIF_LEN]
-            text = opnds.format(imm=f"0x{int(rng.integers(0, 1 << 16)):04x}",
-                                small=int(rng.integers(1, 16)),
-                                bit=int(rng.integers(0, 16)),
-                                ar=int(rng.integers(0, 8)),
-                                n=int(rng.integers(0, 4)))
-            opcode = int(rng.integers(0, 1 << 16))
+            imm, small, bit, ar, n_sel, opcode = next(draws)
+            text = opnds.format(imm=f"0x{imm:04x}", small=small, bit=bit,
+                                ar=ar, n=n_sel)
             sep = "  " + text if text else ""
             lines.append(f"{addr:06x} {opcode:04x} {mnemonic}{sep}")
             addr += 1

@@ -18,7 +18,7 @@ def oracle_parse(text, cmap=None):
     """Reference parse, one rule at a time on each comment-stripped line.
 
     Returns the category codes of the instructions and the skipped-line
-    tally. Written apart from the library's single-match parser; kept
+    tally. Written apart from the library's one-scan parser; kept
     dumb on purpose.
     """
     cmap = cmap or CategoryMap.default()

@@ -270,6 +270,89 @@ def test_usage_errors_exit_2(tmp_path, corpus_csv):
         assert not (tmp_path / "m.json").exists(), (flag, value)
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("extract", "--window", str(10**21)),
+    ("extract", "--window", str(2**63)),
+    ("reproduce", "--window", str(10**21)),
+    ("mutate", "--seed", "-1"),
+    ("train", "--seed", "-1"),
+    ("ablate", "--seed", "-1"),
+    ("reproduce", "--seed", "-1"),
+])
+def test_flag_bounds_exit_2_naming_flag(tmp_path, capsys, command, flag,
+                                        value):
+    # checked before any work: the input files need not exist
+    missing = str(tmp_path / "missing")
+    rest = {"extract": ["--label", "benign", missing],
+            "mutate": ["--base", missing, "--attack", "mppt_dos"],
+            "train": ["--model", "dt", "--data", missing],
+            "ablate": ["--data", missing],
+            "reproduce": []}[command]
+    out = tmp_path / "out"
+    assert run_cli(command, *rest, flag, value, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"usage error: {flag} must" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_largest_window_runs(tmp_path, base_asm):
+    out = tmp_path / "w.csv"
+    assert run_cli("extract", "--label", "benign", "--window",
+                   str(hpc.MAX_WINDOW), "--out", str(out),
+                   str(base_asm)) == 0
+    assert len(out.read_text().splitlines()) == 2   # one partial window
+
+
+def test_parser_choices_are_the_library_names():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+
+    def choices(command, dest):
+        action = next(a for a in sub.choices[command]._actions
+                      if a.dest == dest)
+        return list(action.choices)
+
+    kinds = [k.value for k in AttackKind]
+    assert choices("extract", "attack") == kinds
+    assert choices("mutate", "attack") == kinds
+    assert choices("simulate", "scenario") == list(mgsim.SCENARIO_NAMES)
+    assert cli.BUNDLE_SIMS == tuple(f"sim_{n}.csv"
+                                    for n in mgsim.SCENARIO_NAMES)
+
+
+def _modules_after(argv):
+    """The hpc_sentinel modules a fresh interpreter holds after cli.main
+    runs argv."""
+    code = ("import json, sys\n"
+            "from hpc_sentinel import cli\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "print(json.dumps([m for m in sys.modules\n"
+            "                  if m.startswith('hpc_sentinel.')]))\n")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_extract_and_eval_load_only_what_they_run(tmp_path, base_asm,
+                                                  corpus_csv):
+    out = tmp_path / "x.csv"
+    loaded = _modules_after(["extract", "--label", "benign", "--out",
+                             str(out), str(base_asm)])
+    assert not loaded & {"hpc_sentinel.ml", "hpc_sentinel.mgsim",
+                         "hpc_sentinel.mutate", "hpc_sentinel.pca"}
+    model = tmp_path / "dt.json"
+    assert run_cli("train", "--model", "dt", "--data", str(corpus_csv),
+                   "--out", str(model)) == 0
+    loaded = _modules_after(["eval", "--model", str(model), "--data",
+                             str(corpus_csv), "--out",
+                             str(tmp_path / "r.json")])
+    assert "hpc_sentinel.ml" in loaded
+    assert not loaded & {"hpc_sentinel.mgsim", "hpc_sentinel.mutate",
+                         "hpc_sentinel.pca"}
+
+
 def test_rank_components_range(tmp_path, capsys, corpus_csv):
     out = tmp_path / "ranking.json"
     # below 1 is refused before the data is read, so a missing file

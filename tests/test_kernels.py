@@ -177,8 +177,20 @@ def _heavy_node():
     return [(x, y, rng.integers(1500, 2700, size=12))]
 
 
+def _overflowing_node():
+    # 8 entries standing for 84,702 rows: exact int64 scoring would
+    # overflow there (n^4 > 2^63) and cut column 1 between its codes 2
+    # and 3 instead of 1 and 2, the float (and true) best
+    x = np.array([[0, 1, 3], [3, 2, 0], [1, 0, 0], [2, 1, 0], [3, 3, 3],
+                  [0, 2, 2], [0, 1, 0], [1, 3, 3]], dtype=np.int64)
+    y = np.array([0, 1, 1, 1, 1, 1, 1, 1], dtype=np.int64)
+    w = np.array([19698, 5999, 3719, 668, 18986, 14573, 6151, 14908])
+    return [(x, y, w)]
+
+
 @given(_weighted_batches())
 @example(_heavy_node())
+@example(_overflowing_node())
 @settings(max_examples=40, deadline=None)
 def test_weighted_split_equals_repeated_rows(nodes):
     # an entry of weight w scores as w copies of its row, and the exact
@@ -234,20 +246,51 @@ def _walk_vote(trees, X):
     return [int(2 * v > len(trees)) for v in votes]
 
 
-@pytest.mark.parametrize("n_trees,n_rows,block", [
-    (1, 2 * ml.PREDICT_BLOCK_PAIRS + 5, ml.PREDICT_BLOCK_PAIRS),
-    (7, 3000, ml.PREDICT_BLOCK_PAIRS),
-    (20, 9, 16),    # more trees than pairs per block: one row per block
+def _predict_rows(rng, n_rows, rows):
+    """n_rows rows over the 4 features the trees read: "distinct" rows
+    (a fifth column, read by no tree, tells them apart), rows drawn from
+    5 distinct ones ("repeated"), or one row repeated ("equal")."""
+    if rows == "distinct":
+        X = rng.integers(0, 10, size=(n_rows, 4))
+        return np.column_stack([X, np.arange(n_rows)])
+    pool = rng.integers(0, 10, size=(5 if rows == "repeated" else 1, 4))
+    return pool[rng.integers(0, pool.shape[0], size=n_rows)]
+
+
+_BLOCK = ml.PREDICT_BLOCK_PAIRS
+
+
+@pytest.mark.parametrize("n_trees,n_rows,block,rows", [
+    pytest.param(1, 2 * _BLOCK + 5, _BLOCK, "distinct",
+                 id=f"1-{2 * _BLOCK + 5}-{_BLOCK}"),
+    pytest.param(7, 3000, _BLOCK, "distinct", id=f"7-3000-{_BLOCK}"),
+    # more trees than pairs per block: one row per block
+    pytest.param(20, 9, 16, "distinct", id="20-9-16"),
+    (7, 3000, _BLOCK, "repeated"),
+    (20, 40, 16, "repeated"),
+    (1, 50, _BLOCK, "equal"),
+    (7, 50, 16, "equal"),
+    (7, 1, _BLOCK, "equal"),    # a single row
 ])
 def test_flattened_predict_matches_row_walk(monkeypatch, n_trees, n_rows,
-                                            block):
+                                            block, rows):
+    # each distinct row is walked once, in blocks of distinct rows
     monkeypatch.setattr(ml, "PREDICT_BLOCK_PAIRS", block)
     rng = np.random.default_rng(n_trees)
     trees = [_random_tree(rng, 4, 6) for _ in range(n_trees)]
-    X = rng.integers(0, 10, size=(n_rows, 4))
+    X = _predict_rows(rng, n_rows, rows)
     want = _walk_vote(trees, X)
     forest = ml.RandomForestModel(trees=trees,
                                   feature_names=trees[0].feature_names)
     assert forest.predict(X).tolist() == want
     if n_trees == 1:
         assert trees[0].predict(X).tolist() == want
+
+
+def test_predict_rows_without_columns():
+    # a model of no features is one leaf, and every row is the same row
+    leaf = ml.DecisionTreeModel(
+        feature=np.array([-1]), threshold=np.array([0]),
+        left=np.array([-1]), right=np.array([-1]),
+        counts=np.array([[1, 2]]), feature_names=())
+    assert leaf.predict(np.zeros((3, 0), dtype=np.int64)).tolist() == [1] * 3

@@ -7,9 +7,12 @@ have nothing to learn from.
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hpc_sentinel import hpc
+from hpc_sentinel import hpc, mutate
 from hpc_sentinel.asm import CategoryMap, parse_listing
 from hpc_sentinel.errors import AnchorNotFound, EmptyPayload, PayloadUnparsable
 from hpc_sentinel.mutate import (ANCHORS, AttackKind, InjectionTemplate,
@@ -20,6 +23,38 @@ from hpc_sentinel.mutate import (ANCHORS, AttackKind, InjectionTemplate,
 @pytest.fixture(scope="module")
 def base():
     return synth_base_listing(seed=3)
+
+
+def scalar_synth_base_listing(seed):
+    """Reference synthetic listing: six scalar integers calls per
+    instruction, in the order the operand fields and the opcode word are
+    written."""
+    rng = np.random.default_rng([seed, 0x5EC7])
+    lines = ["; solar microinverter control firmware (synthetic listing)",
+             "    .text"]
+    addr = 0x8000
+    for section, count in mutate._SECTION_PLAN:
+        motif = mutate._SECTION_MOTIFS[section]
+        lines.append(f"; --- {mutate._SECTION_COMMENTS[section]} ---")
+        lines.append(f"{section}:")
+        for k in range(count):
+            mnemonic, opnds = motif[k % mutate.MOTIF_LEN]
+            text = opnds.format(imm=f"0x{int(rng.integers(0, 1 << 16)):04x}",
+                                small=int(rng.integers(1, 16)),
+                                bit=int(rng.integers(0, 16)),
+                                ar=int(rng.integers(0, 8)),
+                                n=int(rng.integers(0, 4)))
+            opcode = int(rng.integers(0, 1 << 16))
+            sep = "  " + text if text else ""
+            lines.append(f"{addr:06x} {opcode:04x} {mnemonic}{sep}")
+            addr += 1
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.one_of(st.integers(0, 2**16), st.integers(0, 2**128)))
+def test_synth_base_listing_matches_scalar_draws(seed):
+    assert synth_base_listing(seed) == scalar_synth_base_listing(seed)
 
 
 def test_attack_kind_round_trip():
