@@ -67,8 +67,12 @@ def window_counts(cats, window):
 # bit-deterministic and makes the documented tie-break (lowest feature index,
 # then lowest threshold) exact. int64 products reach n^5 / 16, n the node's
 # weighted size, in range up to EXACT_SPLIT_LIMIT; larger nodes compare in
-# float64 instead (still deterministic, same operation order).
+# float64 instead (still deterministic, same operation order). A cut's
+# numerator, below n^3, is an exact int64 up to INT64_SCORE_LIMIT = 2^21 - 1
+# rows, and a float node scores it divided once; a larger node scores the
+# same sum of child fractions from float64 counts.
 EXACT_SPLIT_LIMIT = 4000
+INT64_SCORE_LIMIT = 2**21 - 1
 
 
 def rank_code(x):
@@ -132,6 +136,8 @@ def best_split_codes(codes, y, weights, sizes, bins):
     tot1 = np.bincount(entry_node, w * y, n_nodes).astype(np.int64)
     tot0 = n_rows - tot1
     parent = tot0 * tot0 + tot1 * tot1
+    f0, f1 = tot0.astype(np.float64), tot1.astype(np.float64)
+    parent_score = (f0 * f0 + f1 * f1) / n_rows
     exact = n_rows <= EXACT_SPLIT_LIMIT
 
     # One segment per (node, column), packed in that order, with one slot
@@ -171,9 +177,14 @@ def best_split_codes(codes, y, weights, sizes, bins):
     num = (c0l * c0l + c1 * c1) * nr + (c0r * c0r + c1r * c1r) * nl
     den = nl * nr
     score = num / den
+    big = n > INT64_SCORE_LIMIT
+    if big.any():
+        l0, l1, r0, r1, fl, fr = (a[big].astype(np.float64)
+                                  for a in (c0l, c1, c0r, c1r, nl, nr))
+        score[big] = (l0 * l0 + l1 * l1) / fl + (r0 * r0 + r1 * r1) / fr
     ex = exact[node]
     keep = np.flatnonzero(np.where(ex, num * n > parent[node] * den,
-                                   score > parent[node] / n))
+                                   score > parent_score[node]))
     if not keep.size:
         return col_out, lo_out, hi_out, found_out
 

@@ -12,12 +12,12 @@ ablate load pca and ml; simulate loads mgsim; report loads none; and
 reproduce loads them all before it forks. Every call is a fresh process,
 so a module a command does not run is not compiled or executed for it.
 
-reproduce makes one worker process with os.fork before mutate. The
-worker runs the five simulations while the parent mutates and extracts,
-then receives the dataset over a pipe and runs the decision-tree and
-network cells of the class-elimination sweep, while the parent trains,
-ranks and runs the sweep's forest cells; reproduce uses up to two cores
-and needs a POSIX os.fork. An error names the stage that raised it.
+reproduce mutates and extracts, then makes one worker process with
+os.fork, which inherits the dataset. The worker runs the five
+simulations and the network cells of the class-elimination sweep,
+while the parent trains, ranks and runs the sweep's decision-tree and
+forest cells; reproduce uses up to two cores and needs a POSIX os.fork.
+An error names the stage that raised it.
 """
 
 import argparse
@@ -384,29 +384,31 @@ def _simulate_bundle(out):
 
 # Model kinds of the class-elimination sweep that reproduce's worker runs
 # for every spec after its simulations; the parent runs the others after
-# train and rank. The worker's networks train as two stacks, one per
-# spec shape, and the parent's share is the forests. Run in one process
-# on a 2-CPU x86-64 host, each share took 0.8-0.9 s of CPU, and a split
-# by kind has no count to tune; a traced parent's counts repeat.
-WORKER_MODELS = ("dt", "nn")
-PARENT_MODELS = ("rf",)
+# train and rank, and its share also waits for mutate and extract, which
+# come before the fork. The worker's networks train as two stacks, one
+# per spec shape. Run in one process on a 2-CPU x86-64 host, the
+# simulations and their CSVs took 0.33-0.39 s and the nn cells
+# 0.32-0.39 s; the parent's train, rank and rf cells took 0.53-0.66 s,
+# and the dt cells 0.03-0.05 s in either process. A split by kind has no
+# count to tune, and a traced parent's counts repeat.
+WORKER_MODELS = ("nn",)
+PARENT_MODELS = ("dt", "rf")
 
 
 class _Forked:
     """Named stages, (name, fn) pairs, run in order in one child process
     made with os.fork.
 
-    Each fn is called with `receive`, which returns the object the parent
-    passes to send(), waiting for it if need be. The child pickles each
-    stage's name into a pipe as the stage starts, then the list of the
-    fns' results, or the first error as (is it a NumericError, message),
-    and always leaves through os._exit, so it never returns into the
-    caller's code. Errors travel as text because exceptions with their own
-    __init__ signature do not unpickle. join() waits for the child and
-    returns the results, or re-raises its error as NumericError or
-    DataError under the name of the stage that was running, also when the
-    child ended without a result; leaving the with block kills and reaps
-    a child that was not joined.
+    Each fn takes no argument: the child inherits what it needs through
+    the fork. The child pickles each stage's name into a pipe as the stage
+    starts, then the list of the fns' results, or the first error as (is
+    it a NumericError, message), and always leaves through os._exit, so it
+    never returns into the caller's code. Errors travel as text because
+    exceptions with their own __init__ signature do not unpickle. join()
+    waits for the child and returns the results, or re-raises its error
+    as NumericError or DataError under the name of the stage that was
+    running, also when the child ended without a result; leaving the with
+    block kills and reaps a child that was not joined.
 
     Make it before the process's first BLAS call (numpy matrix work in
     ml and pca): with some BLAS builds, a child forked after the thread
@@ -419,26 +421,18 @@ class _Forked:
         sys.stdout.flush()  # or the child could write buffered text again
         sys.stderr.flush()
         read_fd, write_fd = os.pipe()
-        inbox_fd, self._outbox_fd = os.pipe()
-        self._sender = None
         self.pid = os.fork()
         if self.pid == 0:
             status = 1
             try:
                 os.close(read_fd)
-                os.close(self._outbox_fd)
-                inbox = open(inbox_fd, "rb")
-
-                def receive():
-                    return pickle.load(inbox)
-
                 with open(write_fd, "wb") as fh:
                     results = []
                     for name, fn in stages:
                         pickle.dump(name, fh)
                         fh.flush()
                         try:
-                            results.append(fn(receive))
+                            results.append(fn())
                         except Exception as e:
                             pickle.dump((isinstance(e, NumericError),
                                          str(e)), fh)
@@ -449,34 +443,10 @@ class _Forked:
             finally:
                 os._exit(status)
         os.close(write_fd)
-        os.close(inbox_fd)
         self._pipe = open(read_fd, "rb")
 
     def __enter__(self):
         return self
-
-    def send(self, obj):
-        """Pickle obj to the child's receive, once. A thread writes it, so
-        the parent never waits on a full pipe while the child is busy; if
-        the child has ended, the bytes are dropped and join() reports how
-        it ended."""
-        import pickle
-        import threading
-        data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-        self._sender = threading.Thread(
-            target=_write_and_close, args=(self._outbox_fd, data),
-            daemon=True)
-        self._outbox_fd = None
-        self._sender.start()
-
-    def _close_outbox(self):
-        """Close the pipe to the child, once send's thread has written."""
-        import os
-        if self._outbox_fd is not None:
-            os.close(self._outbox_fd)
-            self._outbox_fd = None
-        if self._sender is not None:
-            self._sender.join()
 
     def join(self):
         import io
@@ -486,7 +456,6 @@ class _Forked:
             data = io.BytesIO(self._pipe.read())
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
-        self._close_outbox()
         records = []
         try:
             while True:
@@ -512,21 +481,6 @@ class _Forked:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self._pipe.close()
-            self._close_outbox()
-
-
-def _write_and_close(fd, data):
-    """Write data to the pipe fd and close it; a reader that has gone
-    (EPIPE) drops what is left."""
-    import os
-    view = memoryview(data)
-    try:
-        while view:
-            view = view[os.write(fd, view):]
-    except OSError:
-        pass    # the child has ended; join() reports how
-    finally:
-        os.close(fd)
 
 
 @contextlib.contextmanager
@@ -552,30 +506,9 @@ def cmd_reproduce(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     seed = args.seed
     cmap = _load_map(args.map)
-
     # Imported before the fork, so that the worker does not import them
-    # again. Forked before mutate, so before this process's first BLAS
-    # call (ml and pca make them) and before send() starts its thread: the
-    # worker's own numpy work is safe even where numpy's BLAS starts
-    # threads in this process. The worker runs the simulations while this
-    # process mutates and extracts, then receives ds and runs the
-    # WORKER_MODELS cells of the class-elimination sweep.
-    from . import mgsim, ml, mutate, pca  # noqa: F401
-    with _Forked([
-            ("simulate", lambda receive: _simulate_bundle(out)),
-            ("ablate", lambda receive: pca.run_ablation(
-                receive(), models=WORKER_MODELS, seed=seed,
-                train_fraction=args.split).rows)]) as worker:
-        return _reproduce_stages(args, out, cmap, worker)
-
-
-def _reproduce_stages(args, out: Path, cmap, worker: _Forked) -> int:
-    """The reproduce stages of this process: it sends the dataset to
-    `worker` after extract, runs the PARENT_MODELS cells of the
-    class-elimination sweep, and joins the simulations and the other
-    cells from `worker` at the simulate stage."""
-    from . import _kernels, ml, mutate, pca
-    seed = args.seed
+    # again.
+    from . import _kernels, mgsim, ml, mutate, pca  # noqa: F401
 
     with _stage("mutate"):
         if args.base:
@@ -592,35 +525,46 @@ def _reproduce_stages(args, out: Path, cmap, worker: _Forked) -> int:
                  None if fid == "benign" else fid,
                  parse_listing(corpus[fid], cmap)) for fid in ids]
         ds = hpc.emit_dataset(runs, args.window, out / "dataset.csv")
-    worker.send(ds)
 
-    with _stage("train"):
-        unbal = _train_eval_all(ds, seed, balanced=False,
-                                train_fraction=args.split)
-        bal = _train_eval_all(ds, seed, balanced=True,
-                              train_fraction=args.split)
-        for name in ml.TRAINERS:
-            ml.save_model(unbal[name][0], out / f"{name}_unbalanced.json")
-            ml.save_model(bal[name][0], out / f"{name}_balanced.json")
-
-    with _stage("rank"):
-        ranking = pca.rank_features(ds, n_components=args.components)
-        (out / "ranking.json").write_text(ranking.to_json(),
-                                          encoding="utf-8")
-        top3 = ranking.top(3)
-        top_ds = ds.project(top3)
-        top_unbal = _train_eval_all(top_ds, ml.derive_seed(seed, 3, 0),
-                                    balanced=False, train_fraction=args.split)
-        top_bal = _train_eval_all(top_ds, ml.derive_seed(seed, 3, 1),
-                                  balanced=True, train_fraction=args.split)
-
-    with _stage("ablate"):
-        ablation = pca.run_ablation(ds, models=PARENT_MODELS, seed=seed,
+    # Forked after extract, so the worker inherits ds, and before this
+    # process's first BLAS call (ml and pca make them), so the worker's
+    # own numpy work is safe even where numpy's BLAS starts threads in
+    # this process. The worker runs the simulations, then the
+    # WORKER_MODELS cells of the class-elimination sweep, while this
+    # process runs the PARENT_MODELS cells after train and rank.
+    with _Forked([
+            ("simulate", lambda: _simulate_bundle(out)),
+            ("ablate", lambda: pca.run_ablation(
+                ds, models=WORKER_MODELS, seed=seed,
+                train_fraction=args.split).rows)]) as worker:
+        with _stage("train"):
+            unbal = _train_eval_all(ds, seed, balanced=False,
                                     train_fraction=args.split)
+            bal = _train_eval_all(ds, seed, balanced=True,
+                                  train_fraction=args.split)
+            for name in ml.TRAINERS:
+                ml.save_model(unbal[name][0], out / f"{name}_unbalanced.json")
+                ml.save_model(bal[name][0], out / f"{name}_balanced.json")
 
-    # The worker's errors name the worker stage that failed.
-    print("[reproduce] simulate")
-    sim_stats, worker_rows = worker.join()
+        with _stage("rank"):
+            ranking = pca.rank_features(ds, n_components=args.components)
+            (out / "ranking.json").write_text(ranking.to_json(),
+                                              encoding="utf-8")
+            top3 = ranking.top(3)
+            top_ds = ds.project(top3)
+            top_unbal = _train_eval_all(top_ds, ml.derive_seed(seed, 3, 0),
+                                        balanced=False,
+                                        train_fraction=args.split)
+            top_bal = _train_eval_all(top_ds, ml.derive_seed(seed, 3, 1),
+                                      balanced=True, train_fraction=args.split)
+
+        with _stage("ablate"):
+            ablation = pca.run_ablation(ds, models=PARENT_MODELS, seed=seed,
+                                        train_fraction=args.split)
+
+        # The worker's errors name the worker stage that failed.
+        print("[reproduce] simulate")
+        sim_stats, worker_rows = worker.join()
     grid = {spec.excluded: i for i, spec in enumerate(pca.all_specs())}
     ablation.rows = sorted(ablation.rows + worker_rows, key=lambda r: (
         grid[r.excluded], ml.TRAINERS.index(r.model)))
@@ -815,9 +759,14 @@ def build_parser() -> argparse.ArgumentParser:
 # Bounds [low, high] of the integer flags, high None for no bound, checked
 # before any command runs. A window indexes int64 instruction positions
 # in _kernels.window_counts, and numpy seeds its generators from
-# non-negative ints only.
+# non-negative ints only. The model bounds keep a train on a 304-window
+# dataset to seconds (one CPU core): 10,000 trees took 2.2 s to grow and
+# 1.8 s to save, peaking at 250 MB, and a forest's memory grows with its
+# trees; 4,096 hidden units, whose buffers hold rows x hidden floats,
+# took 4.3 s; 100,000 epochs took 8.1 s.
 FLAG_BOUNDS = {"seed": (0, None), "window": (1, hpc.MAX_WINDOW),
-               "trees": (1, None), "hidden": (1, None), "epochs": (1, None)}
+               "trees": (1, 10_000), "hidden": (1, 4_096),
+               "epochs": (1, 100_000)}
 
 
 def _check_flag_bounds(args):

@@ -170,9 +170,12 @@ class Metrics:
         )
 
     def as_dict(self):
+        """The metrics as JSON values: an undefined precision or recall
+        is None (JSON null), since NaN is not JSON."""
         return {"accuracy": self.accuracy,
-                "precision": self.precision,
-                "recall": self.recall,
+                "precision": self.precision if self.precision_defined
+                else None,
+                "recall": self.recall if self.recall_defined else None,
                 "fp_rate": self.fp_rate,
                 "fn_rate": self.fn_rate,
                 "precision_defined": self.precision_defined,

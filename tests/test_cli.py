@@ -278,6 +278,9 @@ def test_usage_errors_exit_2(tmp_path, corpus_csv):
     ("train", "--seed", "-1"),
     ("ablate", "--seed", "-1"),
     ("reproduce", "--seed", "-1"),
+    ("train", "--trees", str(cli.FLAG_BOUNDS["trees"][1] + 1)),
+    ("train", "--hidden", str(cli.FLAG_BOUNDS["hidden"][1] + 1)),
+    ("train", "--epochs", str(cli.FLAG_BOUNDS["epochs"][1] + 1)),
 ])
 def test_flag_bounds_exit_2_naming_flag(tmp_path, capsys, command, flag,
                                         value):
@@ -743,6 +746,27 @@ def test_eval_rejects_malformed_tree_exit_3(tmp_path, corpus_csv):
                    "--out", str(tmp_path / "r.json")) == 3
 
 
+def test_eval_report_is_strict_json(tmp_path, corpus_csv):
+    # a one-leaf benign tree predicts no window malicious, so precision is
+    # undefined; the report writes it as null, not as the token NaN
+    names = hpc.read_dataset_csv(corpus_csv).feature_names
+    model = tmp_path / "leaf.json"
+    model.write_text(json.dumps({
+        "kind": "dt", "params": {}, "feature_names": list(names),
+        "feature": [-1], "threshold": [0], "left": [-1], "right": [-1],
+        "counts": [[1, 0]]}))
+    out = tmp_path / "r.json"
+    assert run_cli("eval", "--model", str(model), "--data", str(corpus_csv),
+                   "--out", str(out)) == 0
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    metrics = json.loads(out.read_text(), parse_constant=reject)["metrics"]
+    assert metrics["precision"] is None and not metrics["precision_defined"]
+    assert metrics["recall"] == 0.0 and metrics["recall_defined"]
+
+
 def test_numeric_divergence_exits_4(tmp_path, corpus_csv):
     assert run_cli("train", "--model", "nn", "--data", str(corpus_csv),
                    "--lr", "1e12", "--epochs", "60",
@@ -886,19 +910,25 @@ def _recording_fork(monkeypatch, calls):
     monkeypatch.setattr(os, "fork", recording_fork)
 
 
-def test_reproduce_forks_before_mutate(tmp_path, monkeypatch, dt_only):
-    # the simulations start before the corpus is built
+def test_reproduce_forks_after_extract(tmp_path, monkeypatch, dt_only):
+    # the worker inherits the extracted dataset, and this process's first
+    # BLAS call comes after the one fork
     calls = []
     _recording_fork(monkeypatch, calls)
-    build_corpus = mutate.build_corpus
 
-    def recording(*args, **kwargs):
-        calls.append("mutate")
-        return build_corpus(*args, **kwargs)
+    def recording(name, fn):
+        def run(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return run
 
-    monkeypatch.setattr(mutate, "build_corpus", recording)
+    for owner, name in ((hpc, "emit_dataset"), (ml, "fit"),
+                        (pca, "rank_features")):
+        monkeypatch.setattr(owner, name, recording(name, getattr(owner, name)))
     assert run_cli("reproduce", "--out", str(tmp_path / "bundle")) == 0
-    assert len(calls) == 2 and calls[1] == "mutate"
+    forks = [i for i, call in enumerate(calls) if isinstance(call, int)]
+    assert len(forks) == 1 and calls[:forks[0]] == ["emit_dataset"]
+    assert calls[forks[0] + 1] in ("fit", "rank_features")
 
 
 def _failure_kills_worker(tmp_path, monkeypatch, owner, name, error):
@@ -934,19 +964,25 @@ def test_failed_stage_kills_worker(tmp_path, monkeypatch, dt_only):
                           DataError("no sweep"))
 
 
-def test_mutate_error_kills_worker(tmp_path, capsys, monkeypatch, dt_only):
-    _failure_kills_worker(tmp_path, monkeypatch, mutate, "build_corpus",
-                          AnchorNotFound("isr_block"))
+def test_mutate_error_forks_no_worker(tmp_path, capsys, monkeypatch,
+                                      dt_only):
+    pids = []
+    _recording_fork(monkeypatch, pids)
+    monkeypatch.setattr(mutate, "build_corpus",
+                        _raise(AnchorNotFound("isr_block")))
+    bundle = tmp_path / "bundle"
+    assert run_cli("reproduce", "--out", str(bundle)) == 3
+    assert pids == [] and not list(bundle.glob("sim_*.csv"))
     err = capsys.readouterr().err
     assert "stage mutate: anchor label 'isr_block'" in err
     assert "Traceback" not in err
 
 
 def test_large_dataset_reaches_busy_worker(tmp_path, monkeypatch, dt_only):
-    # a --window 7 dataset pickles to several pipe buffers; the worker
-    # reads it only after its simulations, and those wait here until the
-    # parent has started training, so a parent that waited on the pipe
-    # would never get there
+    # the worker inherits even a large dataset (--window 7: several pipe
+    # buffers if pickled) through the fork, and its simulations wait here
+    # until the parent has started training, so a parent that waited on
+    # the worker before training would never get there
     release = tmp_path / "release"
     run_scenario, fit = mgsim.run_scenario, ml.fit
 
@@ -969,27 +1005,6 @@ def test_large_dataset_reaches_busy_worker(tmp_path, monkeypatch, dt_only):
     ds = hpc.read_dataset_csv(bundle / "dataset.csv")
     assert len(pickle.dumps(ds, pickle.HIGHEST_PROTOCOL)) > 4 * 65536
     cli.validate_bundle(bundle)
-
-
-def test_worker_dying_before_reading_dataset(tmp_path):
-    # the parent's write to the dead worker's pipe fails quietly, and the
-    # worker's end is reported under its stage; a subprocess, because
-    # pytest would catch a traceback printed by the writing thread
-    code = ("import os, sys\n"
-            "from hpc_sentinel import cli, mgsim, ml\n"
-            "fit = ml.fit\n"
-            "ml.fit = lambda kind, train, seed=0, **hp: fit('dt', train)\n"
-            "mgsim.run_scenario = lambda *args, **kwargs: os._exit(9)\n"
-            "sys.exit(cli.main(['reproduce', '--window', '7', '--out', "
-            f"{str(tmp_path / 'bundle')!r}]))\n")
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 3, proc.stderr
-    assert "stage simulate:" in proc.stderr
-    assert "exit status 9" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert "Exception" not in proc.stderr
 
 
 @pytest.mark.parametrize("stage,patch,code,words", [
@@ -1060,7 +1075,7 @@ def test_text_before_fork_printed_once():
     # did not flush would be written again by a worker that flushes
     code = ("import sys\n"
             "from hpc_sentinel import cli\n"
-            "def work(receive):\n"
+            "def work():\n"
             "    print('worker')\n"
             "    sys.stdout.flush()\n"
             "print('before fork')\n"

@@ -2,6 +2,8 @@
 per-node loop, and the flattened tree predictor against a per-row walk.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -206,6 +208,38 @@ def test_weighted_split_equals_repeated_rows(nodes):
         bins)
     assert [a.tolist() for a in got] == [a.tolist() for a in want]
 
+
+
+def _fraction_best_cut(y, w):
+    """The cut (left child: entries up to lo) that scores best in exact
+    Fractions on a one-column node whose entry i holds code i, ties to the
+    lowest, or None when no cut beats the node itself."""
+    tot = [sum(wi for yi, wi in zip(y, w) if yi == c) for c in (0, 1)]
+
+    def score(c0, c1):
+        return Fraction(c0 * c0 + c1 * c1, c0 + c1)
+
+    best, lo = score(*tot), None
+    left = [0, 0]
+    for i in range(len(y) - 1):
+        left[y[i]] += w[i]
+        s = score(*left) + score(tot[0] - left[0], tot[1] - left[1])
+        if s > best:
+            best, lo = s, i
+    return lo
+
+
+@pytest.mark.parametrize("scale", [10**5, 10**6])
+def test_float_split_of_node_beyond_int64_numerator(scale):
+    # at 10^6 the node holds 8M weighted rows, where a cut's numerator,
+    # up to n^3, passes 2^63 in int64
+    y, w = [0, 1, 0, 1], [3 * scale, scale, scale, 3 * scale]
+    lo = _fraction_best_cut(y, w)
+    assert lo == 0
+    _, got_lo, got_hi, found = _kernels.best_split_codes(
+        np.array([[0, 1, 2, 3]]), y, np.array(w), [4], [[4]])
+    assert (found.tolist(), got_lo.tolist(), got_hi.tolist()) == \
+        ([1], [lo], [lo + 1])
 
 # --- flattened prediction against a per-row walk -----------------------------
 
