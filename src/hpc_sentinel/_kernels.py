@@ -4,7 +4,9 @@ Window counting is vectorized numpy. The split search scores every node
 of a batch of tree nodes in one pass over histograms of rank-coded
 features: no sort per node, one bincount per batch. The simulation
 stepper is an inherently sequential loop. ``python3 perfbench/run.py
---trace 1`` reports the time spent in each kernel on real workloads.
+--trace 1`` times window counting and the simulation stepper on real
+workloads. Its split-search timer wraps the single-node best_split, which
+no command calls, so it reads 0.
 """
 
 import math

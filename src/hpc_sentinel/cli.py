@@ -13,11 +13,11 @@ reproduce loads them all before it forks. Every call is a fresh process,
 so a module a command does not run is not compiled or executed for it.
 
 reproduce mutates and extracts, then makes one worker process with
-os.fork, which inherits the dataset. The worker runs the five
-simulations and the network cells of the class-elimination sweep,
-while the parent trains, ranks and runs the sweep's decision-tree and
-forest cells; reproduce uses up to two cores and needs a POSIX os.fork.
-An error names the stage that raised it.
+os.fork, which inherits the dataset. The worker runs the whole
+class-elimination sweep, while the parent trains, ranks and runs the
+five simulations, then waits for the sweep; reproduce uses up to two
+cores and needs a POSIX os.fork. An error names the stage that raised
+it, the sweep's included.
 """
 
 import argparse
@@ -382,40 +382,25 @@ def _simulate_bundle(out):
     return sim_stats
 
 
-# Model kinds of the class-elimination sweep that reproduce's worker runs
-# for every spec after its simulations; the parent runs the others after
-# train and rank, and its share also waits for mutate and extract, which
-# come before the fork. The worker's networks train as two stacks, one
-# per spec shape. Run in one process on a 2-CPU x86-64 host, the
-# simulations and their CSVs took 0.33-0.39 s and the nn cells
-# 0.32-0.39 s; the parent's train, rank and rf cells took 0.53-0.66 s,
-# and the dt cells 0.03-0.05 s in either process. A split by kind has no
-# count to tune, and a traced parent's counts repeat.
-WORKER_MODELS = ("nn",)
-PARENT_MODELS = ("dt", "rf")
-
-
 class _Forked:
-    """Named stages, (name, fn) pairs, run in order in one child process
-    made with os.fork.
+    """fn() run in one child process made with os.fork.
 
-    Each fn takes no argument: the child inherits what it needs through
-    the fork. The child pickles each stage's name into a pipe as the stage
-    starts, then the list of the fns' results, or the first error as (is
-    it a NumericError, message), and always leaves through os._exit, so it
-    never returns into the caller's code. Errors travel as text because
-    exceptions with their own __init__ signature do not unpickle. join()
-    waits for the child and returns the results, or re-raises its error
-    as NumericError or DataError under the name of the stage that was
-    running, also when the child ended without a result; leaving the with
-    block kills and reaps a child that was not joined.
+    fn takes no argument: the child inherits what it needs through the
+    fork. The child pickles (None, fn's result), or fn's error as (is it a
+    NumericError, message), into a pipe, and always leaves through
+    os._exit, so it never returns into the caller's code. Errors travel as
+    text because exceptions with their own __init__ signature do not
+    unpickle. join() waits for the child and returns the result, or
+    re-raises its error as NumericError or DataError, also when the child
+    ended without a result; leaving the with block kills and reaps a child
+    that was not joined.
 
     Make it before the process's first BLAS call (numpy matrix work in
     ml and pca): with some BLAS builds, a child forked after the thread
     pool has started can hang in its own first BLAS call.
     """
 
-    def __init__(self, stages):
+    def __init__(self, fn):
         import os
         import pickle
         sys.stdout.flush()  # or the child could write buffered text again
@@ -426,19 +411,12 @@ class _Forked:
             status = 1
             try:
                 os.close(read_fd)
+                try:
+                    record = (None, fn())
+                except Exception as e:
+                    record = (isinstance(e, NumericError), str(e))
                 with open(write_fd, "wb") as fh:
-                    results = []
-                    for name, fn in stages:
-                        pickle.dump(name, fh)
-                        fh.flush()
-                        try:
-                            results.append(fn())
-                        except Exception as e:
-                            pickle.dump((isinstance(e, NumericError),
-                                         str(e)), fh)
-                            break
-                    else:
-                        pickle.dump((None, results), fh)
+                    pickle.dump(record, fh)
                 status = 0
             finally:
                 os._exit(status)
@@ -449,30 +427,20 @@ class _Forked:
         return self
 
     def join(self):
-        import io
         import os
         import pickle
         with self._pipe:
-            data = io.BytesIO(self._pipe.read())
+            data = self._pipe.read()
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
-        records = []
-        try:
-            while True:
-                records.append(pickle.load(data))
-        except (EOFError, pickle.UnpicklingError):
-            pass    # the end of the pipe, or of a record cut short
-        names = [r for r in records if isinstance(r, str)]
-        stage = names[-1] if names else "worker"
         code = os.waitstatus_to_exitcode(status)
-        if code != 0 or not records or isinstance(records[-1], str):
-            raise DataError(f"stage {stage}: worker process ended "
-                            f"with exit status {code} and no result")
-        numeric, value = records[-1]
+        if code != 0:
+            raise DataError(f"worker process ended with exit status {code} "
+                            f"and no result")
+        numeric, value = pickle.loads(data)
         if numeric is None:
             return value
-        error = NumericError if numeric else DataError
-        raise error(f"stage {stage}: {value}")
+        raise (NumericError if numeric else DataError)(value)
 
     def __exit__(self, *exc_info):
         if self.pid is not None:
@@ -529,14 +497,10 @@ def cmd_reproduce(args) -> int:
     # Forked after extract, so the worker inherits ds, and before this
     # process's first BLAS call (ml and pca make them), so the worker's
     # own numpy work is safe even where numpy's BLAS starts threads in
-    # this process. The worker runs the simulations, then the
-    # WORKER_MODELS cells of the class-elimination sweep, while this
-    # process runs the PARENT_MODELS cells after train and rank.
-    with _Forked([
-            ("simulate", lambda: _simulate_bundle(out)),
-            ("ablate", lambda: pca.run_ablation(
-                ds, models=WORKER_MODELS, seed=seed,
-                train_fraction=args.split).rows)]) as worker:
+    # this process. The worker runs the class-elimination sweep while
+    # this process trains, ranks and simulates.
+    with _Forked(lambda: pca.run_ablation(
+            ds, seed=seed, train_fraction=args.split)) as worker:
         with _stage("train"):
             unbal = _train_eval_all(ds, seed, balanced=False,
                                     train_fraction=args.split)
@@ -558,17 +522,12 @@ def cmd_reproduce(args) -> int:
             top_bal = _train_eval_all(top_ds, ml.derive_seed(seed, 3, 1),
                                       balanced=True, train_fraction=args.split)
 
-        with _stage("ablate"):
-            ablation = pca.run_ablation(ds, models=PARENT_MODELS, seed=seed,
-                                        train_fraction=args.split)
+        with _stage("simulate"):
+            sim_stats = _simulate_bundle(out)
 
-        # The worker's errors name the worker stage that failed.
-        print("[reproduce] simulate")
-        sim_stats, worker_rows = worker.join()
-    grid = {spec.excluded: i for i, spec in enumerate(pca.all_specs())}
-    ablation.rows = sorted(ablation.rows + worker_rows, key=lambda r: (
-        grid[r.excluded], ml.TRAINERS.index(r.model)))
-    ablation.to_csv(out / "ablation.csv")
+        with _stage("ablate"):
+            ablation = worker.join()
+            ablation.to_csv(out / "ablation.csv")
 
     print("[reproduce] summary")
     n0, n1 = ds.class_counts()

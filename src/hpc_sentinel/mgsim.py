@@ -351,16 +351,21 @@ def run_scenario(s: Scenario, out_path=None) -> MgTrace:
 def write_states_csv(trace: MgTrace, path):
     """One row per step in CSV_COLUMNS order: time_s to the microsecond,
     the other floats as repr (so they read back bit for bit) and the two
-    flags as 0/1, in CRLF-ended lines: the bytes csv.writer gives, with
-    each column formatted in one pass."""
-    columns = [map("{:.6f}".format, trace.time_s.tolist())]
-    columns += [map(repr, getattr(trace, name).tolist())
+    flags as 0/1, in CRLF-ended lines: the bytes csv.writer gives.
+
+    Each row is formatted and written as the columns are read, so a
+    trace's text and its values as Python floats, about 3 MB for 6000
+    steps, are never held whole on top of what the caller holds
+    (reproduce's trained models)."""
+    columns = [map("{:.6f}".format, map(float, trace.time_s))]
+    columns += [map(repr, map(float, getattr(trace, name)))
                 for name in CSV_COLUMNS[1:-2]]
     columns += [map("01".__getitem__, getattr(trace, name).tolist())
                 for name in CSV_COLUMNS[-2:]]
-    lines = [",".join(CSV_COLUMNS), *map(",".join, zip(*columns)), ""]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\r\n".join(lines))
+        fh.write(",".join(CSV_COLUMNS) + "\r\n")
+        for line in map(",".join, zip(*columns)):
+            fh.write(line + "\r\n")
 
 
 def named_scenario(name: str) -> Scenario:

@@ -606,11 +606,11 @@ def _relu(z):
 
 
 def _sigmoid(z):
-    # exp(-|z|) only, so neither branch overflows; min(z, -z) is -|z|
-    # but, unlike -abs(z), keeps the sign bit of a NaN input
+    # exp(-|z|) only, so neither quotient overflows; min(z, -z) is -|z|
+    # but, unlike -abs(z), keeps the sign bit of a NaN input. One divide
+    # gives 1 / (1 + e) or e / (1 + e), whichever the sign of z picks.
     e = np.exp(np.minimum(z, -z))
-    d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d)
+    return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e)
 
 
 def _bce(p, y):

@@ -154,12 +154,12 @@ class AblationReport:
                             repr(m.fp_rate), repr(m.fn_rate)])
 
 
-def run_ablation(d: Dataset, models=ml.TRAINERS, specs=None, seed: int = 0,
+def run_ablation(d: Dataset, specs=None, seed: int = 0,
                  train_fraction: float = 0.7,
                  balanced: bool = False) -> AblationReport:
-    """Train and score every model on every eliminated feature set; the
-    rows come in grid order, spec by spec, each spec's models in the
-    order given.
+    """Train and score every model of ml.TRAINERS on every eliminated
+    feature set; the rows come in grid order, spec by spec, each spec's
+    models in ml.TRAINERS order.
 
     Each (spec, model) cell derives its own seed from the master and the
     cell's place in the full grid (the spec's index in all_specs(), with
@@ -170,7 +170,7 @@ def run_ablation(d: Dataset, models=ml.TRAINERS, specs=None, seed: int = 0,
     """
     grid = all_specs() + [eliminate(())]
     specs = grid[:-1] if specs is None else list(specs)
-    keys = [(spec, model) for spec in specs for model in models]
+    keys = [(spec, model) for spec in specs for model in ml.TRAINERS]
     projections = {spec: d.project(spec.features) for spec in specs}
     results = ml.train_eval_cells(
         [(model, projections[spec],

@@ -282,7 +282,7 @@ GOLDEN_SEED_42 = {
 @pytest.fixture(scope="module")
 def seed42_bundles(tmp_path_factory):
     """Two reproduce --seed 42 bundles, made once for criterion 12 and
-    the worker-share check."""
+    the worker-sweep check."""
     root = tmp_path_factory.mktemp("seed42")
     for name in ("one", "two"):
         assert cli.main(["reproduce", "--seed", "42",
@@ -306,18 +306,10 @@ def test_criterion_12_reproduce_byte_identical(seed42_bundles):
 
 
 def test_worker_sweep_rows_match_bundle(seed42_bundles, tmp_path):
-    # reproduce's worker runs the sweep's WORKER_MODELS cells of every
-    # spec; the same call in this process gives the bundle's rows of those
-    # kinds, and the merged rows are in grid order
+    # reproduce's worker runs the whole sweep as one run_ablation call; the
+    # same call in this process gives the bundle's ablation.csv bytes
     bundle = seed42_bundles[0]
     ds = hpc.read_dataset_csv(bundle / "dataset.csv")
-    out = tmp_path / "worker.csv"
-    pca.run_ablation(ds, models=cli.WORKER_MODELS, seed=42).to_csv(out)
-    worker = out.read_text().splitlines()[1:]
-    lines = (bundle / "ablation.csv").read_text().splitlines()[1:]
-    assert len(worker) == 15 * len(cli.WORKER_MODELS)
-    assert [line for line in lines
-            if line.split(",")[2] in cli.WORKER_MODELS] == worker
-    assert [(line.split(",")[0], line.split(",")[2]) for line in lines] == [
-        (spec.name, model) for spec in pca.all_specs()
-        for model in ml.TRAINERS]
+    out = tmp_path / "ablation.csv"
+    pca.run_ablation(ds, seed=42).to_csv(out)
+    assert out.read_bytes() == (bundle / "ablation.csv").read_bytes()

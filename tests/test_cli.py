@@ -1,9 +1,11 @@
 """End-to-end command behavior: happy-path chains and the exit-code
 contract (0 ok, 2 usage, 3 bad data, 4 numeric divergence)."""
 
+import contextlib
+import io
 import json
+import math
 import os
-import pickle
 import subprocess
 import sys
 import tempfile
@@ -285,17 +287,72 @@ def test_usage_errors_exit_2(tmp_path, corpus_csv):
 def test_flag_bounds_exit_2_naming_flag(tmp_path, capsys, command, flag,
                                         value):
     # checked before any work: the input files need not exist
-    missing = str(tmp_path / "missing")
-    rest = {"extract": ["--label", "benign", missing],
-            "mutate": ["--base", missing, "--attack", "mppt_dos"],
-            "train": ["--model", "dt", "--data", missing],
-            "ablate": ["--data", missing],
-            "reproduce": []}[command]
     out = tmp_path / "out"
-    assert run_cli(command, *rest, flag, value, "--out", str(out)) == 2
+    assert run_cli(command, *_required_args(command, tmp_path / "missing"),
+                   flag, value, "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert f"usage error: {flag} must" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def _required_args(command, missing):
+    """The required arguments of command but --out, naming the missing
+    path for every input file."""
+    return {"extract": ["--label", "benign", str(missing)],
+            "mutate": ["--base", str(missing), "--attack", "mppt_dos"],
+            "train": ["--model", "dt", "--data", str(missing)],
+            "rank": ["--data", str(missing)],
+            "ablate": ["--data", str(missing)],
+            "reproduce": []}[command]
+
+
+def _outside(low, high):
+    """Integers below low, or above high when there is one, up to 2^64
+    away from zero."""
+    below = st.integers(-2**64, low - 1)
+    return below if high is None else below | st.integers(high + 1, 2**64)
+
+
+def _int_flags():
+    """(command, flag) of every integer flag that FLAG_BOUNDS checks."""
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    return [(command, a.option_strings[0])
+            for command, parser in sub.choices.items()
+            for a in parser._actions if a.dest in cli.FLAG_BOUNDS]
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_OUTSIDE_UNIT = _NON_FINITE | st.floats(max_value=0.0) | st.floats(
+    min_value=1.0)
+# Values outside each numeric flag's range: a command checks all of them
+# before any work, so no example trains, simulates or allocates.
+_BAD_FLAG_VALUES = [
+    (command, flag, _outside(*cli.FLAG_BOUNDS[flag[2:]]))
+    for command, flag in _int_flags()] + [
+    ("train", "--lr", _NON_FINITE | st.floats(max_value=0.0)),
+    ("train", "--split", _OUTSIDE_UNIT),
+    ("reproduce", "--split", _OUTSIDE_UNIT),
+    ("reproduce", "--components", _outside(1, len(hpc.FEATURE_NAMES))),
+    ("rank", "--components", _outside(1, None)),
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=st.sampled_from(_BAD_FLAG_VALUES), data=st.data())
+def test_out_of_range_flags_exit_2_naming_flag(case, data):
+    command, flag, values = case
+    value = data.draw(values)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli(command, *_required_args(command,
+                                                    Path(tmp) / "missing"),
+                           f"{flag}={value}", "--out", str(out))
+        assert code == 2, (flag, value, err.getvalue())
+        assert f"usage error: {flag} must" in err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert not out.exists()
 
 
 def test_largest_window_runs(tmp_path, base_asm):
@@ -822,12 +879,12 @@ def test_split_label_follows_fraction():
     assert cli._split_label(0.8) == "80/20"
 
 
-# --- the simulation worker of reproduce ----------------------------------------
+# --- the sweep worker of reproduce ---------------------------------------------
 
 @pytest.fixture
 def dt_only(monkeypatch):
     """Every model of a reproduce run is a decision tree, which keeps the
-    stages before the simulation join well under a second."""
+    parent's train and rank and the worker's sweep well under a second."""
     fit = ml.fit
     monkeypatch.setattr(ml, "fit", lambda kind, train, seed=0, **hp:
                         fit("dt", train, seed))
@@ -841,33 +898,23 @@ def _raise(error):
     return run
 
 
-@pytest.mark.parametrize("stage,fail,code,words", [
-    ("simulate", _raise(AnchorNotFound("isr_block")), 3,
-     "anchor label 'isr_block'"),
-    ("simulate", _raise(NonFiniteLoss(7, float("nan"))), 4, "epoch 7"),
-    ("simulate", lambda *args, **kwargs: os._exit(9), 3, "exit status 9"),
-    ("ablate", _raise(NonFiniteLoss(5, float("inf"))), 4, "epoch 5"),
-    ("ablate", _raise(DataError("no cell")), 3, "no cell"),
-], ids=["anchor_not_found", "non_finite_loss", "exit_9",
-        "ablate_non_finite_loss", "ablate_data_error"])
+@pytest.mark.parametrize("fail,code,words", [
+    (_raise(DataError("no cell")), 3, "no cell"),
+    (_raise(NonFiniteLoss(5, float("inf"))), 4, "epoch 5"),
+    (_raise(NonFiniteLoss(7, float("nan"))), 4, "epoch 7"),
+    (lambda *args, **kwargs: os._exit(9), 3,
+     "worker process ended with exit status 9"),
+], ids=["ablate_data_error", "ablate_non_finite_loss", "non_finite_loss",
+        "exit_9"])
 def test_simulation_failure_in_worker(tmp_path, capsys, monkeypatch, dt_only,
-                                      stage, fail, code, words):
-    # the worker is forked from this process, so it runs the patched
-    # functions; its exceptions cannot be unpickled and travel as text
-    if stage == "simulate":
-        monkeypatch.setattr(mgsim, "run_scenario", fail)
-    else:
-        parent, run_ablation = os.getpid(), pca.run_ablation
-
-        def worker_share_fails(ds, **kwargs):   # the parent's share runs
-            if os.getpid() != parent:
-                return fail()
-            return run_ablation(ds, **kwargs)
-
-        monkeypatch.setattr(pca, "run_ablation", worker_share_fails)
+                                      fail, code, words):
+    # the worker runs the sweep, and this process the simulations; the
+    # worker is forked from this process, so it runs the patched sweep, and
+    # its exceptions cannot be unpickled and travel as text
+    monkeypatch.setattr(pca, "run_ablation", fail)
     assert run_cli("reproduce", "--out", str(tmp_path / "bundle")) == code
     err = capsys.readouterr().err
-    assert f"stage {stage}:" in err and words in err
+    assert "error: stage ablate: " in err and words in err
     assert "Traceback" not in err
 
 
@@ -931,37 +978,47 @@ def test_reproduce_forks_after_extract(tmp_path, monkeypatch, dt_only):
     assert calls[forks[0] + 1] in ("fit", "rank_features")
 
 
+def test_reproduce_prints_each_stage_once(tmp_path, capfd, dt_only):
+    # read from the file descriptor, so a line the worker wrote would show
+    bundle = tmp_path / "bundle"
+    assert run_cli("reproduce", "--out", str(bundle)) == 0
+    stages = ("mutate", "extract", "train", "rank", "simulate", "ablate",
+              "summary")
+    assert capfd.readouterr().out.splitlines() == [
+        f"[reproduce] {stage}" for stage in stages] + [
+        f"bundle complete: {bundle} (20 files)"]
+
+
 def _failure_kills_worker(tmp_path, monkeypatch, owner, name, error):
-    """reproduce with owner.name raising error while the worker's
-    simulations wait: it exits 3, and its worker is killed and reaped
-    before it writes a simulation file."""
+    """reproduce with owner.name raising error in this process while the
+    worker's sweep waits: it exits 3, and its worker is killed and reaped
+    before it writes a file."""
     pids = []
     _recording_fork(monkeypatch, pids)
-    release = tmp_path / "release"
+    release, late = tmp_path / "release", tmp_path / "late"
 
-    def held_run(scenario, path):
+    def held_sweep(ds, **kwargs):
         # waits for the test, so a worker that outlived reproduce would
         # write its file after the release
         deadline = time.monotonic() + 10.0
         while not release.exists() and time.monotonic() < deadline:
             time.sleep(0.01)
-        Path(path).write_text("late\n")
+        late.write_text("late\n")
 
-    monkeypatch.setattr(mgsim, "run_scenario", held_run)
+    monkeypatch.setattr(pca, "run_ablation", held_sweep)
     monkeypatch.setattr(owner, name, _raise(error))
-    bundle = tmp_path / "bundle"
-    assert run_cli("reproduce", "--out", str(bundle)) == 3
+    assert run_cli("reproduce", "--out", str(tmp_path / "bundle")) == 3
     assert len(pids) == 1
     with pytest.raises(ChildProcessError):   # killed and reaped
         os.waitpid(pids[0], os.WNOHANG)
     release.touch()
     time.sleep(0.3)
-    assert not list(bundle.glob("sim_*.csv"))
+    assert not late.exists()
 
 
 def test_failed_stage_kills_worker(tmp_path, monkeypatch, dt_only):
-    _failure_kills_worker(tmp_path, monkeypatch, pca, "run_ablation",
-                          DataError("no sweep"))
+    _failure_kills_worker(tmp_path, monkeypatch, mgsim, "run_scenario",
+                          DataError("no scenario"))
 
 
 def test_mutate_error_forks_no_worker(tmp_path, capsys, monkeypatch,
@@ -979,41 +1036,38 @@ def test_mutate_error_forks_no_worker(tmp_path, capsys, monkeypatch,
 
 
 def test_large_dataset_reaches_busy_worker(tmp_path, monkeypatch, dt_only):
-    # the worker inherits even a large dataset (--window 7: several pipe
-    # buffers if pickled) through the fork, and its simulations wait here
-    # until the parent has started training, so a parent that waited on
-    # the worker before training would never get there
+    # the worker inherits a large dataset (--window 7) through the fork,
+    # and its sweep waits here until this process's first fit, so a parent
+    # that waited on the worker before training would never get there
     release = tmp_path / "release"
-    run_scenario, fit = mgsim.run_scenario, ml.fit
+    run_ablation, fit = pca.run_ablation, ml.fit
 
-    def held_run(scenario, path):
+    def held_sweep(ds, **kwargs):
         deadline = time.monotonic() + 20.0
         while not release.exists():
             if time.monotonic() > deadline:
                 raise DataError("the parent never started training")
             time.sleep(0.01)
-        return run_scenario(scenario, path)
+        return run_ablation(ds, **kwargs)
 
     def releasing_fit(*args, **kwargs):
         release.touch()
         return fit(*args, **kwargs)
 
-    monkeypatch.setattr(mgsim, "run_scenario", held_run)
+    monkeypatch.setattr(pca, "run_ablation", held_sweep)
     monkeypatch.setattr(ml, "fit", releasing_fit)
     bundle = tmp_path / "bundle"
     assert run_cli("reproduce", "--window", "7", "--out", str(bundle)) == 0
-    ds = hpc.read_dataset_csv(bundle / "dataset.csv")
-    assert len(pickle.dumps(ds, pickle.HIGHEST_PROTOCOL)) > 4 * 65536
     cli.validate_bundle(bundle)
 
 
 @pytest.mark.parametrize("stage,patch,code,words", [
     ("rank", (pca, "rank_features", DegenerateCovariance("flat")), 3,
      "flat"),
-    ("ablate", (pca, "run_ablation", NonFiniteLoss(5, float("nan"))), 4,
+    ("simulate", (mgsim, "run_scenario", NonFiniteLoss(5, float("nan"))), 4,
      "epoch 5"),
     ("train", (ml, "train_eval", DataError("no cell")), 3, "no cell"),
-], ids=["rank", "ablate", "train"])
+], ids=["rank", "simulate", "train"])
 def test_parent_stage_errors_name_stage(tmp_path, capsys, monkeypatch,
                                         dt_only, stage, patch, code, words):
     owner, name, error = patch
@@ -1043,24 +1097,25 @@ def test_single_class_train_split_names_stage(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_reproduce_ablation_follows_split(tmp_path, monkeypatch, dt_only):
-    fractions = []
-
+def test_reproduce_ablation_follows_split(tmp_path, capsys, monkeypatch,
+                                         dt_only):
+    # the sweep runs in the worker, so it reports its fraction through the
+    # error text
     def recording(ds, **kwargs):
-        fractions.append(kwargs.get("train_fraction"))
-        raise DataError("stop after the ablation call")
+        raise DataError(f"train_fraction {kwargs.get('train_fraction')}")
 
     monkeypatch.setattr(pca, "run_ablation", recording)
     assert run_cli("reproduce", "--split", "0.8",
                    "--out", str(tmp_path / "bundle")) == 3
-    assert fractions == [0.8]
+    assert "error: stage ablate: train_fraction 0.8\n" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("error", [SystemExit, KeyboardInterrupt])
 def test_worker_never_returns_into_caller(tmp_path, error):
     parent = os.getpid()
     try:
-        with cli._Forked([("simulate", _raise(error))]) as worker:
+        with cli._Forked(_raise(error)) as worker:
             with pytest.raises(DataError, match="exit status 1"):
                 worker.join()
     finally:
@@ -1079,7 +1134,7 @@ def test_text_before_fork_printed_once():
             "    print('worker')\n"
             "    sys.stdout.flush()\n"
             "print('before fork')\n"
-            "with cli._Forked([('simulate', work)]) as worker:\n"
+            "with cli._Forked(work) as worker:\n"
             "    worker.join()\n"
             "print('after join')\n")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -487,3 +488,17 @@ def test_states_csv_equals_csv_writer(tmp_path):
                           for name in mgsim.CSV_COLUMNS[-2:])))
     assert ((tmp_path / "lines.csv").read_bytes()
             == (tmp_path / "writer.csv").read_bytes())
+
+
+def test_states_csv_streams_rows(tmp_path):
+    # reproduce writes the five traces on top of its trained models, so
+    # a 6000-step trace's text and Python floats (about 3 MB) must never
+    # be held at once
+    trace = mgsim.run_scenario(mgsim.named_scenario("nominal"))
+    tracemalloc.start()
+    try:
+        mgsim.write_states_csv(trace, tmp_path / "sim.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 6000 and peak < 2**20

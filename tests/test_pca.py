@@ -182,11 +182,13 @@ def test_all_specs_structure():
 def test_run_ablation_rows_and_determinism(tmp_path):
     ds = _ranking_dataset(11)
     specs = pca.all_specs()
-    rep1 = pca.run_ablation(ds, models=("dt",), specs=specs, seed=7)
-    rep2 = pca.run_ablation(ds, models=("dt",), specs=specs, seed=7)
-    assert len(rep1.rows) == 15
-    assert [r.spec_name for r in rep1.rows] == [s.name for s in specs]
-    assert [r.n_features for r in rep1.rows] == [len(s.features) for s in specs]
+    rep1 = pca.run_ablation(ds, specs=specs, seed=7)
+    rep2 = pca.run_ablation(ds, specs=specs, seed=7)
+    assert len(rep1.rows) == 45
+    assert [(r.spec_name, r.model) for r in rep1.rows] == [
+        (s.name, m) for s in specs for m in ml.TRAINERS]
+    assert [r.n_features for r in rep1.rows] == [
+        len(s.features) for s in specs for _ in ml.TRAINERS]
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     rep1.to_csv(p1)
     rep2.to_csv(p2)
@@ -197,13 +199,13 @@ def test_run_ablation_rows_and_determinism(tmp_path):
 
 def test_run_ablation_cells_equal_train_eval():
     # specs whose shapes alternate cut the networks into several stacks;
-    # the rows follow the given specs and models, and each scores what its
-    # cell's own train_eval does
+    # the rows follow the given specs, each spec's models in ml.TRAINERS
+    # order, and each scores what its cell's own train_eval does
     ds = _ranking_dataset(4)
     grid = pca.all_specs()
     specs = [grid[5], grid[1], grid[9]]
-    keys = [(s, m) for s in specs for m in ("nn", "dt")]
-    rep = pca.run_ablation(ds, models=("nn", "dt"), specs=specs, seed=5)
+    keys = [(s, m) for s in specs for m in ml.TRAINERS]
+    rep = pca.run_ablation(ds, specs=specs, seed=5)
     assert [(r.spec_name, r.model) for r in rep.rows] == [
         (s.name, m) for s, m in keys]
     for row, (spec, model) in zip(rep.rows, keys):
