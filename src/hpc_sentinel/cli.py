@@ -355,13 +355,20 @@ def _ablation_table(rows) -> list:
     return out
 
 
-def _train_eval_all(ds, seed, balanced: bool, train_fraction: float = 0.7):
-    """Every model kind through ml.train_eval, each on its own seed."""
+def _train_eval_all(ds, unbalanced_seed, balanced_seed,
+                    train_fraction: float = 0.7):
+    """Every model kind, unbalanced and then balanced, each on its own
+    seed, through one ml.train_eval_cells call, which stacks the two
+    networks when their padded rows share a shape. Returns the two
+    {kind: (model, report)} dicts."""
     from . import ml
-    return {kind: ml.train_eval(kind, ds,
-                                ml.derive_seed(seed, int(balanced), i),
-                                train_fraction, balanced)
-            for i, kind in enumerate(ml.TRAINERS)}
+    cells = [(kind, ds, ml.derive_seed(seed, int(balanced), i), balanced)
+             for balanced, seed in ((False, unbalanced_seed),
+                                    (True, balanced_seed))
+             for i, kind in enumerate(ml.TRAINERS)]
+    results = iter(ml.train_eval_cells(cells, train_fraction))
+    return ({kind: next(results) for kind in ml.TRAINERS},
+            {kind: next(results) for kind in ml.TRAINERS})
 
 
 def _split_label(train_fraction: float) -> str:
@@ -502,10 +509,7 @@ def cmd_reproduce(args) -> int:
     with _Forked(lambda: pca.run_ablation(
             ds, seed=seed, train_fraction=args.split)) as worker:
         with _stage("train"):
-            unbal = _train_eval_all(ds, seed, balanced=False,
-                                    train_fraction=args.split)
-            bal = _train_eval_all(ds, seed, balanced=True,
-                                  train_fraction=args.split)
+            unbal, bal = _train_eval_all(ds, seed, seed, args.split)
             for name in ml.TRAINERS:
                 ml.save_model(unbal[name][0], out / f"{name}_unbalanced.json")
                 ml.save_model(bal[name][0], out / f"{name}_balanced.json")
@@ -516,11 +520,9 @@ def cmd_reproduce(args) -> int:
                                               encoding="utf-8")
             top3 = ranking.top(3)
             top_ds = ds.project(top3)
-            top_unbal = _train_eval_all(top_ds, ml.derive_seed(seed, 3, 0),
-                                        balanced=False,
-                                        train_fraction=args.split)
-            top_bal = _train_eval_all(top_ds, ml.derive_seed(seed, 3, 1),
-                                      balanced=True, train_fraction=args.split)
+            top_unbal, top_bal = _train_eval_all(
+                top_ds, ml.derive_seed(seed, 3, 0), ml.derive_seed(seed, 3, 1),
+                args.split)
 
         with _stage("simulate"):
             sim_stats = _simulate_bundle(out)

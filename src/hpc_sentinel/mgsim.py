@@ -353,12 +353,12 @@ def write_states_csv(trace: MgTrace, path):
     the other floats as repr (so they read back bit for bit) and the two
     flags as 0/1, in CRLF-ended lines: the bytes csv.writer gives.
 
-    Each row is formatted and written as the columns are read, so a
-    trace's text and its values as Python floats, about 3 MB for 6000
-    steps, are never held whole on top of what the caller holds
-    (reproduce's trained models)."""
-    columns = [map("{:.6f}".format, map(float, trace.time_s))]
-    columns += [map(repr, map(float, getattr(trace, name)))
+    Each row is written as it is formatted (_formatted), so a trace's
+    text and its values as Python floats, about 3 MB for 6000 steps, are
+    never held whole on top of what the caller holds (reproduce's trained
+    models)."""
+    columns = [_formatted(trace.time_s, "{:.6f}".format)]
+    columns += [_formatted(getattr(trace, name), repr)
                 for name in CSV_COLUMNS[1:-2]]
     columns += [map("01".__getitem__, getattr(trace, name).tolist())
                 for name in CSV_COLUMNS[-2:]]
@@ -366,6 +366,44 @@ def write_states_csv(trace: MgTrace, path):
         fh.write(",".join(CSV_COLUMNS) + "\r\n")
         for line in map(",".join, zip(*columns)):
             fh.write(line + "\r\n")
+
+
+# A float column with at most one distinct bit pattern per this many
+# rows is formatted through a table of its patterns (_formatted).
+_TABLE_ROWS_PER_VALUE = 16
+
+
+def _formatted(column, fmt):
+    """fmt of each float of column, in order, as an iterator of strings.
+
+    A column of at most len(column) / _TABLE_ROWS_PER_VALUE distinct bit
+    patterns formats each pattern once and indexes its string back: in a
+    6000-step trace, pv_kw (1-36 patterns) took 0.5 ms this way against
+    3.2 ms for a repr per row, and ess_kw and load_kw (1-2 patterns)
+    0.5 ms against 0.8-1.4 ms; reproduce's five CSVs took 96 ms against
+    118 ms (one process, min of 7). The patterns come from one sort of
+    the bits of the column's floats, so 0.0 and -0.0, and NaN payloads,
+    stay apart. The index holds the smallest unsigned int per row and is
+    read as the rows are written: a list of Python ints per row raised
+    reproduce's peak RSS by 0.1 MB. The rule bounds memory, not time: a
+    column of more patterns (freq_hz, diesel_kw and ess_kwh have one per
+    step) is formatted row by row as it is read, since its table would
+    hold the column's whole text; a table of at most one string per 16
+    rows takes less than the column's own floats."""
+    bits = np.ascontiguousarray(column, dtype=np.float64).view(np.int64)
+    # the stable sort took 7-15 us per column against 15-106 us for the
+    # default one, whose first call also paged in 0.3 MB of sort code
+    order = np.argsort(bits, kind="stable")
+    ordered = bits[order]
+    new = np.empty(bits.shape[0], dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    if np.count_nonzero(new) * _TABLE_ROWS_PER_VALUE > bits.shape[0]:
+        return map(fmt, map(float, column))
+    table = list(map(fmt, ordered[new].view(np.float64).tolist()))
+    index = np.empty(bits.shape[0], dtype=np.min_scalar_type(len(table)))
+    index[order] = np.cumsum(new) - 1
+    return map(table.__getitem__, index)
 
 
 def named_scenario(name: str) -> Scenario:

@@ -13,7 +13,12 @@ forests predict from one flattened node table. A forest tree draws the
 feature subsets of its nodes in blocks, equal to per-node
 Generator.choice draws.
 
-Networks of one (rows, features) shape train as one stack
+A network trains on the distinct (counter vector, label) rows of its set,
+each weighted by its count over the set's size, which gives the
+gradients and loss of the repeated rows; the standardization comes from
+the full rows. Each set's rows are padded with weight-0 rows to a
+multiple of NN_ROW_BLOCK, so its arrays depend on the set alone, and
+networks of one padded (rows, features) shape train as one stack
 (train_nn_stack), each bit for bit the network train_nn gives alone.
 
 Every caller trains through fit, which dispatches on the model kind,
@@ -49,6 +54,15 @@ PREDICT_BLOCK_PAIRS = 8192
 # so a tree usually draws once; draws a tree never uses cost nothing
 # else, because nothing reads its generator after it is grown.
 FEATURE_DRAW_NODES = 16
+
+
+# A network's distinct training rows are padded with weight-0 rows to a
+# multiple of this, so that networks whose sets differ a little in their
+# distinct counts share a shape and train as one stack. A fixed block,
+# not the largest set of a stack, keeps each network's arrays, and so its
+# bits, independent of the networks stacked with it. Every set that
+# reproduce trains has fewer distinct rows than this.
+NN_ROW_BLOCK = 32
 
 
 # --- splitting and balancing -------------------------------------------------
@@ -613,10 +627,12 @@ def _sigmoid(z):
     return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e)
 
 
-def _bce(p, y):
+def _bce(p, y, c):
+    """Binary cross-entropy of probabilities p against labels y, row i
+    weighted by c[i]."""
     eps = 1e-12
     p = np.clip(p, eps, 1.0 - eps)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+    return float(-(c * (y * np.log(p) + (1.0 - y) * np.log(1.0 - p))).sum())
 
 
 @dataclass
@@ -677,6 +693,45 @@ def _init_nn(n_features: int, hidden: int, rng):
     return w1, b1, w2, b2
 
 
+@dataclass
+class _NetRows:
+    """The rows one network trains on (_net_rows): Xs standardized, y the
+    labels and c the row weights, with the full set's mean and std."""
+
+    Xs: np.ndarray
+    y: np.ndarray
+    c: np.ndarray
+    mean: np.ndarray
+    std: np.ndarray
+    feature_names: tuple
+
+
+def _net_rows(train: Dataset) -> _NetRows:
+    """The distinct (counter vector, label) rows of a training set (_groups),
+    row i weighted by c[i] = its count / the set's size, so a weighted sum
+    over them is the mean over the set's rows. They are padded to a
+    multiple of NN_ROW_BLOCK with weight-0 copies of the first one, whose
+    outputs turn NaN only when that row's do. mean and std are the full
+    rows' (a constant feature's std is 1), and Xs is standardized with
+    them."""
+    if len(train) == 0:
+        raise EmptyDataset("network training needs at least one sample")
+    X = train.matrix()
+    y = train.labels()
+    Xf = X.astype(np.float64)
+    mean = Xf.mean(axis=0)
+    std = Xf.std(axis=0)
+    std[std == 0.0] = 1.0
+    group, first = _groups([*X.T, y])
+    pad = -first.shape[0] % NN_ROW_BLOCK
+    rows = np.concatenate([first, np.repeat(first[:1], pad)])
+    weights = np.concatenate([np.bincount(group), np.zeros(pad)])
+    return _NetRows(Xs=(Xf[rows] - mean) / std,
+                    y=y[rows].astype(np.float64), c=weights / X.shape[0],
+                    mean=mean, std=std,
+                    feature_names=tuple(train.feature_names))
+
+
 def _hidden_buffers(k: int, n: int, hidden: int):
     """Hidden-layer arrays for _forward_grads on a stack of k networks
     over n rows: z1, a1 and dz1 (float) and the active-unit mask."""
@@ -684,10 +739,12 @@ def _hidden_buffers(k: int, n: int, hidden: int):
             np.empty((k, n, hidden)), np.empty((k, n, hidden), dtype=bool))
 
 
-def _forward_grads(w1, b1, w2, b2, Xs, y, hidden_buffers):
-    """Output probabilities and the analytic gradients of the BCE loss of
-    a stack of K networks: Xs (K, n, f), already standardized, y (K, n),
-    w1 (K, f, h), b1 and w2 (K, h), b2 (K,).
+def _forward_grads(w1, b1, w2, b2, Xs, y, c, hidden_buffers):
+    """Output probabilities and the analytic gradients of the weighted BCE
+    loss (_bce) of a stack of K networks: Xs (K, n, f), already
+    standardized, y and the row weights c (K, n), w1 (K, f, h), b1 and w2
+    (K, h), b2 (K,). Weighting the output error by c weights every
+    gradient, since each is linear in it.
 
     Each network's slice goes through the same BLAS calls and elementwise
     steps, in the same order, as one network's 2-D arrays, so it is
@@ -697,12 +754,11 @@ def _forward_grads(w1, b1, w2, b2, Xs, y, hidden_buffers):
     the arithmetic once they pass the allocator's mmap threshold.
     """
     z1, a1, dz1, active = hidden_buffers
-    n = Xs.shape[1]
     np.matmul(Xs, w1, out=z1)
     z1 += b1[:, None, :]
     np.maximum(z1, 0.0, out=a1)
     p = _sigmoid((a1 @ w2[:, :, None])[:, :, 0] + b2[:, None])
-    dz2 = (p - y) / n
+    dz2 = (p - y) * c
     gw2 = (a1.transpose(0, 2, 1) @ dz2[:, :, None])[:, :, 0]
     gb2 = dz2.sum(axis=1)
     np.multiply(dz2[:, :, None], w2[:, None, :], out=dz1)
@@ -712,57 +768,57 @@ def _forward_grads(w1, b1, w2, b2, Xs, y, hidden_buffers):
     return p, gw1, gb1, gw2, gb2
 
 
-def nn_loss_and_grads(w1, b1, w2, b2, Xs, y):
-    """Full-batch BCE loss and analytic gradients of one network; Xs
-    already standardized."""
-    p, gw1, gb1, gw2, gb2 = _forward_grads(
-        w1[None], b1[None], w2[None], np.array([b2]), Xs[None], y[None],
-        _hidden_buffers(1, Xs.shape[0], w1.shape[1]))
-    return _bce(p[0], y), gw1[0], gb1[0], gw2[0], float(gb2[0])
-
-
 def train_nn(train: Dataset, hidden: int = 16, epochs: int = 600,
              lr: float = 0.5, seed: int = 0) -> NeuralNetModel:
-    """Full-batch gradient descent; raises NonFiniteLoss on divergence.
-    The one-network case of train_nn_stack."""
+    """Full-batch gradient descent on the set's weighted distinct rows
+    (_net_rows); raises NonFiniteLoss on divergence. The one-network case
+    of train_nn_stack."""
     return train_nn_stack([train], [seed], hidden, epochs, lr)[0]
 
 
 def train_nn_stack(trains, seeds, hidden: int = 16, epochs: int = 600,
                    lr: float = 0.5) -> list:
-    """The networks that train_nn gives for each training set and seed,
-    trained as one stack: the sets share one (rows, features) shape, and
-    every epoch steps all K networks through (K, n, f) inputs and
-    (K, f, hidden) weights.
+    """The networks that train_nn gives for each training set and seed.
+    Consecutive sets whose padded rows (_net_rows) share a (rows,
+    features) shape train as one stack (_train_stack), and a failure
+    raises what training the networks one after another would."""
+    models = []
+    for _, run in itertools.groupby(
+            zip(map(_net_rows, trains), seeds),
+            key=lambda set_seed: set_seed[0].Xs.shape):
+        sets, run_seeds = zip(*run)
+        models += _train_stack(sets, run_seeds, hidden, epochs, lr)
+    return models
+
+
+def _train_stack(sets, seeds, hidden, epochs, lr) -> list:
+    """The networks of sets (_net_rows of one shape) and seeds, trained
+    as one stack: every epoch steps all K networks through (K, n, f)
+    inputs and (K, f, hidden) weights.
 
     The loss is computed once, after the last epoch. An epoch checks the
     output-bias gradients instead: p is clipped inside the loss, so a
     network's loss is non-finite exactly when some p is NaN, which is
-    exactly when its gradient, a sum over every p, is NaN. A failure
-    raises what training the networks one after another would: the
-    NonFiniteLoss of the first network in order whose gradient turned NaN
-    at some epoch or whose final loss is not finite. Training stops early
-    only when the first network diverges, since a later one's error
-    cannot come first.
+    exactly when its gradient, a sum over every p, is NaN (a weight-0
+    row's term is NaN exactly when its p is). A failure raises what
+    training the networks one after another would: the NonFiniteLoss of
+    the first network in order whose gradient turned NaN at some epoch
+    or whose final loss is not finite. Training stops early only when
+    the first network diverges, since a later one's error cannot come
+    first.
     """
-    if any(len(tr) == 0 for tr in trains):
-        raise EmptyDataset("network training needs at least one sample")
-    X = np.stack([tr.matrix() for tr in trains]).astype(np.float64)
-    y = np.stack([tr.labels() for tr in trains]).astype(np.float64)
-    mean = X.mean(axis=1)
-    std = X.std(axis=1)
-    std[std == 0.0] = 1.0
-    Xs = (X - mean[:, None, :]) / std[:, None, :]
+    Xs, y, c = (np.stack([getattr(rows, name) for rows in sets])
+                for name in ("Xs", "y", "c"))
     w1, b1, w2, b2 = (np.stack(parts) for parts in zip(*(
-        _init_nn(X.shape[2], hidden, np.random.default_rng(s))
+        _init_nn(Xs.shape[2], hidden, np.random.default_rng(s))
         for s in seeds)))
-    buffers = _hidden_buffers(len(trains), X.shape[1], hidden)
-    diverged = np.full(len(trains), -1)
-    losses = [float("nan")] * len(trains)
+    buffers = _hidden_buffers(len(sets), Xs.shape[1], hidden)
+    diverged = np.full(len(sets), -1)
+    losses = [float("nan")] * len(sets)
     # divergence is detected explicitly below; silence the overflow chatter
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs):
-            _, gw1, gb1, gw2, gb2 = _forward_grads(w1, b1, w2, b2, Xs, y,
+            _, gw1, gb1, gw2, gb2 = _forward_grads(w1, b1, w2, b2, Xs, y, c,
                                                    buffers)
             if math.isnan(gb2.sum()):
                 diverged[np.isnan(gb2) & (diverged < 0)] = epoch
@@ -773,20 +829,20 @@ def train_nn_stack(trains, seeds, hidden: int = 16, epochs: int = 600,
             w2 -= lr * gw2
             b2 -= lr * gb2
         if epochs > 0 and diverged[0] < 0:
-            p, *_ = _forward_grads(w1, b1, w2, b2, Xs, y, buffers)
-            losses = [_bce(p[k], y[k]) for k in range(len(trains))]
+            p, *_ = _forward_grads(w1, b1, w2, b2, Xs, y, c, buffers)
+            losses = [_bce(p[k], y[k], c[k]) for k in range(len(sets))]
     for epoch, loss in zip(diverged.tolist(), losses):
         if epoch >= 0:
             raise NonFiniteLoss(epoch, float("nan"))
         if not math.isfinite(loss) and epochs > 0:
             raise NonFiniteLoss(epochs, loss)
     return [NeuralNetModel(w1=w1[k], b1=b1[k], w2=w2[k], b2=float(b2[k]),
-                           mean=mean[k], std=std[k],
-                           feature_names=tuple(tr.feature_names),
+                           mean=rows.mean, std=rows.std,
+                           feature_names=rows.feature_names,
                            final_loss=losses[k],
                            params={"hidden": hidden, "epochs": epochs,
                                    "lr": lr, "seed": seed})
-            for k, (tr, seed) in enumerate(zip(trains, seeds))]
+            for k, (rows, seed) in enumerate(zip(sets, seeds))]
 
 
 # --- evaluation and serialization ---------------------------------------------
@@ -859,29 +915,27 @@ def train_eval(kind: str, ds: Dataset, seed: int,
     return model, evaluate(model, te)
 
 
-def train_eval_cells(cells, train_fraction: float = 0.7,
-                     balanced: bool = False):
-    """train_eval of every (kind, dataset, seed) cell, yielded in cell
-    order.
+def train_eval_cells(cells, train_fraction: float = 0.7):
+    """train_eval of every (kind, dataset, seed, balanced) cell, yielded in
+    cell order.
 
-    The networks' cells are split first and train in runs: networks that
-    follow one another among the cells' networks and whose training sets
-    share a shape are one train_nn_stack call, which raises what the
-    first failing network of the run would. Every other cell is split and
-    fit when it is reached, so only one such model and split is held at a
-    time. Each result equals the cell's own train_eval.
+    The networks' cells are split first and trained by one train_nn_stack
+    call, which stacks the networks that follow one another among them
+    and whose padded rows share a shape, and raises what the first
+    failing network would. Every other cell is split and fit when it is
+    reached, so only one such model and split is held at a time. Each
+    result equals the cell's own train_eval.
     """
     cells = list(cells)
     nets = [(i, *_split_cell(ds, seed, train_fraction, balanced), seed)
-            for i, (kind, ds, seed) in enumerate(cells) if kind == "nn"]
-    trained = {}
-    for _, run in itertools.groupby(nets, key=lambda net: net[1].X.shape):
-        run = list(run)
-        models = train_nn_stack([tr for _, tr, _, _ in run],
-                                [seed for _, _, _, seed in run])
-        trained.update((i, (model, te))
-                       for (i, _, te, _), model in zip(run, models))
-    for i, (kind, ds, seed) in enumerate(cells):
+            for i, (kind, ds, seed, balanced) in enumerate(cells)
+            if kind == "nn"]
+    models = train_nn_stack([tr for _, tr, _, _ in nets],
+                            [seed for _, _, _, seed in nets])
+    trained = {i: (model, te) for (i, _, te, _), model in zip(nets, models)}
+    # the networks' training sides are not held while the other cells fit
+    del nets
+    for i, (kind, ds, seed, balanced) in enumerate(cells):
         if kind == "nn":
             model, te = trained.pop(i)
         else:

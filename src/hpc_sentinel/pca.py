@@ -166,7 +166,8 @@ def run_ablation(d: Dataset, specs=None, seed: int = 0,
     eliminate(()) after them, and the model's index in ml.TRAINERS), so a
     cell scores the same whatever grid it is run in. All cells train
     through one ml.train_eval_cells call, which trains the networks of
-    each run of same-shape specs as one stack.
+    each run of specs whose padded training rows share a shape as one
+    stack.
     """
     grid = all_specs() + [eliminate(())]
     specs = grid[:-1] if specs is None else list(specs)
@@ -174,8 +175,9 @@ def run_ablation(d: Dataset, specs=None, seed: int = 0,
     projections = {spec: d.project(spec.features) for spec in specs}
     results = ml.train_eval_cells(
         [(model, projections[spec],
-          ml.derive_seed(seed, grid.index(spec), ml.TRAINERS.index(model)))
-         for spec, model in keys], train_fraction, balanced)
+          ml.derive_seed(seed, grid.index(spec), ml.TRAINERS.index(model)),
+          balanced)
+         for spec, model in keys], train_fraction)
     return AblationReport(rows=[
         AblationRow(spec_name=spec.name, excluded=spec.excluded, model=model,
                     n_features=len(spec.features), metrics=rep.metrics)

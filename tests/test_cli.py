@@ -1066,7 +1066,7 @@ def test_large_dataset_reaches_busy_worker(tmp_path, monkeypatch, dt_only):
      "flat"),
     ("simulate", (mgsim, "run_scenario", NonFiniteLoss(5, float("nan"))), 4,
      "epoch 5"),
-    ("train", (ml, "train_eval", DataError("no cell")), 3, "no cell"),
+    ("train", (ml, "train_eval_cells", DataError("no cell")), 3, "no cell"),
 ], ids=["rank", "simulate", "train"])
 def test_parent_stage_errors_name_stage(tmp_path, capsys, monkeypatch,
                                         dt_only, stage, patch, code, words):

@@ -438,8 +438,22 @@ def test_rf_learns_separable_data(tiny_dataset):
 
 # --- neural network ---------------------------------------------------------------
 
-def _fd_check(w1, b1, w2, b2, Xs, y, rng, n_points=10, eps=1e-6):
-    loss, gw1, gb1, gw2, gb2 = ml.nn_loss_and_grads(w1, b1, w2, b2, Xs, y)
+def _weighted_step(w1, b1, w2, b2, Xs, y, c):
+    """The weighted loss and gradients of one network, through the
+    stacked step on a stack of one."""
+    p, gw1, gb1, gw2, gb2 = ml._forward_grads(
+        w1[None], b1[None], w2[None], np.array([b2]), Xs[None], y[None],
+        c[None], ml._hidden_buffers(1, Xs.shape[0], w1.shape[1]))
+    return ml._bce(p[0], y, c), gw1[0], gb1[0], gw2[0], float(gb2[0])
+
+
+def _fd_check(w1, b1, w2, b2, Xs, y, rng, n_points=10, eps=1e-6, c=None):
+    """The worst relative error of the weighted step's gradients against
+    central differences of its loss; every row weighs 1/n unless the row
+    weights c are given."""
+    if c is None:
+        c = np.full(Xs.shape[0], 1.0 / Xs.shape[0])
+    loss, gw1, gb1, gw2, gb2 = _weighted_step(w1, b1, w2, b2, Xs, y, c)
     grads = {"w1": gw1, "b1": gb1, "w2": gw2}
     worst = 0.0
     for name, g in grads.items():
@@ -450,47 +464,55 @@ def _fd_check(w1, b1, w2, b2, Xs, y, rng, n_points=10, eps=1e-6):
             idx = np.unravel_index(k, arr.shape)
             orig = arr[idx]
             arr[idx] = orig + eps
-            lp = ml.nn_loss_and_grads(w1, b1, w2, b2, Xs, y)[0]
+            lp = _weighted_step(w1, b1, w2, b2, Xs, y, c)[0]
             arr[idx] = orig - eps
-            lm = ml.nn_loss_and_grads(w1, b1, w2, b2, Xs, y)[0]
+            lm = _weighted_step(w1, b1, w2, b2, Xs, y, c)[0]
             arr[idx] = orig
             fd = (lp - lm) / (2 * eps)
             a = float(np.asarray(g)[idx])
             rel = abs(a - fd) / max(1e-8, abs(a) + abs(fd))
             worst = max(worst, rel)
     # bias of the output unit, a scalar
-    lp = ml.nn_loss_and_grads(w1, b1, w2, b2 + eps, Xs, y)[0]
-    lm = ml.nn_loss_and_grads(w1, b1, w2, b2 - eps, Xs, y)[0]
+    lp = _weighted_step(w1, b1, w2, b2 + eps, Xs, y, c)[0]
+    lm = _weighted_step(w1, b1, w2, b2 - eps, Xs, y, c)[0]
     fd = (lp - lm) / (2 * eps)
     worst = max(worst, abs(gb2 - fd) / max(1e-8, abs(gb2) + abs(fd)))
     return worst
 
 
 def test_nn_gradients_match_finite_differences():
+    # rows of weights 1-4 and three weight-0 padding rows
     rng = np.random.default_rng(21)
     for _ in range(3):
         n, f, h = 12, 5, 4
         Xs = rng.normal(size=(n, f))
         y = rng.integers(0, 2, n).astype(np.float64)
+        w = np.concatenate([rng.integers(1, 5, n - 3), np.zeros(3)])
+        c = w / w.sum()
         w1 = rng.normal(scale=0.5, size=(f, h))
         b1 = rng.normal(scale=0.1, size=h)
         w2 = rng.normal(scale=0.5, size=h)
         b2 = float(rng.normal(scale=0.1))
-        assert _fd_check(w1, b1, w2, b2, Xs, y, rng) < 1e-4
+        assert _fd_check(w1, b1, w2, b2, Xs, y, rng, c=c) < 1e-4
 
 
 def test_nn_loss_is_binary_cross_entropy():
-    Xs = np.array([[1.0], [-1.0]])
-    y = np.array([1.0, 0.0])
+    # the weighted rows' loss is the mean over the rows they stand for: the
+    # first three times, the second once, the third (padding) never
+    Xs = np.array([[1.0], [-1.0], [0.5]])
+    y = np.array([1.0, 0.0, 1.0])
+    c = np.array([3.0, 1.0, 0.0]) / 4
     w1 = np.array([[2.0, -1.0]])
     b1 = np.zeros(2)
     w2 = np.array([1.0, 1.0])
     b2 = 0.25
-    loss = ml.nn_loss_and_grads(w1, b1, w2, b2, Xs, y)[0]
-    z1 = Xs @ w1 + b1
+    loss = _weighted_step(w1, b1, w2, b2, Xs, y, c)[0]
+    rows = np.array([0, 0, 0, 1])
+    z1 = Xs[rows] @ w1 + b1
     a1 = np.maximum(z1, 0.0)
     p = 1.0 / (1.0 + np.exp(-(a1 @ w2 + b2)))
-    want = float(-(y * np.log(p) + (1 - y) * np.log(1 - p)).mean())
+    want = float(-(y[rows] * np.log(p)
+                   + (1 - y[rows]) * np.log(1 - p)).mean())
     assert loss == pytest.approx(want, rel=1e-12)
 
 
@@ -518,17 +540,13 @@ def test_nn_divergence_raises(tiny_dataset):
 def _diverging_epoch_reference(ds, hidden, epochs, lr, seed):
     """The training loop with the loss computed every epoch: the
     NonFiniteLoss of the first non-finite loss, or None."""
-    X = ds.matrix().astype(np.float64)
-    y = ds.labels().astype(np.float64)
-    std = X.std(axis=0)
-    std[std == 0.0] = 1.0
-    Xs = (X - X.mean(axis=0)) / std
-    w1, b1, w2, b2 = ml._init_nn(X.shape[1], hidden,
+    rows = ml._net_rows(ds)
+    w1, b1, w2, b2 = ml._init_nn(rows.Xs.shape[1], hidden,
                                  np.random.default_rng(seed))
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs + 1):
-            loss, gw1, gb1, gw2, gb2 = ml.nn_loss_and_grads(w1, b1, w2, b2,
-                                                            Xs, y)
+            loss, gw1, gb1, gw2, gb2 = _weighted_step(w1, b1, w2, b2,
+                                                      rows.Xs, rows.y, rows.c)
             if not math.isfinite(loss):
                 return NonFiniteLoss(epoch, loss)
             w1, b1 = w1 - lr * gw1, b1 - lr * gb1
@@ -553,14 +571,13 @@ def test_nn_divergence_matches_per_epoch_loss(tiny_dataset, lr, seed,
     assert str(got.value) == str(want)
 
 
-def _forward_grads_alone(w1, b1, w2, b2, Xs, y):
-    """One network's step on its own 2-D arrays: the reference that each
-    network of the stacked step equals bit for bit."""
-    n = Xs.shape[0]
+def _forward_grads_alone(w1, b1, w2, b2, Xs, y, c):
+    """One network's weighted step on its own 2-D arrays: the reference
+    that each network of the stacked step equals bit for bit."""
     z1 = Xs @ w1 + b1
     a1 = np.maximum(z1, 0.0)
     p = ml._sigmoid(a1 @ w2 + b2)
-    dz2 = (p - y) / n
+    dz2 = (p - y) * c
     gw2 = a1.T @ dz2
     gb2 = float(dz2.sum())
     dz1 = dz2[:, None] * w2 * (z1 > 0)
@@ -570,51 +587,91 @@ def _forward_grads_alone(w1, b1, w2, b2, Xs, y):
 
 
 def _train_alone(ds, hidden, epochs, lr, seed):
-    """(w1, b1, w2, b2, final loss) of one network trained on its own, or
-    the NonFiniteLoss it raises."""
-    X = ds.matrix().astype(np.float64)
-    y = ds.labels().astype(np.float64)
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
-    std[std == 0.0] = 1.0
-    Xs = (X - mean) / std
-    w1, b1, w2, b2 = ml._init_nn(X.shape[1], hidden,
+    """(w1, b1, w2, b2, final loss) of one network trained on its own
+    weighted, padded rows, or the NonFiniteLoss it raises."""
+    rows = ml._net_rows(ds)
+    Xs, y, c = rows.Xs, rows.y, rows.c
+    w1, b1, w2, b2 = ml._init_nn(Xs.shape[1], hidden,
                                  np.random.default_rng(seed))
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs):
             _, gw1, gb1, gw2, gb2 = _forward_grads_alone(w1, b1, w2, b2,
-                                                         Xs, y)
+                                                         Xs, y, c)
             if math.isnan(gb2):
                 return NonFiniteLoss(epoch, float("nan"))
             w1 -= lr * gw1
             b1 -= lr * gb1
             w2 -= lr * gw2
             b2 -= lr * gb2
-        p, *_ = _forward_grads_alone(w1, b1, w2, b2, Xs, y)
-    loss = ml._bce(p, y)
+        p, *_ = _forward_grads_alone(w1, b1, w2, b2, Xs, y, c)
+    loss = ml._bce(p, y, c)
     if not math.isfinite(loss):
         return NonFiniteLoss(epochs, loss)
     return w1, b1, w2, b2, loss
 
 
 @pytest.fixture(scope="module")
-def double_exclusion_cells():
-    """Training sides of the ten 12-feature cells of a seed-42 sweep."""
+def seed42_dataset():
+    """The dataset of a seed-42 reproduce run."""
     corpus = mutate.build_corpus(mutate.synth_base_listing(seed=42),
                                  seed=42)
-    ds = hpc.emit_dataset(
+    return hpc.emit_dataset(
         [(kind, "benign" if kind == "benign" else "malicious",
           None if kind == "benign" else kind, parse_listing(text))
          for kind, text in sorted(corpus.items())])
+
+
+@pytest.fixture(scope="module")
+def double_exclusion_cells(seed42_dataset):
+    """Training sides of the ten 12-feature cells of a seed-42 sweep."""
     specs = [s for s in pca.all_specs() if len(s.excluded) == 2]
-    return [(ml.split(ds.project(s.features), 0.7,
+    return [(ml.split(seed42_dataset.project(s.features), 0.7,
                       ml.derive_seed(42, 5 + i, 2))[0],
              ml.derive_seed(42, 5 + i, 2)) for i, s in enumerate(specs)]
+
+
+def _seed42_network_sets(ds):
+    """The training sides of reproduce's four seed-42 networks on every
+    counter and of its two top-3 networks."""
+    top = ds.project(pca.rank_features(ds, n_components=3).top(3))
+    sets = []
+    for d, seeds in ((ds, (42, 42)),
+                     (top, (ml.derive_seed(42, 3, 0),
+                            ml.derive_seed(42, 3, 1)))):
+        for balanced, seed in enumerate(seeds):
+            cell_seed = ml.derive_seed(seed, balanced, 2)
+            sets.append(ml._split_cell(d, cell_seed, 0.7, balanced)[0])
+    return sets
+
+
+def test_weighted_step_equals_full_rows(seed42_dataset):
+    # the distinct rows, weighted by count, give the repeated rows' loss
+    # and gradients, at the initial weights and after 100 epochs
+    for tr in _seed42_network_sets(seed42_dataset):
+        rows = ml._net_rows(tr)
+        n = len(tr)
+        assert rows.Xs.shape[0] % ml.NN_ROW_BLOCK == 0
+        assert np.count_nonzero(rows.c) < n
+        assert math.isclose(rows.c.sum(), 1.0, rel_tol=1e-12)
+        X = tr.matrix().astype(np.float64)
+        Xs = (X - rows.mean) / rows.std
+        y = tr.labels().astype(np.float64)
+        for epochs in (0, 100):
+            net = ml.train_nn(tr, epochs=epochs, seed=3)
+            params = (net.w1, net.b1, net.w2, net.b2)
+            want = _weighted_step(*params, Xs, y, np.full(n, 1.0 / n))
+            got = _weighted_step(*params, rows.Xs, rows.y, rows.c)
+            for a, b in zip(got, want):
+                err = np.max(np.abs(np.subtract(a, b)))
+                assert err <= 1e-12 * np.max(np.abs(b)), (n, epochs)
 
 
 @pytest.mark.parametrize("k", [1, 3, 10])
 def test_nn_stack_equals_networks_trained_alone(double_exclusion_cells, k):
     cells = double_exclusion_cells[:k]
+    # the sets differ in their distinct counts, and are padded to one shape
+    distinct = {int(np.count_nonzero(ml._net_rows(tr).c)) for tr, _ in cells}
+    assert len(distinct) > 1 or k == 1
     nets = ml.train_nn_stack([tr for tr, _ in cells],
                              [seed for _, seed in cells], epochs=150)
     assert len(nets) == k
@@ -646,6 +703,15 @@ def test_nn_stack_raises_first_networks_error(tiny_dataset, lr, epochs,
     assert str(got.value) == str(failed[0])
 
 
+def _assert_cells_equal_train_eval(cells):
+    got = ml.train_eval_cells(cells, 0.7)
+    for (kind, ds, seed, balanced), (model, report) in zip(cells, got):
+        want_model, want_report = ml.train_eval(kind, ds, seed, 0.7,
+                                                balanced)
+        assert ml.model_to_json(model) == ml.model_to_json(want_model)
+        assert repr(report) == repr(want_report)
+
+
 @pytest.mark.parametrize("balanced", [False, True])
 def test_train_eval_cells_equal_train_eval(balanced):
     # networks of alternating shapes, with trees between them, train as
@@ -654,15 +720,32 @@ def test_train_eval_cells_equal_train_eval(balanced):
     d = make_dataset(rng.integers(0, 8, size=(50, 30)),
                      rng.integers(0, 2, size=50))
     wide, narrow = d, d.project(hpc.FEATURE_NAMES[:12])
-    cells = [("nn", wide, 1), ("dt", narrow, 2), ("nn", wide, 3),
-             ("nn", narrow, 4), ("dt", wide, 5), ("nn", narrow, 6),
-             ("nn", wide, 7)]
-    got = ml.train_eval_cells(cells, 0.7, balanced)
-    for (kind, ds, seed), (model, report) in zip(cells, got):
-        want_model, want_report = ml.train_eval(kind, ds, seed, 0.7,
-                                                balanced)
-        assert ml.model_to_json(model) == ml.model_to_json(want_model)
-        assert repr(report) == repr(want_report)
+    _assert_cells_equal_train_eval(
+        [("nn", wide, 1, balanced), ("dt", narrow, 2, balanced),
+         ("nn", wide, 3, balanced), ("nn", narrow, 4, balanced),
+         ("dt", wide, 5, balanced), ("nn", narrow, 6, balanced),
+         ("nn", wide, 7, balanced)])
+
+
+def test_train_eval_cells_mixed_balanced_flags(seed42_dataset):
+    # reproduce's train stage: every kind unbalanced, then balanced, on
+    # the seed-42 dataset; its two networks train as one stack
+    ds = seed42_dataset
+    cells = [(kind, ds, ml.derive_seed(42, int(balanced), i), balanced)
+             for balanced in (False, True)
+             for i, kind in enumerate(ml.TRAINERS)]
+    stacks = []
+    stack = ml._train_stack
+
+    def counting(sets, *args):
+        stacks.append(len(sets))
+        return stack(sets, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ml, "_train_stack", counting)
+        _assert_cells_equal_train_eval(cells)
+    # one stack of two, then one network per train_eval
+    assert stacks == [2, 1, 1]
 
 
 def _masked_sigmoid(z):
