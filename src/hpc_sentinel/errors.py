@@ -1,7 +1,9 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, and read_text of inputs.
 
 DataError subclasses map to CLI exit code 3, NumericError to exit code 4.
 """
+
+from pathlib import Path
 
 
 class SentinelError(Exception):
@@ -61,3 +63,12 @@ class DegenerateCovariance(DataError):
 class TooManyExclusions(DataError):
     pass
 
+
+
+def read_text(path, stage: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        raise DataError(f"{stage}: cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise DataError(f"{stage}: {path} is not UTF-8 text: {e}") from e

@@ -1,5 +1,6 @@
 """Names the command line offers as choices: the attack kinds that mutate
-injects and the named scenarios that mgsim runs.
+injects and the named scenarios that mgsim runs; and the file names of a
+reproduce bundle.
 
 They are defined here, apart from those modules, so that building the
 parser and checking a bundle load neither; this module imports only the
@@ -25,3 +26,13 @@ class AttackKind(enum.Enum):
 
 SCENARIO_NAMES = ("nominal", "mppt_dos", "inverter_dos", "input_sine",
                   "input_sine_fast")
+
+BUNDLE_ASM = ("benign.asm", "mppt_dos.asm", "inverter_dos.asm",
+              "input_array.asm", "input_sine.asm")
+BUNDLE_MODELS = ("dt_unbalanced.json", "rf_unbalanced.json",
+                 "nn_unbalanced.json", "dt_balanced.json",
+                 "rf_balanced.json", "nn_balanced.json")
+BUNDLE_SIMS = tuple(f"sim_{n}.csv" for n in SCENARIO_NAMES)
+BUNDLE_FILES = (BUNDLE_ASM + ("dataset.csv",) + BUNDLE_MODELS
+                + ("ranking.json", "ablation.csv") + BUNDLE_SIMS
+                + ("summary.md",))

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import xml.etree.ElementTree as ET
 from importlib import resources
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpc_sentinel import cli, hpc, mgsim, ml, mutate, pca
+from hpc_sentinel import cli, hpc, mgsim, ml, mutate, pca, study
 from hpc_sentinel.errors import (AnchorNotFound, DataError,
                                  DegenerateCovariance, NonFiniteLoss)
 from hpc_sentinel.mutate import (AttackKind, default_template,
@@ -162,6 +163,19 @@ def test_report_renders_charts(tmp_path):
     assert power.read_text().lstrip().startswith("<svg")
 
 
+def test_report_escapes_chart_text(tmp_path):
+    # a scenario name is the file name, and goes into each chart's title
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    assert run_cli("simulate", "--scenario", "nominal",
+                   "--out", str(bundle / "sim_a&b<c.csv")) == 0
+    assert run_cli("report", "--bundle", str(bundle)) == 0
+    for chart in ("a&b<c_power.svg", "a&b<c_freq.svg"):
+        title = ET.parse(bundle / "plots" / chart).getroot().find(
+            "{http://www.w3.org/2000/svg}text").text
+        assert title.startswith("a&b<c: "), chart
+
+
 _SIM_HEADER = ",".join(mgsim.CSV_COLUMNS)
 _SIM_ROW = "0.000000,60.0,35.0,1.0,100.0,50.0,500.0,1,1"
 
@@ -211,7 +225,7 @@ def test_report_names_line_of_bad_value(tmp_path, capsys, row, words):
     assert not (bundle / "plots" / "nominal_power.svg").exists()
 
 
-@pytest.mark.parametrize("column", cli.CHART_COLUMNS)
+@pytest.mark.parametrize("column", study.CHART_COLUMNS)
 def test_report_names_missing_column(tmp_path, capsys, column):
     bundle = tmp_path / "bundle"
     bundle.mkdir()
@@ -332,8 +346,6 @@ _BAD_FLAG_VALUES = [
     ("train", "--lr", _NON_FINITE | st.floats(max_value=0.0)),
     ("train", "--split", _OUTSIDE_UNIT),
     ("reproduce", "--split", _OUTSIDE_UNIT),
-    ("reproduce", "--components", _outside(1, len(hpc.FEATURE_NAMES))),
-    ("rank", "--components", _outside(1, None)),
 ]
 
 
@@ -401,28 +413,45 @@ def test_extract_and_eval_load_only_what_they_run(tmp_path, base_asm,
     loaded = _modules_after(["extract", "--label", "benign", "--out",
                              str(out), str(base_asm)])
     assert not loaded & {"hpc_sentinel.ml", "hpc_sentinel.mgsim",
-                         "hpc_sentinel.mutate", "hpc_sentinel.pca"}
+                         "hpc_sentinel.mutate", "hpc_sentinel.pca",
+                         "hpc_sentinel.study"}
     model = tmp_path / "dt.json"
-    assert run_cli("train", "--model", "dt", "--data", str(corpus_csv),
-                   "--out", str(model)) == 0
+    loaded = _modules_after(["train", "--model", "dt", "--data",
+                             str(corpus_csv), "--out", str(model)])
+    assert "hpc_sentinel.study" not in loaded
     loaded = _modules_after(["eval", "--model", str(model), "--data",
                              str(corpus_csv), "--out",
                              str(tmp_path / "r.json")])
     assert "hpc_sentinel.ml" in loaded
     assert not loaded & {"hpc_sentinel.mgsim", "hpc_sentinel.mutate",
-                         "hpc_sentinel.pca"}
+                         "hpc_sentinel.pca", "hpc_sentinel.study"}
+    # report runs in study, which loads none of the modules it does not run
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    (bundle / "sim_nominal.csv").write_text(
+        f"{_SIM_HEADER}\n{_SIM_ROW}\n{_SIM_ROW}\n")
+    loaded = _modules_after(["report", "--bundle", str(bundle)])
+    assert "hpc_sentinel.study" in loaded
+    assert not loaded & {"hpc_sentinel.ml", "hpc_sentinel.mgsim",
+                         "hpc_sentinel.mutate", "hpc_sentinel.pca"}
 
 
 def test_rank_components_range(tmp_path, capsys, corpus_csv):
     out = tmp_path / "ranking.json"
-    # below 1 is refused before the data is read, so a missing file
-    # still exits 2
-    assert run_cli("rank", "--data", str(tmp_path / "missing.csv"),
-                   "--components", "0", "--out", str(out)) == 2
-    # more components than the data's counters
-    assert run_cli("rank", "--data", str(corpus_csv),
-                   "--components", "31", "--out", str(out)) == 2
-    assert "[1, 30]" in capsys.readouterr().err
+    # outside FLAG_BOUNDS is refused before the data is read, so a missing
+    # file still exits 2
+    for value in ("0", "31"):
+        assert run_cli("rank", "--data", str(tmp_path / "missing.csv"),
+                       "--components", value, "--out", str(out)) == 2
+        assert "--components must lie in [1, 30]" in capsys.readouterr().err
+    # more components than the data's own counters
+    two = tmp_path / "two.csv"
+    two.write_text("firmware_id,window_index,partial,a,b,label,attack_kind\n"
+                   "f,0,0,1,2,benign,\ng,0,0,3,1,malicious,mppt_dos\n"
+                   "f,1,0,2,2,benign,\ng,1,0,4,0,malicious,mppt_dos\n")
+    assert run_cli("rank", "--data", str(two),
+                   "--components", "3", "--out", str(out)) == 2
+    assert f"[1, 2]: {two} has 2 counters" in capsys.readouterr().err
     assert not out.exists()
     assert run_cli("rank", "--data", str(corpus_csv),
                    "--components", "30", "--out", str(out)) == 0
@@ -875,8 +904,32 @@ def test_reproduce_smoke(tmp_path):
 
 
 def test_split_label_follows_fraction():
-    assert cli._split_label(0.7) == "70/30"
-    assert cli._split_label(0.8) == "80/20"
+    assert study._split_label(0.7) == "70/30"
+    assert study._split_label(0.8) == "80/20"
+
+
+def test_reproduce_refuses_stray_files(tmp_path, capsys):
+    # checked before the mutate stage, so the run writes nothing
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    (bundle / "notes.txt").write_text("mine\n")
+    assert run_cli("reproduce", "--out", str(bundle)) == 3
+    captured = capsys.readouterr()
+    assert "['notes.txt']" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert [p.name for p in bundle.iterdir()] == ["notes.txt"]
+
+
+def test_reproduce_reruns_into_complete_bundle(tmp_path, dt_only):
+    # report's plots/ directory is not a stray file
+    bundle = tmp_path / "bundle"
+    assert run_cli("reproduce", "--out", str(bundle)) == 0
+    assert run_cli("report", "--bundle", str(bundle)) == 0
+    first = {p.name: p.read_bytes() for p in bundle.iterdir() if p.is_file()}
+    assert run_cli("reproduce", "--out", str(bundle)) == 0
+    assert {p.name: p.read_bytes() for p in bundle.iterdir()
+            if p.is_file()} == first
+    assert (bundle / "plots" / "nominal_power.svg").exists()
 
 
 # --- the sweep worker of reproduce ---------------------------------------------
@@ -906,8 +959,8 @@ def _raise(error):
      "worker process ended with exit status 9"),
 ], ids=["ablate_data_error", "ablate_non_finite_loss", "non_finite_loss",
         "exit_9"])
-def test_simulation_failure_in_worker(tmp_path, capsys, monkeypatch, dt_only,
-                                      fail, code, words):
+def test_sweep_failure_in_worker(tmp_path, capsys, monkeypatch, dt_only,
+                                 fail, code, words):
     # the worker runs the sweep, and this process the simulations; the
     # worker is forked from this process, so it runs the patched sweep, and
     # its exceptions cannot be unpickled and travel as text
@@ -1115,7 +1168,7 @@ def test_reproduce_ablation_follows_split(tmp_path, capsys, monkeypatch,
 def test_worker_never_returns_into_caller(tmp_path, error):
     parent = os.getpid()
     try:
-        with cli._Forked(_raise(error)) as worker:
+        with study._Forked(_raise(error)) as worker:
             with pytest.raises(DataError, match="exit status 1"):
                 worker.join()
     finally:
@@ -1129,12 +1182,12 @@ def test_text_before_fork_printed_once():
     # a pipe makes stdout block-buffered, so text the parent printed but
     # did not flush would be written again by a worker that flushes
     code = ("import sys\n"
-            "from hpc_sentinel import cli\n"
+            "from hpc_sentinel import study\n"
             "def work():\n"
             "    print('worker')\n"
             "    sys.stdout.flush()\n"
             "print('before fork')\n"
-            "with cli._Forked(work) as worker:\n"
+            "with study._Forked(work) as worker:\n"
             "    worker.join()\n"
             "print('after join')\n")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
