@@ -103,9 +103,9 @@ def cmd_train(args) -> int:
     ds = hpc.read_dataset_csv(args.data)
     hp = {"rf": {"n_trees": args.trees},
           "nn": {"hidden": args.hidden, "epochs": args.epochs,
-                 "lr": args.lr}}.get(args.model, {})
-    model, report = ml.train_eval(args.model, ds, args.seed, args.split,
-                                  args.balance, **hp)
+                 "lr": args.lr}}
+    [(model, report)] = ml.train_eval_cells(
+        [(args.model, ds, args.seed, args.balance)], args.split, hp)
     ml.save_model(model, args.out)
     print(f"wrote {args.out} ({args.model}, held-out accuracy "
           f"{report.metrics.accuracy:.4f})")

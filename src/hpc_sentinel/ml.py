@@ -21,10 +21,11 @@ multiple of NN_ROW_BLOCK, so its arrays depend on the set alone, and
 networks of one padded (rows, features) shape train as one stack
 (train_nn_stack), each bit for bit the network train_nn gives alone.
 
-Every caller trains through fit, which dispatches on the model kind,
-train_eval (split, optional balancing, fit, evaluate) or its many-cell
-form train_eval_cells, which stacks the cells' networks, and derives the
-seeds of its sub-runs with derive_seed.
+Every caller trains through train_eval_cells, for one cell or many:
+it splits each cell's dataset, balances the training side if asked,
+fits the cell's kind with train_dt, train_rf or train_nn_stack (which
+stacks the cells' networks) and scores the held-out side. Callers
+derive the seeds of their cells with derive_seed.
 """
 
 import itertools
@@ -280,8 +281,6 @@ def _predict_trees(trees, X) -> np.ndarray:
     QuickScorer's flattened traversal.
     """
     X = np.asarray(X)
-    if not trees:
-        return np.zeros(X.shape[0], dtype=np.int64)
     # rows of no columns are all the same row, and lexsort needs a key
     keys = X.T if X.shape[1] else np.zeros((1, X.shape[0]), dtype=np.int64)
     group, first = _groups(keys)
@@ -579,9 +578,10 @@ class RandomForestModel:
 
     @classmethod
     def from_dict(cls, d) -> "RandomForestModel":
-        return cls(trees=[DecisionTreeModel.from_dict(t)
-                          for t in d["trees"]],
-                   feature_names=tuple(d["feature_names"]),
+        trees = [DecisionTreeModel.from_dict(t) for t in d["trees"]]
+        if not trees:
+            raise ValueError("forest has no trees")
+        return cls(trees=trees, feature_names=tuple(d["feature_names"]),
                    params=dict(d.get("params", {})))
 
 
@@ -672,15 +672,38 @@ class NeuralNetModel:
 
     @classmethod
     def from_dict(cls, d) -> "NeuralNetModel":
-        return cls(w1=np.asarray(d["w1"], dtype=np.float64),
-                   b1=np.asarray(d["b1"], dtype=np.float64),
-                   w2=np.asarray(d["w2"], dtype=np.float64),
-                   b2=float(d["b2"]),
-                   mean=np.asarray(d["mean"], dtype=np.float64),
-                   std=np.asarray(d["std"], dtype=np.float64),
-                   feature_names=tuple(d["feature_names"]),
-                   final_loss=float(d.get("final_loss", float("nan"))),
-                   params=dict(d.get("params", {})))
+        model = cls(w1=np.asarray(d["w1"], dtype=np.float64),
+                    b1=np.asarray(d["b1"], dtype=np.float64),
+                    w2=np.asarray(d["w2"], dtype=np.float64),
+                    b2=float(d["b2"]),
+                    mean=np.asarray(d["mean"], dtype=np.float64),
+                    std=np.asarray(d["std"], dtype=np.float64),
+                    feature_names=tuple(d["feature_names"]),
+                    final_loss=float(d.get("final_loss", float("nan"))),
+                    params=dict(d.get("params", {})))
+        model._check()
+        return model
+
+    def _check(self):
+        """Reject weights that do not fit the features, and a weight or
+        standardization that is not finite or divides by zero: numpy
+        would broadcast a short array, and a NaN reaching the output
+        predicts benign."""
+        n = len(self.feature_names)
+        if self.w1.ndim != 2 or self.w1.shape[0] != n:
+            raise ValueError(f"network w1 must be {n} x hidden")
+        hidden = self.w1.shape[1:]
+        if self.b1.shape != hidden or self.w2.shape != hidden:
+            raise ValueError("network b1 and w2 must have one entry per "
+                             "hidden unit")
+        if self.mean.shape != (n,) or self.std.shape != (n,):
+            raise ValueError("network mean and std must have one entry per "
+                             "feature")
+        if not (all(np.isfinite(a).all() for a in (
+                self.w1, self.b1, self.w2, self.b2, self.mean, self.std))
+                and (self.std > 0).all()):
+            raise ValueError("network weights, mean and std must be "
+                             "finite, with std > 0")
 
 
 def _init_nn(n_features: int, hidden: int, rng):
@@ -772,7 +795,8 @@ def train_nn(train: Dataset, hidden: int = 16, epochs: int = 600,
              lr: float = 0.5, seed: int = 0) -> NeuralNetModel:
     """Full-batch gradient descent on the set's weighted distinct rows
     (_net_rows); raises NonFiniteLoss on divergence. The one-network case
-    of train_nn_stack."""
+    of train_nn_stack, kept for the tests and perfbench/tracer.py, which
+    wraps this name."""
     return train_nn_stack([train], [seed], hidden, epochs, lr)[0]
 
 
@@ -893,45 +917,30 @@ def derive_seed(*key) -> int:
 TRAINERS = ("dt", "rf", "nn")
 
 
-def fit(kind: str, train: Dataset, seed: int = 0, **hp):
-    """Train a model of the given kind ("dt", "rf" or "nn"); hp are the
-    trainer's keyword arguments. The decision tree ignores the seed."""
-    if kind == "dt":
-        return train_dt(train, **hp)
-    if kind == "rf":
-        return train_rf(train, seed=seed, **hp)
-    if kind == "nn":
-        return train_nn(train, seed=seed, **hp)
-    raise ValueError(f"unknown model {kind!r}")
-
-
-def train_eval(kind: str, ds: Dataset, seed: int,
-               train_fraction: float = 0.7, balanced: bool = False, **hp):
-    """Split ds, optionally balance the training side, fit a model and
-    score it on the held-out side; one seed drives all three. Returns
-    (model, EvalReport)."""
-    tr, te = _split_cell(ds, seed, train_fraction, balanced)
-    model = fit(kind, tr, seed, **hp)
-    return model, evaluate(model, te)
-
-
-def train_eval_cells(cells, train_fraction: float = 0.7):
-    """train_eval of every (kind, dataset, seed, balanced) cell, yielded in
-    cell order.
+def train_eval_cells(cells, train_fraction: float = 0.7, hp=None):
+    """(model, EvalReport) of every (kind, dataset, seed, balanced) cell,
+    yielded in cell order: the cell's seed splits its dataset, balances
+    the training side if asked and seeds the trainer of its kind (the
+    decision tree ignores it), and the model is scored on the held-out
+    side. hp maps a kind to its trainer's keyword arguments, such as
+    {"rf": {"n_trees": 10}}; an unknown kind raises ValueError.
 
     The networks' cells are split first and trained by one train_nn_stack
     call, which stacks the networks that follow one another among them
     and whose padded rows share a shape, and raises what the first
     failing network would. Every other cell is split and fit when it is
-    reached, so only one such model and split is held at a time. Each
-    result equals the cell's own train_eval.
+    reached, so only one such model and split is held at a time. The
+    trainers are looked up by name when called, so a wrapper installed
+    on the module (perfbench/tracer.py's, a test's) sees every fit.
     """
+    hp = hp or {}
     cells = list(cells)
     nets = [(i, *_split_cell(ds, seed, train_fraction, balanced), seed)
             for i, (kind, ds, seed, balanced) in enumerate(cells)
             if kind == "nn"]
     models = train_nn_stack([tr for _, tr, _, _ in nets],
-                            [seed for _, _, _, seed in nets])
+                            [seed for _, _, _, seed in nets],
+                            **hp.get("nn", {}))
     trained = {i: (model, te) for (i, _, te, _), model in zip(nets, models)}
     # the networks' training sides are not held while the other cells fit
     del nets
@@ -940,7 +949,12 @@ def train_eval_cells(cells, train_fraction: float = 0.7):
             model, te = trained.pop(i)
         else:
             tr, te = _split_cell(ds, seed, train_fraction, balanced)
-            model = fit(kind, tr, seed)
+            if kind == "dt":
+                model = train_dt(tr)
+            elif kind == "rf":
+                model = train_rf(tr, seed=seed, **hp.get("rf", {}))
+            else:
+                raise ValueError(f"unknown model {kind!r}")
         yield model, evaluate(model, te)
 
 

@@ -1,9 +1,10 @@
-"""Shared fixtures: small dataset builders."""
+"""Shared fixtures: small dataset builders, and the one-cell oracle of
+ml.train_eval_cells."""
 
 import numpy as np
 import pytest
 
-from hpc_sentinel import hpc
+from hpc_sentinel import hpc, ml
 
 
 def make_dataset(X, y, attack="mppt_dos", feature_names=hpc.FEATURE_NAMES):
@@ -19,6 +20,24 @@ def make_dataset(X, y, attack="mppt_dos", feature_names=hpc.FEATURE_NAMES):
                        partial=np.zeros(len(y), dtype=bool),
                        attack=np.where(y == 1, attack, ""),
                        feature_names=feature_names)
+
+
+def train_eval_oracle(kind, ds, seed, train_fraction=0.7, balanced=False,
+                      hp=None):
+    """One cell of ml.train_eval_cells done step by step: split, balance
+    the training side if asked, the kind's own trainer, evaluate. Returns
+    (model, EvalReport)."""
+    hp = hp or {}
+    tr, te = ml.split(ds, train_fraction, seed)
+    if balanced:
+        tr = ml.balance(tr, seed=seed)
+    if kind == "dt":
+        model = ml.train_dt(tr)
+    elif kind == "rf":
+        model = ml.train_rf(tr, seed=seed, **hp.get("rf", {}))
+    else:
+        model = ml.train_nn(tr, seed=seed, **hp.get("nn", {}))
+    return model, ml.evaluate(model, te)
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hpc_sentinel import cli, hpc, mgsim, ml, mutate, pca
+from hpc_sentinel import cli, hpc, mgsim, ml, mutate, pca, study
 from hpc_sentinel.asm import Listing, parse_listing
 
 from conftest import make_dataset
@@ -313,3 +313,27 @@ def test_worker_sweep_rows_match_bundle(seed42_bundles, tmp_path):
     out = tmp_path / "ablation.csv"
     pca.run_ablation(ds, seed=42).to_csv(out)
     assert out.read_bytes() == (bundle / "ablation.csv").read_bytes()
+
+
+def test_saved_models_match_summary(seed42_bundles):
+    # each saved model, scored on its cell's held-out side of the bundle's
+    # dataset, gives its row of the two detection-metrics tables
+    bundle = seed42_bundles[0]
+    ds = hpc.read_dataset_csv(bundle / "dataset.csv")
+    sections = {}
+    for section in (bundle / "summary.md").read_text().split("\n## ")[1:]:
+        heading, _, body = section.partition("\n")
+        sections[heading] = body.splitlines()
+    for balanced, heading in (
+            (False, "Detection metrics, unbalanced training (70/30 split)"),
+            (True, "Detection metrics, balanced training")):
+        for i, kind in enumerate(ml.TRAINERS):
+            seed = ml.derive_seed(42, int(balanced), i)
+            _, test = ml.split(ds, 0.7, seed)
+            label = "balanced" if balanced else "unbalanced"
+            model = ml.load_model(bundle / f"{kind}_{label}.json")
+            metrics = ml.evaluate(model, test).metrics
+            row = study._metrics_table([(kind, metrics)])[-1]
+            assert row in sections[heading], (kind, label)
+    print("saved models PASS: the six model files score their "
+          "summary.md rows")

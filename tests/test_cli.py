@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 import xml.etree.ElementTree as ET
 from importlib import resources
 from pathlib import Path
@@ -23,6 +24,8 @@ from hpc_sentinel.errors import (AnchorNotFound, DataError,
                                  DegenerateCovariance, NonFiniteLoss)
 from hpc_sentinel.mutate import (AttackKind, default_template,
                                  synth_base_listing)
+
+from conftest import train_eval_oracle
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -100,17 +103,24 @@ def test_train_eval_rank_chain(tmp_path, corpus_csv):
     assert len(robj["ranking"]) == 30
 
 
-def test_train_balanced_rf_and_nn(tmp_path, corpus_csv):
-    rf = tmp_path / "rf.json"
-    assert run_cli("train", "--model", "rf", "--data", str(corpus_csv),
-                   "--trees", "10", "--balance", "--seed", "1",
-                   "--out", str(rf)) == 0
-    nn = tmp_path / "nn.json"
-    assert run_cli("train", "--model", "nn", "--data", str(corpus_csv),
-                   "--hidden", "4", "--epochs", "40", "--seed", "1",
-                   "--out", str(nn)) == 0
-    assert json.loads(rf.read_text())["kind"] == "rf"
-    assert json.loads(nn.read_text())["kind"] == "nn"
+def test_train_balanced_rf_and_nn(tmp_path, capsys, corpus_csv):
+    # each saved model and its printed held-out accuracy are the oracle's
+    # for the same flags, so a flag that does not reach its trainer fails
+    ds = hpc.read_dataset_csv(corpus_csv)
+    for kind, flags, seed, balanced, hp in (
+            ("dt", (), 9, False, None),
+            ("rf", ("--trees", "10", "--balance"), 1, True,
+             {"rf": {"n_trees": 10}}),
+            ("nn", ("--hidden", "4", "--epochs", "40", "--lr", "0.3"), 1,
+             False, {"nn": {"hidden": 4, "epochs": 40, "lr": 0.3}})):
+        out = tmp_path / f"{kind}.json"
+        assert run_cli("train", "--model", kind, "--data", str(corpus_csv),
+                       *flags, "--seed", str(seed), "--out", str(out)) == 0
+        model, report = train_eval_oracle(kind, ds, seed, 0.7, balanced, hp)
+        assert out.read_text() == ml.model_to_json(model), kind
+        assert capsys.readouterr().out == (
+            f"wrote {out} ({kind}, held-out accuracy "
+            f"{report.metrics.accuracy:.4f})\n")
 
 
 def test_ablate_row_count(tmp_path, corpus_csv):
@@ -805,7 +815,7 @@ def test_reproduce_checks_payloads_against_map(tmp_path):
                    "--out", str(tmp_path / "bundle")) == 3
 
 
-def test_eval_rejects_malformed_tree_exit_3(tmp_path, corpus_csv):
+def test_eval_rejects_malformed_tree_exit_3(tmp_path, capsys, corpus_csv):
     model = tmp_path / "dt.json"
     assert run_cli("train", "--model", "dt", "--data", str(corpus_csv),
                    "--seed", "9", "--out", str(model)) == 0
@@ -824,12 +834,53 @@ def test_eval_rejects_malformed_tree_exit_3(tmp_path, corpus_csv):
         assert run_cli("eval", "--model", str(path), "--data",
                        str(corpus_csv),
                        "--out", str(tmp_path / "r.json")) == 3, i
+    # a forest with a bad tree or none is refused on load, naming the file
     forest = tmp_path / "rf.json"
-    forest.write_text(json.dumps({"kind": "rf", "params": {},
-                                  "feature_names": good["feature_names"],
-                                  "trees": [good, bad_child]}))
-    assert run_cli("eval", "--model", str(forest), "--data", str(corpus_csv),
-                   "--out", str(tmp_path / "r.json")) == 3
+    for trees in ([good, bad_child], []):
+        forest.write_text(json.dumps({"kind": "rf", "params": {},
+                                      "feature_names": good["feature_names"],
+                                      "trees": trees}))
+        capsys.readouterr()
+        assert run_cli("eval", "--model", str(forest), "--data",
+                       str(corpus_csv),
+                       "--out", str(tmp_path / "r.json")) == 3, trees
+        err = capsys.readouterr().err
+        assert f"model {forest}: " in err and "Traceback" not in err
+
+
+def test_eval_rejects_malformed_network_exit_3(tmp_path, capsys,
+                                               corpus_csv):
+    # numpy would broadcast a short mean, divide by a zero std and carry
+    # a NaN to the output; each file is refused on load, naming it, with
+    # no warning
+    model = tmp_path / "nn.json"
+    assert run_cli("train", "--model", "nn", "--data", str(corpus_csv),
+                   "--hidden", "4", "--epochs", "40",
+                   "--out", str(model)) == 0
+    good = json.loads(model.read_text())
+    n = len(good["feature_names"])
+    cases = {
+        "short_mean": {"mean": good["mean"][:1]},
+        "zero_std": {"std": [0.0] * n},
+        "nan_mean": {"mean": [math.nan] * n},
+        "nan_w2": {"w2": [math.nan] * len(good["w2"])},
+        "short_w1": {"w1": good["w1"][1:]},
+        "flat_w1": {"w1": good["w2"]},
+        "long_b1": {"b1": good["b1"] + [0.0]},
+        "short_w2": {"w2": good["w2"][1:]},
+    }
+    capsys.readouterr()
+    for name, change in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**good, **change}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("eval", "--model", str(path), "--data",
+                           str(corpus_csv),
+                           "--out", str(tmp_path / "r.json")) == 3, name
+        err = capsys.readouterr().err
+        assert f"model {path}: " in err and "Traceback" not in err, name
+        assert "Warning" not in err and caught == [], name
 
 
 def test_eval_report_is_strict_json(tmp_path, corpus_csv):
@@ -894,6 +945,14 @@ def test_tracer_wraps_every_hook(tmp_path, corpus_csv):
     assert spans["mgsim.run"] == {"steps": 100}
     assert "mgsim.csv_write" in spans and "kernels.simulate_core" in spans
 
+    # train looks its trainer up when it runs, so the tracer's wrapper
+    # sees the forest
+    spans = traced("train", "--model", "rf", "--trees", "3",
+                   "--data", str(corpus_csv),
+                   "--out", str(tmp_path / "rf.json"))
+    assert spans["ml.train_rf"]["trees"] == 3
+    assert "ml.split" in spans and "ml.evaluate" in spans
+
 
 def test_reproduce_smoke(tmp_path):
     out = tmp_path / "bundle"
@@ -937,12 +996,13 @@ def test_reproduce_reruns_into_complete_bundle(tmp_path, dt_only):
 @pytest.fixture
 def dt_only(monkeypatch):
     """Every model of a reproduce run is a decision tree, which keeps the
-    parent's train and rank and the worker's sweep well under a second."""
-    fit = ml.fit
-    monkeypatch.setattr(ml, "fit", lambda kind, train, seed=0, **hp:
-                        fit("dt", train, seed))
+    parent's train and rank and the worker's sweep well under a second.
+    The forests and networks call ml.train_dt when they run, so a hook on
+    it sees every fit."""
+    monkeypatch.setattr(ml, "train_rf", lambda train, seed=0, **hp:
+                        ml.train_dt(train))
     monkeypatch.setattr(ml, "train_nn_stack", lambda trains, seeds, **hp:
-                        [fit("dt", train) for train in trains])
+                        [ml.train_dt(train) for train in trains])
 
 
 def _raise(error):
@@ -975,7 +1035,7 @@ def test_reproduce_forks_before_blas(tmp_path, monkeypatch, dt_only):
     # ml and pca make this process's BLAS calls; the worker must be forked
     # before the first of them
     calls = []
-    fork, fit, rank = os.fork, ml.fit, pca.rank_features
+    fork, fit, rank = os.fork, ml.train_dt, pca.rank_features
 
     def recording_fork():
         pid = fork()
@@ -990,7 +1050,7 @@ def test_reproduce_forks_before_blas(tmp_path, monkeypatch, dt_only):
         return run
 
     monkeypatch.setattr(os, "fork", recording_fork)
-    monkeypatch.setattr(ml, "fit", recording("fit", fit))
+    monkeypatch.setattr(ml, "train_dt", recording("fit", fit))
     monkeypatch.setattr(pca, "rank_features", recording("rank", rank))
     assert run_cli("reproduce", "--out", str(tmp_path / "bundle")) == 0
     assert calls.count("fork") == 1 and calls[0] == "fork"
@@ -1022,13 +1082,13 @@ def test_reproduce_forks_after_extract(tmp_path, monkeypatch, dt_only):
             return fn(*args, **kwargs)
         return run
 
-    for owner, name in ((hpc, "emit_dataset"), (ml, "fit"),
+    for owner, name in ((hpc, "emit_dataset"), (ml, "train_dt"),
                         (pca, "rank_features")):
         monkeypatch.setattr(owner, name, recording(name, getattr(owner, name)))
     assert run_cli("reproduce", "--out", str(tmp_path / "bundle")) == 0
     forks = [i for i, call in enumerate(calls) if isinstance(call, int)]
     assert len(forks) == 1 and calls[:forks[0]] == ["emit_dataset"]
-    assert calls[forks[0] + 1] in ("fit", "rank_features")
+    assert calls[forks[0] + 1] in ("train_dt", "rank_features")
 
 
 def test_reproduce_prints_each_stage_once(tmp_path, capfd, dt_only):
@@ -1093,7 +1153,7 @@ def test_large_dataset_reaches_busy_worker(tmp_path, monkeypatch, dt_only):
     # and its sweep waits here until this process's first fit, so a parent
     # that waited on the worker before training would never get there
     release = tmp_path / "release"
-    run_ablation, fit = pca.run_ablation, ml.fit
+    run_ablation, fit = pca.run_ablation, ml.train_dt
 
     def held_sweep(ds, **kwargs):
         deadline = time.monotonic() + 20.0
@@ -1108,7 +1168,7 @@ def test_large_dataset_reaches_busy_worker(tmp_path, monkeypatch, dt_only):
         return fit(*args, **kwargs)
 
     monkeypatch.setattr(pca, "run_ablation", held_sweep)
-    monkeypatch.setattr(ml, "fit", releasing_fit)
+    monkeypatch.setattr(ml, "train_dt", releasing_fit)
     bundle = tmp_path / "bundle"
     assert run_cli("reproduce", "--window", "7", "--out", str(bundle)) == 0
     cli.validate_bundle(bundle)

@@ -20,7 +20,7 @@ from hpc_sentinel.asm import parse_listing
 from hpc_sentinel.errors import (EmptyDataset, InconsistentFeatures,
                                  NonFiniteLoss, SingleClass, TooFewSamples)
 
-from conftest import make_dataset
+from conftest import make_dataset, train_eval_oracle
 from test_kernels import best_split_loop
 
 
@@ -703,24 +703,27 @@ def test_nn_stack_raises_first_networks_error(tiny_dataset, lr, epochs,
     assert str(got.value) == str(failed[0])
 
 
-def _assert_cells_equal_train_eval(cells):
-    got = ml.train_eval_cells(cells, 0.7)
+def _assert_cells_equal_oracle(cells, hp=None):
+    got = list(ml.train_eval_cells(cells, 0.7, hp))
+    assert len(got) == len(cells)
     for (kind, ds, seed, balanced), (model, report) in zip(cells, got):
-        want_model, want_report = ml.train_eval(kind, ds, seed, 0.7,
-                                                balanced)
+        want_model, want_report = train_eval_oracle(kind, ds, seed, 0.7,
+                                                    balanced, hp)
         assert ml.model_to_json(model) == ml.model_to_json(want_model)
         assert repr(report) == repr(want_report)
+    return [model for model, _ in got]
 
 
 @pytest.mark.parametrize("balanced", [False, True])
 def test_train_eval_cells_equal_train_eval(balanced):
     # networks of alternating shapes, with trees between them, train as
-    # runs of stacks; each cell's model and report equal its train_eval's
+    # runs of stacks; each cell's model and report equal the step-by-step
+    # oracle's
     rng = np.random.default_rng(8)
     d = make_dataset(rng.integers(0, 8, size=(50, 30)),
                      rng.integers(0, 2, size=50))
     wide, narrow = d, d.project(hpc.FEATURE_NAMES[:12])
-    _assert_cells_equal_train_eval(
+    _assert_cells_equal_oracle(
         [("nn", wide, 1, balanced), ("dt", narrow, 2, balanced),
          ("nn", wide, 3, balanced), ("nn", narrow, 4, balanced),
          ("dt", wide, 5, balanced), ("nn", narrow, 6, balanced),
@@ -743,9 +746,27 @@ def test_train_eval_cells_mixed_balanced_flags(seed42_dataset):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ml, "_train_stack", counting)
-        _assert_cells_equal_train_eval(cells)
-    # one stack of two, then one network per train_eval
+        _assert_cells_equal_oracle(cells)
+    # one stack of two, then one network per oracle cell
     assert stacks == [2, 1, 1]
+
+
+def test_train_eval_cells_pass_hyperparameters():
+    # every kind's trainer gets its own entry of hp, and only that
+    rng = np.random.default_rng(4)
+    d = make_dataset(rng.integers(0, 8, size=(50, 30)),
+                     rng.integers(0, 2, size=50))
+    hp = {"rf": {"n_trees": 3}, "nn": {"hidden": 4, "epochs": 30}}
+    cells = [(kind, d, seed, seed % 2 == 1)
+             for seed, kind in enumerate(ml.TRAINERS + ml.TRAINERS)]
+    _, rf, nn, *_ = _assert_cells_equal_oracle(cells, hp)
+    assert len(rf.trees) == 3 and nn.w1.shape == (30, 4)
+    assert nn.params["epochs"] == 30
+
+
+def test_train_eval_cells_unknown_kind(tiny_dataset):
+    with pytest.raises(ValueError, match="unknown model 'svm'"):
+        list(ml.train_eval_cells([("svm", tiny_dataset, 0, False)]))
 
 
 def _masked_sigmoid(z):

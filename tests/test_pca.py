@@ -7,7 +7,7 @@ import pytest
 from hpc_sentinel import hpc, ml, pca
 from hpc_sentinel.errors import DegenerateCovariance, TooManyExclusions
 
-from conftest import make_dataset
+from conftest import make_dataset, train_eval_oracle
 
 
 def jacobi_eigh(A, sweeps=60, tol=1e-14):
@@ -200,7 +200,7 @@ def test_run_ablation_rows_and_determinism(tmp_path):
 def test_run_ablation_cells_equal_train_eval():
     # specs whose shapes alternate cut the networks into several stacks;
     # the rows follow the given specs, each spec's models in ml.TRAINERS
-    # order, and each scores what its cell's own train_eval does
+    # order, and each scores what the step-by-step oracle gives its cell
     ds = _ranking_dataset(4)
     grid = pca.all_specs()
     specs = [grid[5], grid[1], grid[9]]
@@ -210,5 +210,5 @@ def test_run_ablation_cells_equal_train_eval():
         (s.name, m) for s, m in keys]
     for row, (spec, model) in zip(rep.rows, keys):
         seed = ml.derive_seed(5, grid.index(spec), ml.TRAINERS.index(model))
-        _, want = ml.train_eval(model, ds.project(spec.features), seed)
+        _, want = train_eval_oracle(model, ds.project(spec.features), seed)
         assert repr(row.metrics) == repr(want.metrics)
