@@ -240,10 +240,11 @@ def best_split(x, y, feats):
 
 
 # ---------------------------------------------------------------------------
-# microgrid stepping primitives
+# microgrid simulation
 #
-# simulate_core calls these once per tracker update or grid step; tests
-# check each against its closed form.
+# simulate_core reads the plant constants from the scenario by name and
+# calls the stepping primitives once per tracker update or grid step;
+# tests check each primitive against its closed form.
 
 def pv_voltage(i_cmd, irr, v_oc, i_sc, knee):
     """Terminal voltage (V) when the converter draws i_cmd amps."""
@@ -341,15 +342,12 @@ def frequency_step(f, imbalance_kw, s_base_kw, k_f, damping, f_nom, dt):
 REPLAY_SLOTS = 1024
 
 
-def simulate_core(n_steps, substeps, grid_dt, mppt_dt,
-                  load_kw, irr, mppt_on, inv_on, pert_amp, pert_freq,
-                  params, replay=None):
-    """Fixed-step scenario loop. One output row per grid step.
-
-    params layout: [v_oc, i_sc, knee, d_i, i_ref0, ess_p_max, ess_cap,
-    ess_e0, diesel_max, tau_d, diesel0, f_nom, k_f, damping, s_base_kw,
-    symmetric_flag]. Output columns: freq_hz, pv_kw, diesel_kw, ess_kw,
-    ess_kwh, i_ref.
+def simulate_core(n_steps, s, load_kw, irr, mppt_on, inv_on, pert_amp,
+                  pert_freq, replay=None):
+    """Fixed-step loop over the scenario s (an mgsim.Scenario, read only
+    by attribute) and its per-step schedules, float64 but for the bool
+    mppt_on and inv_on. One output row per grid step: freq_hz, pv_kw,
+    diesel_kw, ess_kw, ess_kwh, i_ref.
 
     A step of the inverter with no sensor perturbation depends only on
     (irradiance, tracker on, i_ref, p_i, v_i) at its start, so its mean
@@ -362,25 +360,28 @@ def simulate_core(n_steps, substeps, grid_dt, mppt_dt,
     """
     # Python floats step about twice as fast as numpy scalars, with the
     # same IEEE results.
-    load_kw, irr, mppt_on, inv_on, pert_amp, pert_freq, params = (
+    load_kw, irr, mppt_on, inv_on, pert_amp, pert_freq = (
         a.tolist() for a in (load_kw, irr, mppt_on, inv_on, pert_amp,
-                             pert_freq, params))
-    v_oc = params[0]
-    i_sc = params[1]
-    knee = params[2]
-    d_i = params[3]
-    i_ref = params[4]
-    ess_p_max = params[5]
-    ess_cap = params[6]
-    ess_e = params[7]
-    diesel_max = params[8]
-    tau_d = params[9]
-    diesel = params[10]
-    f_nom = params[11]
-    k_f = params[12]
-    damping = params[13]
-    s_base = params[14]
-    symmetric = params[15] > 0.5
+                             pert_freq))
+    substeps = s.substeps
+    grid_dt = float(s.grid_dt_s)
+    mppt_dt = float(s.mppt_dt_s)
+    v_oc = float(s.pv.v_oc_v)
+    i_sc = float(s.pv.i_sc_a)
+    knee = float(s.pv.knee)
+    d_i = float(s.delta_i_a)
+    i_ref = float(s.i_ref0_a)
+    ess_p_max = float(s.ess_p_max_kw)
+    ess_cap = float(s.ess_capacity_kwh)
+    ess_e = float(s.ess_initial_kwh)
+    diesel_max = float(s.diesel_max_kw)
+    tau_d = float(s.diesel_tau_s)
+    diesel = float(s.diesel_initial_kw)
+    f_nom = float(s.f_nominal_hz)
+    k_f = float(s.k_f)
+    damping = float(s.damping)
+    s_base = float(s.s_base_kw)
+    symmetric = s.pno_variant == "symmetric"
 
     ramp_k = math.exp(-grid_dt / tau_d)
     two_pi = 2.0 * math.pi

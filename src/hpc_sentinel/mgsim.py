@@ -33,6 +33,19 @@ MAX_STEPS = 1_000_000
 MAX_TRACKER_UPDATES = 10_000_000
 
 
+def _finite(x) -> bool:
+    """Whether x is an int or float that is neither NaN nor infinite."""
+    return isinstance(x, (int, float)) and math.isfinite(x)
+
+
+def _check_finite(obj, prefix=""):
+    """Raise ValueError naming the first float field of the dataclass obj
+    that holds no finite number."""
+    for f in fields(obj):
+        if f.type is float and not _finite(getattr(obj, f.name)):
+            raise ValueError(f"{prefix}{f.name} must be a finite number")
+
+
 @dataclass(frozen=True)
 class PvModel:
     """Single-knee I-V curve: I(V) = g * i_sc * (1 - (V/v_oc)^knee).
@@ -47,12 +60,12 @@ class PvModel:
     p_rated_kw: float = 250.0
 
     def __post_init__(self):
+        _check_finite(self, "pv.")
         if not (self.v_oc_v > 0 and self.i_sc_a > 0 and self.knee > 1):
             raise ValueError("pv needs v_oc_v > 0, i_sc_a > 0, knee > 1")
 
     def to_dict(self):
-        return {"v_oc_v": self.v_oc_v, "i_sc_a": self.i_sc_a,
-                "knee": self.knee, "p_rated_kw": self.p_rated_kw}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,13 +110,13 @@ class AttackEffect:
     frequency_hz: float = 0.0
 
     def __post_init__(self):
+        _check_finite(self)
         if self.kind is AttackName.SENSOR_PERTURB:
-            if not 0.0 <= self.amplitude < math.inf:
-                raise ValueError("sensor_perturb amplitude must be a finite "
-                                 "fraction >= 0")
-            if not 0.0 < self.frequency_hz < math.inf:
-                raise ValueError("sensor_perturb frequency_hz must be finite "
-                                 "and positive")
+            if not self.amplitude >= 0.0:
+                raise ValueError("sensor_perturb amplitude must be >= 0")
+            if not self.frequency_hz > 0.0:
+                raise ValueError("sensor_perturb frequency_hz must be "
+                                 "positive")
 
     def to_dict(self):
         d = {"kind": self.kind.value}
@@ -119,16 +132,31 @@ class AttackEffect:
                    frequency_hz=float(d.get("frequency_hz", 0.0)))
 
 
-# (field, predicate on the scenario, rule) rows that Scenario checks. A
-# comparison with NaN is false, so every row also rejects NaN. The
-# frequency model divides by s_base_kw and damping and the diesel ramp by
-# diesel_tau_s: zero gives NaN traces, and a negative value an unstable or
-# sign-flipped response.
+_TRAPEZOID_KEYS = ("rise_start_s", "rise_end_s", "fall_start_s",
+                   "fall_end_s")
+
+
+def _irradiance_ok(spec) -> bool:
+    """Whether spec is an irradiance profile _irradiance_series can run."""
+    if not (isinstance(spec, dict) and all(
+            _finite(x) and x >= 0
+            for x in (spec.get("value", 1.0), spec.get("peak", 1.0)))):
+        return False
+    kind = spec.get("kind", "constant")
+    if kind == "trapezoid":
+        times = [spec.get(key) for key in _TRAPEZOID_KEYS]
+        return all(map(_finite, times)) and times == sorted(times)
+    return kind == "constant"
+
+
+# (field, predicate on the scenario, rule) rows that Scenario checks once
+# every float field is known to be finite. The frequency model divides by
+# s_base_kw and damping and the diesel ramp by diesel_tau_s: zero gives
+# NaN traces, and a negative value an unstable or sign-flipped response.
 _FIELD_CHECKS = (
     ("s_base_kw", lambda s: s.s_base_kw > 0, "positive"),
     ("damping", lambda s: s.damping > 0, "positive"),
     ("diesel_tau_s", lambda s: s.diesel_tau_s > 0, "positive"),
-    ("k_f", lambda s: math.isfinite(s.k_f), "finite"),
     ("delta_i_a", lambda s: s.delta_i_a > 0, "positive"),
     ("i_ref0_a", lambda s: s.i_ref0_a >= 0, "non-negative"),
     ("ess_p_max_kw", lambda s: s.ess_p_max_kw >= 0, "non-negative"),
@@ -138,13 +166,12 @@ _FIELD_CHECKS = (
     ("diesel_initial_kw",
      lambda s: 0.0 <= s.diesel_initial_kw <= s.diesel_max_kw,
      "in [0, diesel_max_kw]"),
-    ("f_nominal_hz", lambda s: 0.0 < s.f_nominal_hz < math.inf,
-     "finite and positive"),
-    ("irradiance",
-     lambda s: isinstance(s.irradiance, dict) and all(
-         0.0 <= s.irradiance.get(key, 1.0) < math.inf
-         for key in ("value", "peak")),
-     "a JSON object whose value and peak are finite and non-negative"),
+    ("f_nominal_hz", lambda s: s.f_nominal_hz > 0, "positive"),
+    ("islanding_time_s", lambda s: s.islanding_time_s == 0,
+     "0: a run starts at islanding"),
+    ("irradiance", lambda s: _irradiance_ok(s.irradiance),
+     "a constant or trapezoid profile: finite value and peak >= 0, and "
+     "finite rise_start_s <= rise_end_s <= fall_start_s <= fall_end_s"),
 )
 
 
@@ -184,6 +211,7 @@ class Scenario:
     attack_schedule: list = field(default_factory=list)
 
     def __post_init__(self):
+        _check_finite(self)
         if self.duration_s <= 0 or self.grid_dt_s <= 0 or self.mppt_dt_s <= 0:
             raise ValueError("duration and timesteps must be positive")
         if not self.duration_s / self.grid_dt_s <= MAX_STEPS:
@@ -203,21 +231,21 @@ class Scenario:
         for name, ok, rule in _FIELD_CHECKS:
             if not ok(self):
                 raise ValueError(f"{name} must be {rule}")
+        if not all(_finite(t) and _finite(kw) and kw >= 0
+                   for t, kw in self.load_schedule):
+            raise ValueError("load_schedule needs finite times and finite, "
+                             "non-negative loads")
         times = [t for t, _ in self.load_schedule]
-        if not all(math.isfinite(t) for t in times):
-            raise ValueError("load_schedule times must be finite")
         if not self.load_schedule or times != sorted(times):
             raise ValueError("load_schedule must be non-empty and "
                              "time-sorted")
-        if not all(kw >= 0 for _, kw in self.load_schedule):
-            raise ValueError("load_schedule loads must be non-negative")
         starts = [w[0] for w in self.attack_schedule]
         if starts != sorted(starts):
             raise ValueError("attack_schedule must be time-sorted")
         for start, end, eff in self.attack_schedule:
-            if not start < end:  # also false when either is NaN
+            if not (_finite(start) and _finite(end) and start < end):
                 raise ValueError(f"attack_schedule window [{start}, {end}) "
-                                 f"is empty or not a number")
+                                 f"is empty or not finite")
             if not isinstance(eff, AttackEffect):
                 raise TypeError("attack_schedule entries need an "
                                 "AttackEffect")
@@ -231,26 +259,11 @@ class Scenario:
         return round(self.duration_s / self.grid_dt_s)
 
     def to_dict(self):
-        return {
-            "name": self.name, "duration_s": self.duration_s,
-            "grid_dt_s": self.grid_dt_s, "mppt_dt_s": self.mppt_dt_s,
-            "islanding_time_s": self.islanding_time_s,
-            "pno_variant": self.pno_variant,
-            "pv": self.pv.to_dict(),
-            "delta_i_a": self.delta_i_a, "i_ref0_a": self.i_ref0_a,
-            "ess_p_max_kw": self.ess_p_max_kw,
-            "ess_capacity_kwh": self.ess_capacity_kwh,
-            "ess_initial_kwh": self.ess_initial_kwh,
-            "diesel_max_kw": self.diesel_max_kw,
-            "diesel_tau_s": self.diesel_tau_s,
-            "diesel_initial_kw": self.diesel_initial_kw,
-            "f_nominal_hz": self.f_nominal_hz, "k_f": self.k_f,
-            "damping": self.damping, "s_base_kw": self.s_base_kw,
-            "irradiance": dict(self.irradiance),
-            "load_schedule": [[t, kw] for t, kw in self.load_schedule],
-            "attack_schedule": [[s, e, eff.to_dict()]
-                                for s, e, eff in self.attack_schedule],
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "pv": self.pv.to_dict(), "irradiance": dict(self.irradiance),
+                "load_schedule": [[t, kw] for t, kw in self.load_schedule],
+                "attack_schedule": [[s, e, eff.to_dict()]
+                                    for s, e, eff in self.attack_schedule]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -279,19 +292,12 @@ class Scenario:
 
 
 def _irradiance_series(spec: dict, times: np.ndarray) -> np.ndarray:
-    kind = spec.get("kind", "constant")
-    if kind == "constant":
+    """Per-step irradiance of a profile that _irradiance_ok accepts."""
+    if spec.get("kind", "constant") == "constant":
         return np.full(times.shape[0], float(spec.get("value", 1.0)))
-    if kind == "trapezoid":
-        t0, t1 = float(spec["rise_start_s"]), float(spec["rise_end_s"])
-        t2, t3 = float(spec["fall_start_s"]), float(spec["fall_end_s"])
-        peak = float(spec.get("peak", 1.0))
-        if not t0 <= t1 <= t2 <= t3:
-            raise ValueError("trapezoid breakpoints must be ordered")
-        out = np.interp(times, [t0, t1, t2, t3], [0.0, peak, peak, 0.0],
-                        left=0.0, right=0.0)
-        return out
-    raise ValueError(f"unknown irradiance profile kind {kind!r}")
+    peak = float(spec.get("peak", 1.0))
+    return np.interp(times, [float(spec[key]) for key in _TRAPEZOID_KEYS],
+                     [0.0, peak, peak, 0.0], left=0.0, right=0.0)
 
 
 def _compile_schedules(s: Scenario):
@@ -305,16 +311,16 @@ def _compile_schedules(s: Scenario):
     load = np.array([kw for _, kw in pts],
                     dtype=np.float64)[np.maximum(last, 0)]
     irr = _irradiance_series(s.irradiance, times)
-    mppt_on = np.ones(n, dtype=np.uint8)
-    inv_on = np.ones(n, dtype=np.uint8)
+    mppt_on = np.ones(n, dtype=bool)
+    inv_on = np.ones(n, dtype=bool)
     pert_amp = np.zeros(n, dtype=np.float64)
     pert_freq = np.zeros(n, dtype=np.float64)
     for start, end, eff in s.attack_schedule:
         active = (times >= start - 1e-12) & (times < end - 1e-12)
         if eff.kind is AttackName.MPPT_OFF:
-            mppt_on[active] = 0
+            mppt_on[active] = False
         elif eff.kind is AttackName.INVERTER_OFF:
-            inv_on[active] = 0
+            inv_on[active] = False
         else:
             pert_amp[active] = eff.amplitude
             pert_freq[active] = eff.frequency_hz
@@ -329,20 +335,12 @@ def run_scenario(s: Scenario, out_path=None) -> MgTrace:
     """
     times, load, irr, mppt_on, inv_on, pert_amp, pert_freq = (
         _compile_schedules(s))
-    params = np.array([
-        s.pv.v_oc_v, s.pv.i_sc_a, s.pv.knee, s.delta_i_a, s.i_ref0_a,
-        s.ess_p_max_kw, s.ess_capacity_kwh, s.ess_initial_kwh,
-        s.diesel_max_kw, s.diesel_tau_s, s.diesel_initial_kw,
-        s.f_nominal_hz, s.k_f, s.damping, s.s_base_kw,
-        1.0 if s.pno_variant == "symmetric" else 0.0,
-    ], dtype=np.float64)
-    out = _kernels.simulate_core(s.n_steps, s.substeps, s.grid_dt_s,
-                                 s.mppt_dt_s, load, irr, mppt_on, inv_on,
-                                 pert_amp, pert_freq, params)
+    out = _kernels.simulate_core(s.n_steps, s, load, irr, mppt_on, inv_on,
+                                 pert_amp, pert_freq)
     trace = MgTrace(time_s=times, freq_hz=out[:, 0], pv_kw=out[:, 1],
                     diesel_kw=out[:, 2], ess_kw=out[:, 3], ess_kwh=out[:, 4],
-                    load_kw=load, inverter_online=inv_on.astype(bool),
-                    mppt_enabled=mppt_on.astype(bool))
+                    load_kw=load, inverter_online=inv_on,
+                    mppt_enabled=mppt_on)
     if out_path is not None:
         write_states_csv(trace, out_path)
     return trace

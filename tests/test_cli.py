@@ -735,6 +735,15 @@ def test_oversized_scenario_rejected_before_running(tmp_path, monkeypatch):
                                      "amplitude": 0.1,
                                      "frequency_hz": float("nan")}]]},
     {"load_schedule": [[float("nan"), 500.0]]},
+    {"load_schedule": [[0.0, float("inf")]]},
+    {"ess_capacity_kwh": float("inf"), "ess_initial_kwh": float("inf")},
+    {"pv": {"v_oc_v": float("inf"), "i_sc_a": 437.0, "knee": 10.0}},
+    {"islanding_time_s": 10.0},                  # the run starts islanded
+    {"irradiance": {"kind": "trapezoid"}},       # no breakpoints
+    {"irradiance": {"kind": "sunrise", "value": 1.0}},
+    {"attack_schedule": [[0.0, float("inf"), {"kind": "mppt_off"}]]},
+    {"attack_schedule": [[0.0, 1.0, {"kind": "mppt_off",
+                                     "amplitude": float("inf")}]]},
 ])
 def test_invalid_scenario_exits_3(tmp_path, capsys, change):
     spec = {**mgsim.named_scenario("nominal").to_dict(), "duration_s": 2.0,
@@ -746,9 +755,10 @@ def test_invalid_scenario_exits_3(tmp_path, capsys, change):
                    "--out", str(tmp_path / "s.csv")) == 3
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    # the message names the offending key in words, not as a bare KeyError
+    # the message names the file and the offending key in words, not as a
+    # bare KeyError
     key = next(iter(change))
-    assert key in err and f"'{key}'" not in err
+    assert str(sc_file) in err and key in err and f"'{key}'" not in err
     assert not (tmp_path / "s.csv").exists()
 
 
@@ -943,6 +953,7 @@ def test_tracer_wraps_every_hook(tmp_path, corpus_csv):
     spans = traced("simulate", "--scenario-file", str(sc_file),
                    "--out", str(tmp_path / "sim.csv"))
     assert spans["mgsim.run"] == {"steps": 100}
+    assert spans["kernels.simulate_core"] == {"steps": 100}
     assert "mgsim.csv_write" in spans and "kernels.simulate_core" in spans
 
     # train looks its trainer up when it runs, so the tracer's wrapper

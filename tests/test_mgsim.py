@@ -357,13 +357,21 @@ def test_load_step_appears_in_rows():
 
 # --- step replay ------------------------------------------------------------------
 
-def reference_simulate_core(n_steps, substeps, grid_dt, mppt_dt, load_kw, irr,
-                            mppt_on, inv_on, pert_amp, pert_freq, params):
+def reference_simulate_core(n_steps, s, load_kw, irr, mppt_on, inv_on,
+                            pert_amp, pert_freq):
     """_kernels.simulate_core without step replay: every tracker substep
-    of every step is computed, on numpy scalars."""
-    (v_oc, i_sc, knee, d_i, i_ref, ess_p_max, ess_cap, ess_e, diesel_max,
-     tau_d, diesel, f_nom, k_f, damping, s_base) = params[:15]
-    symmetric = params[15] > 0.5
+    of every step is computed, on numpy scalars read from the scenario."""
+    v_oc, i_sc, knee = (np.float64(getattr(s.pv, name))
+                        for name in ("v_oc_v", "i_sc_a", "knee"))
+    (grid_dt, mppt_dt, d_i, i_ref, ess_p_max, ess_cap, ess_e, diesel_max,
+     tau_d, diesel, f_nom, k_f, damping, s_base) = (
+        np.float64(getattr(s, name)) for name in (
+            "grid_dt_s", "mppt_dt_s", "delta_i_a", "i_ref0_a",
+            "ess_p_max_kw", "ess_capacity_kwh", "ess_initial_kwh",
+            "diesel_max_kw", "diesel_tau_s", "diesel_initial_kw",
+            "f_nominal_hz", "k_f", "damping", "s_base_kw"))
+    substeps = s.substeps
+    symmetric = s.pno_variant == "symmetric"
     ramp_k = math.exp(-grid_dt / tau_d)
     p_i = v_i = 0.0
     freq = f_nom
@@ -430,6 +438,7 @@ DARK_START = {"kind": "trapezoid", "rise_start_s": 0.0, "rise_end_s": 3.0,
 
 @pytest.mark.parametrize("spec", [
     {"load_schedule": [[0.0, 500.0], [5.0, 800.0]]},
+    {"load_schedule": [[0.0, 500.0], [2.0, 100.0]]},   # PV charges the ESS
     {"irradiance": DARK_START},
     {"irradiance": DARK_START, "pno_variant": "literal"},
     {"attack_schedule": [[2.0, 5.0, {"kind": "mppt_off"}]]},
@@ -437,7 +446,7 @@ DARK_START = {"kind": "trapezoid", "rise_start_s": 0.0, "rise_end_s": 3.0,
     {"attack_schedule": [[3.0, 6.0, {"kind": "sensor_perturb",
                                      "amplitude": 0.1,
                                      "frequency_hz": 2.0}]]},
-], ids=["load_step", "dark_start_symmetric", "dark_start_literal",
+], ids=["load_step", "load_drop", "dark_start_symmetric", "dark_start_literal",
         "mppt_off", "inverter_off", "sensor_perturb"])
 def test_step_replay_matches_full_substep_loop(spec):
     args = _kernel_args(spec)
