@@ -18,8 +18,6 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import DataError
-
 
 class InstructionCategory(enum.Enum):
     ARITHMETIC = "arith"
@@ -106,26 +104,11 @@ class CategoryMap:
             cats[m.upper()] = InstructionCategory.from_name(c)
         return cls(name=name, categories=cats)
 
-    @classmethod
-    def from_json(cls, path):
-        """Map from a JSON file; a file that is not UTF-8 JSON of a
-        well-formed map raises DataError naming it."""
-        try:
-            with open(path, encoding="utf-8") as fh:
-                return cls.from_dict(json.load(fh))
-        except (ValueError, RecursionError) as e:
-            raise DataError(f"category map {path}: {e}") from e
-
     def to_dict(self):
         return {
             "name": self.name,
             "categories": {m: c.value for m, c in sorted(self.categories.items())},
         }
-
-    def to_json(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=False)
-            fh.write("\n")
 
     @classmethod
     def default(cls):

@@ -14,14 +14,14 @@ is a fresh process, so a module a command does not run is not compiled.
 """
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
 
 from . import hpc
 from .asm import SKIP_KINDS, CategoryMap, parse_listing
-from .errors import DataError, NumericError, SentinelError, read_text
+from .errors import (DataError, NumericError, SentinelError, read_json,
+                     read_text, write_json)
 from .names import BUNDLE_FILES, BUNDLE_SIMS, SCENARIO_NAMES, AttackKind
 
 
@@ -32,18 +32,7 @@ class UsageError(Exception):
 def _load_map(path) -> CategoryMap:
     if path is None:
         return CategoryMap.default()
-    return CategoryMap.from_json(path)
-
-
-def _read_json(path, stage: str, from_json):
-    """from_json(text) of a JSON input file; a file it rejects, nesting
-    too deep for the JSON parser included, raises DataError naming it."""
-    text = read_text(path, stage)
-    try:
-        return from_json(text)
-    except (ValueError, TypeError, KeyError, OverflowError,
-            RecursionError) as e:
-        raise DataError(f"{stage}: {path}: {e}") from e
+    return read_json(path, "category map", CategoryMap.from_dict)
 
 
 # --- extract ------------------------------------------------------------------
@@ -78,8 +67,8 @@ def cmd_mutate(args) -> int:
     base = read_text(args.base, "mutate")
     kind = AttackKind.from_name(args.attack)
     if args.template:
-        template = _read_json(args.template, "mutate",
-                              mutate.InjectionTemplate.from_json)
+        template = read_json(args.template, "template",
+                             mutate.InjectionTemplate.from_dict)
         if template.attack is not kind:
             raise DataError(f"template is for {template.attack.value}, "
                             f"--attack says {kind.value}")
@@ -114,11 +103,10 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     from . import ml
-    model = ml.load_model(Path(args.model))
+    model = ml.load_model(args.model)
     ds = hpc.read_dataset_csv(args.data).project(model.feature_names)
     report = ml.evaluate(model, ds)
-    Path(args.out).write_text(json.dumps(report.as_dict(), indent=2) + "\n",
-                              encoding="utf-8")
+    write_json(args.out, report.as_dict())
     m = report.metrics
     print(f"wrote {args.out} (accuracy {m.accuracy:.4f}, "
           f"precision {m.precision:.4f}, recall {m.recall:.4f})")
@@ -135,7 +123,7 @@ def cmd_rank(args) -> int:
                          f"[1, {len(ds.feature_names)}]: {args.data} has "
                          f"{len(ds.feature_names)} counters")
     ranking = pca.rank_features(ds, n_components=args.components)
-    Path(args.out).write_text(ranking.to_json(), encoding="utf-8")
+    write_json(args.out, ranking.as_dict())
     top = ", ".join(ranking.top(3))
     print(f"wrote {args.out} (top features: {top})")
     return 0
@@ -158,8 +146,8 @@ def cmd_ablate(args) -> int:
 def cmd_simulate(args) -> int:
     from . import mgsim
     if args.scenario_file:
-        scenario = _read_json(args.scenario_file, "simulate",
-                              mgsim.Scenario.from_json)
+        scenario = read_json(args.scenario_file, "scenario",
+                             mgsim.Scenario.from_dict)
     else:
         scenario = mgsim.named_scenario(args.scenario)
     if args.pno_variant:

@@ -34,8 +34,10 @@ MAX_TRACKER_UPDATES = 10_000_000
 
 
 def _finite(x) -> bool:
-    """Whether x is an int or float that is neither NaN nor infinite."""
-    return isinstance(x, (int, float)) and math.isfinite(x)
+    """Whether x is an int or float, not a bool, that is neither NaN nor
+    infinite."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x))
 
 
 def _check_finite(obj, prefix=""):
@@ -128,8 +130,8 @@ class AttackEffect:
     @classmethod
     def from_dict(cls, d) -> "AttackEffect":
         return cls(kind=AttackName(d["kind"]),
-                   amplitude=float(d.get("amplitude", 0.0)),
-                   frequency_hz=float(d.get("frequency_hz", 0.0)))
+                   amplitude=d.get("amplitude", 0.0),
+                   frequency_hz=d.get("frequency_hz", 0.0))
 
 
 _TRAPEZOID_KEYS = ("rise_start_s", "rise_end_s", "fall_start_s",
@@ -211,6 +213,8 @@ class Scenario:
     attack_schedule: list = field(default_factory=list)
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError("name must be a string")
         _check_finite(self)
         if self.duration_s <= 0 or self.grid_dt_s <= 0 or self.mppt_dt_s <= 0:
             raise ValueError("duration and timesteps must be positive")
@@ -239,9 +243,6 @@ class Scenario:
         if not self.load_schedule or times != sorted(times):
             raise ValueError("load_schedule must be non-empty and "
                              "time-sorted")
-        starts = [w[0] for w in self.attack_schedule]
-        if starts != sorted(starts):
-            raise ValueError("attack_schedule must be time-sorted")
         for start, end, eff in self.attack_schedule:
             if not (_finite(start) and _finite(end) and start < end):
                 raise ValueError(f"attack_schedule window [{start}, {end}) "
@@ -249,6 +250,9 @@ class Scenario:
             if not isinstance(eff, AttackEffect):
                 raise TypeError("attack_schedule entries need an "
                                 "AttackEffect")
+        starts = [w[0] for w in self.attack_schedule]
+        if starts != sorted(starts):
+            raise ValueError("attack_schedule must be time-sorted")
 
     @property
     def substeps(self) -> int:
@@ -276,19 +280,14 @@ class Scenario:
         kw["pv"] = PvModel(**d.get("pv", {}))
         if "load_schedule" not in d:
             raise ValueError("scenario needs a load_schedule")
-        kw["load_schedule"] = [(float(t), float(p))
-                               for t, p in d["load_schedule"]]
+        kw["load_schedule"] = [(t, p) for t, p in d["load_schedule"]]
         try:
             kw["attack_schedule"] = [
-                (float(s), float(e), AttackEffect.from_dict(eff))
+                (s, e, AttackEffect.from_dict(eff))
                 for s, e, eff in d.get("attack_schedule", [])]
         except ValueError as e:
             raise ValueError(f"attack_schedule: {e}") from None
         return cls(**kw)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Scenario":
-        return cls.from_dict(json.loads(text))
 
 
 def _irradiance_series(spec: dict, times: np.ndarray) -> np.ndarray:

@@ -29,15 +29,14 @@ derive the seeds of their cells with derive_seed.
 """
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
-from .errors import (DataError, EmptyDataset, InconsistentFeatures,
-                     NonFiniteLoss, SingleClass, TooFewSamples)
+from .errors import (EmptyDataset, InconsistentFeatures, NonFiniteLoss,
+                     SingleClass, TooFewSamples, read_json, write_json)
 from .hpc import Dataset
 
 # Entries per split-search call, a node counting its candidate columns
@@ -240,23 +239,27 @@ class DecisionTreeModel:
 
     @classmethod
     def from_dict(cls, d) -> "DecisionTreeModel":
-        model = cls(feature=np.asarray(d["feature"], dtype=np.int64),
-                    threshold=np.asarray(d["threshold"], dtype=np.int64),
-                    left=np.asarray(d["left"], dtype=np.int64),
-                    right=np.asarray(d["right"], dtype=np.int64),
-                    counts=np.asarray(d["counts"], dtype=np.int64),
+        model = cls(feature=np.asarray(d["feature"]),
+                    threshold=np.asarray(d["threshold"]),
+                    left=np.asarray(d["left"]), right=np.asarray(d["right"]),
+                    counts=np.asarray(d["counts"]),
                     feature_names=tuple(d["feature_names"]),
                     params=dict(d.get("params", {})))
         model._check()
         return model
 
     def _check(self):
-        """Reject a malformed node table. Prediction concatenates trees,
-        so a child index outside its tree would silently land in the next
-        one; children must follow their parent (preorder ids), which also
-        rules out cycles."""
+        """Reject a malformed node table. Its entries must be integers, not
+        floats or strings numpy would truncate or parse. Prediction
+        concatenates trees, so a child index outside its tree would
+        silently land in the next one; children must follow their parent
+        (preorder ids), which also rules out cycles."""
         if self.feature.ndim != 1 or self.n_nodes == 0:
             raise ValueError("tree has no node table")
+        if any(a.dtype.kind != "i" for a in (
+                self.feature, self.threshold, self.left, self.right,
+                self.counts)):
+            raise ValueError("tree node arrays must hold integers only")
         n = self.n_nodes
         if any(a.shape != (n,) for a in (self.threshold, self.left,
                                          self.right)) \
@@ -578,10 +581,16 @@ class RandomForestModel:
 
     @classmethod
     def from_dict(cls, d) -> "RandomForestModel":
+        """Forest from its JSON form. Prediction reads the forest's
+        columns, so every tree must name the forest's counters."""
+        names = tuple(d["feature_names"])
         trees = [DecisionTreeModel.from_dict(t) for t in d["trees"]]
         if not trees:
             raise ValueError("forest has no trees")
-        return cls(trees=trees, feature_names=tuple(d["feature_names"]),
+        if any(t.feature_names != names for t in trees):
+            raise ValueError("every forest tree must name the forest's "
+                             "counters")
+        return cls(trees=trees, feature_names=names,
                    params=dict(d.get("params", {})))
 
 
@@ -672,12 +681,9 @@ class NeuralNetModel:
 
     @classmethod
     def from_dict(cls, d) -> "NeuralNetModel":
-        model = cls(w1=np.asarray(d["w1"], dtype=np.float64),
-                    b1=np.asarray(d["b1"], dtype=np.float64),
-                    w2=np.asarray(d["w2"], dtype=np.float64),
-                    b2=float(d["b2"]),
-                    mean=np.asarray(d["mean"], dtype=np.float64),
-                    std=np.asarray(d["std"], dtype=np.float64),
+        model = cls(w1=np.asarray(d["w1"]), b1=np.asarray(d["b1"]),
+                    w2=np.asarray(d["w2"]), b2=d["b2"],
+                    mean=np.asarray(d["mean"]), std=np.asarray(d["std"]),
                     feature_names=tuple(d["feature_names"]),
                     final_loss=float(d.get("final_loss", float("nan"))),
                     params=dict(d.get("params", {})))
@@ -685,10 +691,15 @@ class NeuralNetModel:
         return model
 
     def _check(self):
-        """Reject weights that do not fit the features, and a weight or
-        standardization that is not finite or divides by zero: numpy
-        would broadcast a short array, and a NaN reaching the output
-        predicts benign."""
+        """Reject weights that are not numbers, do not fit the features,
+        or are not finite, and a standardization that divides by zero:
+        numpy would parse numeric strings and take true as 1, broadcast a
+        short array, and a NaN reaching the output predicts benign."""
+        arrays = (self.w1, self.b1, self.w2, self.mean, self.std)
+        if (any(a.dtype.kind not in "iuf" for a in arrays)
+                or isinstance(self.b2, bool)
+                or not isinstance(self.b2, (int, float))):
+            raise ValueError("network weights, mean and std must be numbers")
         n = len(self.feature_names)
         if self.w1.ndim != 2 or self.w1.shape[0] != n:
             raise ValueError(f"network w1 must be {n} x hidden")
@@ -971,14 +982,9 @@ _MODEL_KINDS = {"dt": DecisionTreeModel, "rf": RandomForestModel,
                 "nn": NeuralNetModel}
 
 
-def model_to_json(model) -> str:
-    return json.dumps(model.to_dict(), indent=2) + "\n"
-
-
-def model_from_json(text: str):
+def model_from_dict(d):
     """Model from its JSON form; a malformed one raises ValueError,
     TypeError or KeyError."""
-    d = json.loads(text)
     if not isinstance(d, dict):
         raise ValueError("a model must be a JSON object")
     kind = d.get("kind")
@@ -995,16 +1001,10 @@ def model_from_json(text: str):
 
 
 def save_model(model, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(model_to_json(model))
+    write_json(path, model.to_dict())
 
 
 def load_model(path):
     """Model from a JSON file; a file that is not UTF-8 JSON of a
     well-formed model raises DataError naming it."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return model_from_json(fh.read())
-        except (ValueError, TypeError, KeyError, OverflowError,
-                RecursionError) as e:
-            raise DataError(f"model {path}: {e}") from e
+    return read_json(path, "model", model_from_dict)

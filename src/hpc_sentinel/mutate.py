@@ -65,9 +65,6 @@ class InjectionTemplate:
                 "period_ticks": self.period_ticks,
                 "payload": list(self.payload)}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
-
     @classmethod
     def from_dict(cls, d) -> "InjectionTemplate":
         """Template from its JSON form; a malformed one raises
@@ -87,15 +84,12 @@ class InjectionTemplate:
                    anchor=d["anchor"], payload=tuple(payload),
                    period_ticks=period)
 
-    @classmethod
-    def from_json(cls, text: str) -> "InjectionTemplate":
-        return cls.from_dict(json.loads(text))
-
 
 def default_template(attack: AttackKind) -> InjectionTemplate:
     ref = (resources.files("hpc_sentinel") / "data" / "templates"
            / f"{attack.value}.json")
-    return InjectionTemplate.from_json(ref.read_text(encoding="utf-8"))
+    return InjectionTemplate.from_dict(
+        json.loads(ref.read_text(encoding="utf-8")))
 
 
 def default_templates() -> dict:

@@ -9,7 +9,6 @@ then retrain each classifier on what remains.
 """
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,9 +43,6 @@ class FeatureRanking:
         return {"n_components": self.n_components,
                 "ranking": [{"feature": n, "score": s}
                             for n, s in self.ranked]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2) + "\n"
 
 
 def pca_eig(X):

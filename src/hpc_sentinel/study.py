@@ -17,7 +17,8 @@ from typing import NamedTuple
 
 from . import hpc
 from .asm import parse_listing
-from .errors import DataError, NumericError, SentinelError, read_text
+from .errors import (DataError, NumericError, SentinelError, read_text,
+                     write_json)
 from .names import BUNDLE_ASM, BUNDLE_SIMS, SCENARIO_NAMES, AttackKind
 
 # --- report (SVG charts from bundle CSVs) --------------------------------------
@@ -333,8 +334,7 @@ def run(out, *, seed, base, cmap, window, split, components) -> Study:
 
         with _stage("rank"):
             ranking = pca.rank_features(ds, n_components=components)
-            (out / "ranking.json").write_text(ranking.to_json(),
-                                              encoding="utf-8")
+            write_json(out / "ranking.json", ranking.as_dict())
             top3 = ranking.top(3)
             top_ds = ds.project(top3)
             top_unbal, top_bal = _train_eval_all(

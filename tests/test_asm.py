@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpc_sentinel.asm import CategoryMap, InstructionCategory, parse_listing
+from hpc_sentinel.errors import read_json, write_json
 
 _ORACLE_INSTR_RE = re.compile(
     r"^([0-9a-fA-F]+)\s+([0-9a-fA-F]+)\s+(\S+)(?:\s+(.*))?$")
@@ -190,8 +191,8 @@ def test_default_map_known_mnemonics():
 def test_category_map_json_round_trip(tmp_path):
     cmap = CategoryMap.default()
     path = tmp_path / "map.json"
-    cmap.to_json(path)
-    back = CategoryMap.from_json(path)
+    write_json(path, cmap.to_dict())
+    back = read_json(path, "category map", CategoryMap.from_dict)
     assert back.categories == cmap.categories
     assert back.name == cmap.name
 

@@ -117,7 +117,9 @@ def test_train_balanced_rf_and_nn(tmp_path, capsys, corpus_csv):
         assert run_cli("train", "--model", kind, "--data", str(corpus_csv),
                        *flags, "--seed", str(seed), "--out", str(out)) == 0
         model, report = train_eval_oracle(kind, ds, seed, 0.7, balanced, hp)
-        assert out.read_text() == ml.model_to_json(model), kind
+        want = tmp_path / f"{kind}_oracle.json"
+        ml.save_model(model, want)
+        assert out.read_bytes() == want.read_bytes(), kind
         assert capsys.readouterr().out == (
             f"wrote {out} ({kind}, held-out accuracy "
             f"{report.metrics.accuracy:.4f})\n")
@@ -601,7 +603,9 @@ def _input_argv(command, path, out_dir, base_asm, corpus_csv):
     """Arguments under which command reads path as its JSON or CSV
     input."""
     out = str(out_dir / "out")
-    return {"mutate": ["mutate", "--base", str(base_asm), "--attack",
+    return {"extract": ["extract", "--map", str(path), "--label", "benign",
+                        "--out", out, str(base_asm)],
+            "mutate": ["mutate", "--base", str(base_asm), "--attack",
                        "mppt_dos", "--template", str(path), "--out", out],
             "simulate": ["simulate", "--scenario-file", str(path),
                          "--out", out],
@@ -640,6 +644,30 @@ def test_malformed_input_exits_3_naming_file(tmp_path, capsys, base_asm,
                                 corpus_csv)) == 3
     err = capsys.readouterr().err
     assert str(path) in err and "Traceback" not in err
+
+
+# The label each command's JSON input flag names in its errors.
+_JSON_LABELS = {"extract": "category map", "mutate": "template",
+                "simulate": "scenario", "eval": "model"}
+
+
+@pytest.mark.parametrize("command", sorted(_JSON_LABELS))
+@pytest.mark.parametrize("content", [None, b"\xff{}", b"[" * 100000, b"[]"],
+                         ids=["missing", "not_utf8", "deep_nesting",
+                              "list"])
+def test_json_inputs_exit_3_naming_label_and_file(tmp_path, capsys,
+                                                  base_asm, corpus_csv,
+                                                  command, content):
+    # every JSON input flag reads through one reader, so each has one
+    # contract: exit 3 with a message naming the flag's label and the file
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_bytes(content)
+    assert run_cli(*_input_argv(command, path, tmp_path, base_asm,
+                                corpus_csv)) == 3
+    err = capsys.readouterr().err
+    assert _JSON_LABELS[command] in err and str(path) in err
+    assert "Traceback" not in err
 
 
 @pytest.fixture(scope="module")
@@ -744,6 +772,24 @@ def test_oversized_scenario_rejected_before_running(tmp_path, monkeypatch):
     {"attack_schedule": [[0.0, float("inf"), {"kind": "mppt_off"}]]},
     {"attack_schedule": [[0.0, 1.0, {"kind": "mppt_off",
                                      "amplitude": float("inf")}]]},
+    # JSON numbers must be numbers: no bools, no numeric strings
+    {"damping": True},
+    {"name": 5},
+    {"load_schedule": [[0.0, "500"]]},
+    {"load_schedule": [[0.0, True]]},
+    {"attack_schedule": [["0", "1", {"kind": "sensor_perturb",
+                                     "amplitude": "0.1",
+                                     "frequency_hz": "5"}]]},
+    {"attack_schedule": [["0", 1.0, {"kind": "mppt_off"}]]},
+    {"attack_schedule": [[0.0, 1.0, {"kind": "sensor_perturb",
+                                     "amplitude": "0.1",
+                                     "frequency_hz": 5.0}]]},
+    {"attack_schedule": [[0.0, 1.0, {"kind": "sensor_perturb",
+                                     "amplitude": 0.1,
+                                     "frequency_hz": "5"}]]},
+    {"irradiance": {"kind": "constant", "value": True}},
+    {"pv": {"v_oc_v": 800.0, "i_sc_a": 437.0, "knee": 10.0,
+            "p_rated_kw": True}},
 ])
 def test_invalid_scenario_exits_3(tmp_path, capsys, change):
     spec = {**mgsim.named_scenario("nominal").to_dict(), "duration_s": 2.0,
@@ -838,15 +884,26 @@ def test_eval_rejects_malformed_tree_exit_3(tmp_path, capsys, corpus_csv):
     bad_counts["counts"].pop()
     cycle = json.loads(model.read_text())
     cycle["left"][inner] = inner
-    for i, obj in enumerate((bad_child, bad_counts, cycle)):
+    # numpy would truncate a float and parse a numeric string
+    float_threshold = json.loads(model.read_text())
+    float_threshold["threshold"][inner] = 2.7
+    string_threshold = json.loads(model.read_text())
+    string_threshold["threshold"][inner] = "3"
+    for i, obj in enumerate((bad_child, bad_counts, cycle, float_threshold,
+                             string_threshold)):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(obj))
         assert run_cli("eval", "--model", str(path), "--data",
                        str(corpus_csv),
                        "--out", str(tmp_path / "r.json")) == 3, i
-    # a forest with a bad tree or none is refused on load, naming the file
+    # a forest with a bad tree or none is refused on load, naming the file,
+    # and so is a tree that names one counter more than the forest and
+    # tests it: prediction reads the forest's columns
+    wide = json.loads(model.read_text())
+    wide["feature_names"].append("extra")
+    wide["feature"][inner] = len(good["feature_names"])
     forest = tmp_path / "rf.json"
-    for trees in ([good, bad_child], []):
+    for trees in ([good, bad_child], [], [wide]):
         forest.write_text(json.dumps({"kind": "rf", "params": {},
                                       "feature_names": good["feature_names"],
                                       "trees": trees}))
@@ -878,6 +935,8 @@ def test_eval_rejects_malformed_network_exit_3(tmp_path, capsys,
         "flat_w1": {"w1": good["w2"]},
         "long_b1": {"b1": good["b1"] + [0.0]},
         "short_w2": {"w2": good["w2"][1:]},
+        "string_w2": {"w2": [str(w) for w in good["w2"]]},
+        "bool_b2": {"b2": True},
     }
     capsys.readouterr()
     for name, change in cases.items():

@@ -206,7 +206,7 @@ def test_scenario_validation():
 
 def test_scenario_json_round_trip():
     s = mgsim.named_scenario("input_sine")
-    back = mgsim.Scenario.from_json(s.to_json())
+    back = mgsim.Scenario.from_dict(json.loads(s.to_json()))
     assert back == s
     obj = json.loads(s.to_json())
     assert obj["name"] == "input_sine"

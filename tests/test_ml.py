@@ -709,7 +709,7 @@ def _assert_cells_equal_oracle(cells, hp=None):
     for (kind, ds, seed, balanced), (model, report) in zip(cells, got):
         want_model, want_report = train_eval_oracle(kind, ds, seed, 0.7,
                                                     balanced, hp)
-        assert ml.model_to_json(model) == ml.model_to_json(want_model)
+        assert repr(model.to_dict()) == repr(want_model.to_dict())
         assert repr(report) == repr(want_report)
     return [model for model, _ in got]
 

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from hpc_sentinel import hpc, mutate
 from hpc_sentinel.asm import CategoryMap, parse_listing
-from hpc_sentinel.errors import AnchorNotFound, EmptyPayload, PayloadUnparsable
+from hpc_sentinel.errors import (AnchorNotFound, EmptyPayload,
+                                 PayloadUnparsable, read_json, write_json)
 from hpc_sentinel.mutate import (ANCHORS, AttackKind, InjectionTemplate,
                                  build_corpus, default_template,
                                  default_templates, inject, synth_base_listing)
@@ -77,13 +78,14 @@ def test_default_templates_cover_all_kinds():
             assert mnemonic in cmap.categories, mnemonic
 
 
-def test_template_json_round_trip():
+def test_template_json_round_trip(tmp_path):
     t = default_template(AttackKind.INVERTER_DOS)
-    back = InjectionTemplate.from_json(t.to_json())
-    assert back == t
     d = t.to_dict()
     assert set(d) == {"attack", "anchor", "period_ticks", "payload"}
-    assert json.loads(t.to_json()) == d
+    path = tmp_path / "template.json"
+    write_json(path, d)
+    assert json.loads(path.read_text()) == d
+    assert read_json(path, "template", InjectionTemplate.from_dict) == t
 
 
 def test_template_validation_errors():

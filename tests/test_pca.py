@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from hpc_sentinel import hpc, ml, pca
-from hpc_sentinel.errors import DegenerateCovariance, TooManyExclusions
+from hpc_sentinel.errors import (DegenerateCovariance, TooManyExclusions,
+                                 write_json)
 
 from conftest import make_dataset, train_eval_oracle
 
@@ -130,10 +131,12 @@ def test_ranking_top_k():
     assert len(ranking.top(10)) == 10
 
 
-def test_ranking_json_round_trip():
+def test_ranking_json_round_trip(tmp_path):
     import json
     ranking = pca.rank_features(_ranking_dataset())
-    obj = json.loads(ranking.to_json())
+    path = tmp_path / "ranking.json"
+    write_json(path, ranking.as_dict())
+    obj = json.loads(path.read_text())
     assert [name for name, _ in ranking.ranked] == \
         [r["feature"] for r in obj["ranking"]]
 
