@@ -6,7 +6,7 @@ features: no sort per node, one bincount per batch. The simulation
 stepper is an inherently sequential loop. ``python3 perfbench/run.py
 --trace 1`` times window counting and the simulation stepper on real
 workloads. Its split-search timer wraps the single-node best_split, which
-no command calls, so it reads 0.
+no command calls, so it reads 0. Equal rows are found by group_rows.
 """
 
 import math
@@ -47,6 +47,40 @@ def window_counts(cats, window):
         big = np.bincount(code, minlength=n_win * NUM_CLASSES * NUM_CLASSES)
         out[:, NUM_CLASSES:] = big.reshape(n_win, NUM_CLASSES * NUM_CLASSES)
     return out
+
+
+# ---------------------------------------------------------------------------
+# equal rows
+
+def group_rows(keys):
+    """Each sample's group id and the first sample of each group, the
+    groups being the samples equal on every key, numbered in np.lexsort
+    order of keys. Runs of integer keys whose ranges multiply to at most
+    2^62 are packed into one int64 key by mixed radix. A group starts at
+    each change of a sorted key (np.unique would import numpy.ma, 1.6 MB)."""
+    packed, span = [], math.inf  # most significant first; span of the last
+    for k in map(np.asarray, reversed(keys)):
+        width = (int(k.max()) - int(k.min()) + 1
+                 if k.size and k.dtype.kind in "iu" else math.inf)
+        if width <= 2**62:
+            # k - min lies in [0, width): a wrapping int64 difference is exact
+            k = np.subtract(k, k.min(), dtype=np.int64, casting="unsafe")
+        if span * width <= 2**62:
+            packed[-1] = packed[-1] * width + k
+            span *= width
+        else:
+            packed.append(k)
+            span = width
+    keys = packed[::-1]
+    order = np.lexsort(keys)
+    new = np.zeros(order.shape[0], dtype=bool)
+    new[:1] = True
+    for key in keys:
+        ordered = key[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    group = np.empty(order.shape[0], dtype=np.int64)
+    group[order] = np.cumsum(new) - 1
+    return group, order[new]
 
 
 # ---------------------------------------------------------------------------

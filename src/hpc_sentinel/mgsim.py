@@ -129,6 +129,8 @@ class AttackEffect:
 
     @classmethod
     def from_dict(cls, d) -> "AttackEffect":
+        if not (isinstance(d, dict) and "kind" in d):
+            raise ValueError("an attack effect must be an object with a kind")
         return cls(kind=AttackName(d["kind"]),
                    amplitude=d.get("amplitude", 0.0),
                    frequency_hz=d.get("frequency_hz", 0.0))
@@ -276,11 +278,20 @@ class Scenario:
     def from_dict(cls, d) -> "Scenario":
         if not isinstance(d, dict):
             raise ValueError("a scenario must be a JSON object")
-        kw = dict(d)
-        kw["pv"] = PvModel(**d.get("pv", {}))
-        if "load_schedule" not in d:
-            raise ValueError("scenario needs a load_schedule")
-        kw["load_schedule"] = [(t, p) for t, p in d["load_schedule"]]
+        pv = d.get("pv", {})
+        for what, obj, known in (("scenario", d, cls), ("pv", pv, PvModel)):
+            if not isinstance(obj, dict):
+                raise ValueError(f"{what} must be a JSON object")
+            bad = sorted(set(obj) - {f.name for f in fields(known)})
+            if bad:
+                raise ValueError(f"unknown {what} fields: {', '.join(bad)}")
+        for key, width in (("load_schedule", 2), ("attack_schedule", 3)):
+            entries = d.get(key, [])
+            if not (isinstance(entries, list) and all(
+                    isinstance(e, list) and len(e) == width for e in entries)):
+                raise ValueError(f"{key} must be a list of {width}-item lists")
+        kw = {**d, "pv": PvModel(**pv), "load_schedule": [
+            (t, p) for t, p in d.get("load_schedule", [])]}
         try:
             kw["attack_schedule"] = [
                 (s, e, AttackEffect.from_dict(eff))
@@ -378,7 +389,7 @@ def _formatted(column, fmt):
     6000-step trace, pv_kw (1-36 patterns) took 0.5 ms this way against
     3.2 ms for a repr per row, and ess_kw and load_kw (1-2 patterns)
     0.5 ms against 0.8-1.4 ms; reproduce's five CSVs took 96 ms against
-    118 ms (one process, min of 7). The patterns come from one sort of
+    118 ms (one process, min of 7). The patterns are group_rows' groups of
     the bits of the column's floats, so 0.0 and -0.0, and NaN payloads,
     stay apart. The index holds the smallest unsigned int per row and is
     read as the rows are written: a list of Python ints per row raised
@@ -388,18 +399,11 @@ def _formatted(column, fmt):
     hold the column's whole text; a table of at most one string per 16
     rows takes less than the column's own floats."""
     bits = np.ascontiguousarray(column, dtype=np.float64).view(np.int64)
-    # the stable sort took 7-15 us per column against 15-106 us for the
-    # default one, whose first call also paged in 0.3 MB of sort code
-    order = np.argsort(bits, kind="stable")
-    ordered = bits[order]
-    new = np.empty(bits.shape[0], dtype=bool)
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    if np.count_nonzero(new) * _TABLE_ROWS_PER_VALUE > bits.shape[0]:
+    group, first = _kernels.group_rows([bits])
+    if first.shape[0] * _TABLE_ROWS_PER_VALUE > bits.shape[0]:
         return map(fmt, map(float, column))
-    table = list(map(fmt, ordered[new].view(np.float64).tolist()))
-    index = np.empty(bits.shape[0], dtype=np.min_scalar_type(len(table)))
-    index[order] = np.cumsum(new) - 1
+    table = list(map(fmt, bits[first].view(np.float64).tolist()))
+    index = group.astype(np.min_scalar_type(len(table)))
     return map(table.__getitem__, index)
 
 

@@ -11,7 +11,7 @@ spawned from the master seed, so it equals the tree grown on its own. A
 decision tree searches all its pending nodes in each call. Trees and
 forests predict from one flattened node table. A forest tree draws the
 feature subsets of its nodes in blocks, equal to per-node
-Generator.choice draws.
+Generator.choice draws. Equal rows are found by _kernels.group_rows.
 
 A network trains on the distinct (counter vector, label) rows of its set,
 each weighted by its count over the set's size, which gives the
@@ -277,7 +277,7 @@ def _predict_trees(trees, X) -> np.ndarray:
     """Strict-majority vote of the trees on each row of X; a tied vote
     stays benign, and a tree of one votes its leaf's majority.
 
-    Each distinct row of X is traversed once (_groups) and its vote
+    Each distinct row of X is traversed once (group_rows) and its vote
     copied to the rows equal to it. The trees' nodes are concatenated
     into one table, leaves pointing at themselves, and each numpy step
     moves a block of (row, tree) pairs one level down, as in
@@ -286,7 +286,7 @@ def _predict_trees(trees, X) -> np.ndarray:
     X = np.asarray(X)
     # rows of no columns are all the same row, and lexsort needs a key
     keys = X.T if X.shape[1] else np.zeros((1, X.shape[0]), dtype=np.int64)
-    group, first = _groups(keys)
+    group, first = _kernels.group_rows(keys)
     X = X[first]
     out = np.zeros(X.shape[0], dtype=np.int64)
     sizes = [t.n_nodes for t in trees]
@@ -396,48 +396,11 @@ def _draw_feature_subsets(rngs, n_total, n_feats):
                                            n_feats)
 
 
-def _row_groups(codes, n_bins, y):
-    """Groups of equal samples (_groups): codes holds the samples' rank
-    codes by feature, feature j taking n_bins[j] codes, and y their
-    labels. Returns each sample's group id and one sample of each group.
-
-    The codes of several features pack into one int64 key by mixed radix,
-    so that few keys are lexsorted."""
-    keys, key, span = [], y, 2
-    for col, bins in zip(codes, n_bins.tolist()):
-        if span * bins > 2**62:
-            keys.append(key)
-            key, span = col, bins
-        else:
-            key = key * bins + col
-            span *= bins
-    keys.append(key)
-    return _groups(keys)
-
-
-def _groups(keys):
-    """Groups of the samples equal on every key, keys a sequence of
-    arrays over the samples. Returns each sample's group id and one
-    sample of each group.
-
-    The keys are lexsorted, and a group starts wherever a key changes
-    (np.unique would import numpy.ma, about 1.6 MB)."""
-    order = np.lexsort(keys)
-    new = np.zeros(order.shape[0], dtype=bool)
-    new[:1] = True
-    for key in keys:
-        ordered = key[order]
-        new[1:] |= ordered[1:] != ordered[:-1]
-    group = np.empty(order.shape[0], dtype=np.int64)
-    group[order] = np.cumsum(new) - 1
-    return group, order[new]
-
-
 def _grow_trees(X, y, boots, feature_rngs, n_feats, feature_names, params):
     """Grow one tree per row-index vector in boots, all in lockstep.
 
-    X is rank-coded once, column by column, and its rows are grouped once
-    by (codes, label) (_row_groups). A tree grows on the distinct rows its
+    The (counter vector, label) rows are grouped once (group_rows), and
+    only the distinct ones rank-coded. A tree grows on the distinct rows its
     boot draws, each weighted by how many of the boot's draws fall in its
     group, so a decision tree, whose boot is every row, weights each by
     its group's size; every split search and leaf count equals the one on
@@ -458,11 +421,10 @@ def _grow_trees(X, y, boots, feature_rngs, n_feats, feature_names, params):
     """
     n_total = X.shape[1]
     all_feats = np.arange(n_total, dtype=np.int64)
-    codes, values, offsets = _kernels.rank_code(X.T)
+    group, distinct = _kernels.group_rows([*X.T, y])
+    codes, values, offsets = _kernels.rank_code(X[distinct].T)
     n_bins = np.diff(offsets)
     max_bins = int(n_bins.max(initial=0))
-    group, distinct = _row_groups(codes, n_bins, y)
-    codes = codes[:, distinct]
     y = y[distinct]
     # A node's entries are ids tree * n_distinct + distinct row, and
     # weights[id] is that row's multiplicity in that tree's boot.
@@ -685,21 +647,23 @@ class NeuralNetModel:
                     w2=np.asarray(d["w2"]), b2=d["b2"],
                     mean=np.asarray(d["mean"]), std=np.asarray(d["std"]),
                     feature_names=tuple(d["feature_names"]),
-                    final_loss=float(d.get("final_loss", float("nan"))),
+                    final_loss=d.get("final_loss", float("nan")),
                     params=dict(d.get("params", {})))
         model._check()
         return model
 
     def _check(self):
-        """Reject weights that are not numbers, do not fit the features,
-        or are not finite, and a standardization that divides by zero:
-        numpy would parse numeric strings and take true as 1, broadcast a
-        short array, and a NaN reaching the output predicts benign."""
+        """Reject weights and a final loss that are not numbers, weights
+        that do not fit the features or are not finite, and a
+        standardization that divides by zero: numpy would parse numeric
+        strings and take true as 1, broadcast a short array, and a NaN
+        reaching the output predicts benign."""
         arrays = (self.w1, self.b1, self.w2, self.mean, self.std)
         if (any(a.dtype.kind not in "iuf" for a in arrays)
-                or isinstance(self.b2, bool)
-                or not isinstance(self.b2, (int, float))):
-            raise ValueError("network weights, mean and std must be numbers")
+                or any(isinstance(x, bool) or not isinstance(x, (int, float))
+                       for x in (self.b2, self.final_loss))):
+            raise ValueError("network weights, mean, std and final_loss "
+                             "must be numbers")
         n = len(self.feature_names)
         if self.w1.ndim != 2 or self.w1.shape[0] != n:
             raise ValueError(f"network w1 must be {n} x hidden")
@@ -741,7 +705,7 @@ class _NetRows:
 
 
 def _net_rows(train: Dataset) -> _NetRows:
-    """The distinct (counter vector, label) rows of a training set (_groups),
+    """Distinct (counter vector, label) rows of a training set (group_rows),
     row i weighted by c[i] = its count / the set's size, so a weighted sum
     over them is the mean over the set's rows. They are padded to a
     multiple of NN_ROW_BLOCK with weight-0 copies of the first one, whose
@@ -756,7 +720,7 @@ def _net_rows(train: Dataset) -> _NetRows:
     mean = Xf.mean(axis=0)
     std = Xf.std(axis=0)
     std[std == 0.0] = 1.0
-    group, first = _groups([*X.T, y])
+    group, first = _kernels.group_rows([*X.T, y])
     pad = -first.shape[0] % NN_ROW_BLOCK
     rows = np.concatenate([first, np.repeat(first[:1], pad)])
     weights = np.concatenate([np.bincount(group), np.zeros(pad)])

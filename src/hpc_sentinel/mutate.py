@@ -135,8 +135,6 @@ def inject(base: str, template: InjectionTemplate, seed: int,
         block.append(f"{addr:06x} {opcode:04x} {parts[0].upper()}{rest}")
     out = lines[:at + 1] + block + lines[at + 1:]
     text = "\n".join(out) + "\n"
-    if text == base:
-        raise PayloadUnparsable("injection left the listing unchanged")
     parse_listing(text, cmap)
     return text
 
@@ -146,14 +144,13 @@ def _payload_salt(template: InjectionTemplate) -> int:
     return list(AttackKind).index(template.attack)
 
 
-def build_corpus(base: str, templates=None, seed: int = 0,
+def build_corpus(base: str, seed: int = 0,
                  cmap: CategoryMap | None = None) -> dict:
     """Base plus one mutant per attack, keyed by firmware id; payloads are
     checked against cmap (default: the built-in map)."""
-    templates = templates or default_templates()
     out = {"benign": base}
     for kind in AttackKind:
-        out[kind.value] = inject(base, templates[kind], seed, cmap)
+        out[kind.value] = inject(base, default_template(kind), seed, cmap)
     return out
 
 

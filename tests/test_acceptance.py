@@ -290,19 +290,25 @@ def seed42_bundles(tmp_path_factory):
     return root / "one", root / "two"
 
 
-def test_criterion_12_reproduce_byte_identical(seed42_bundles):
+def test_criterion_12_reproduce_byte_identical(seed42_bundles, tmp_path):
     out1, out2 = seed42_bundles
+    # the bundle's own base listing, fed back with --base, gives it again
+    out3 = tmp_path / "base"
+    assert cli.main(["reproduce", "--seed", "42", "--base",
+                     str(out1 / "benign.asm"), "--out", str(out3)]) == 0
     names1 = sorted(p.name for p in out1.iterdir() if p.is_file())
-    names2 = sorted(p.name for p in out2.iterdir() if p.is_file())
-    assert names1 == names2 and len(names1) == 20
-    for name in names1:
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    for out in (out2, out3):
+        names = sorted(p.name for p in out.iterdir() if p.is_file())
+        assert names == names1 and len(names1) == 20
+        for name in names1:
+            assert (out / name).read_bytes() == (out1 / name).read_bytes(), \
+                name
     for name, digest in GOLDEN_SEED_42.items():
         got = hashlib.sha256((out1 / name).read_bytes()).hexdigest()
         assert got == digest, name
-    print(f"criterion 12 PASS: two seed-42 bundles byte-identical across "
-          f"all {len(names1)} files; {len(GOLDEN_SEED_42)} match their "
-          f"golden digests")
+    print(f"criterion 12 PASS: three seed-42 bundles, one from its own "
+          f"base listing, byte-identical across all {len(names1)} files; "
+          f"{len(GOLDEN_SEED_42)} match their golden digests")
 
 
 def test_worker_sweep_rows_match_bundle(seed42_bundles, tmp_path):

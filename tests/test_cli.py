@@ -162,6 +162,24 @@ def test_simulate_named_and_file_scenarios(tmp_path):
                    "--out", str(out2)) == 0
     assert len(out2.read_text().splitlines()) == 1 + 200
 
+    # --pno-variant overrides the scenario's own P&O variant
+    literal = tmp_path / "literal.csv"
+    assert run_cli("simulate", "--scenario", "nominal", "--pno-variant",
+                   "literal", "--out", str(literal)) == 0
+    sc_file.write_text(json.dumps({**named_scenario("nominal").to_dict(),
+                                   "pno_variant": "literal"}))
+    assert run_cli("simulate", "--scenario-file", str(sc_file),
+                   "--out", str(out2)) == 0
+    assert literal.read_bytes() == out2.read_bytes()
+    mean_pv = []
+    for path in (literal, out):
+        header, *rows = path.read_text().splitlines()
+        col = header.split(",").index("pv_kw")
+        mean_pv.append(sum(float(r.split(",")[col]) for r in rows)
+                       / len(rows))
+    # the literal variant tracks far below the maximum power point
+    assert mean_pv[0] < 0.5 * mean_pv[1], mean_pv
+
 
 def test_report_renders_charts(tmp_path):
     bundle = tmp_path / "bundle"
@@ -509,6 +527,18 @@ def test_data_errors_exit_3(tmp_path, base_asm):
     bad_json.write_text("{not json")
     assert run_cli("simulate", "--scenario-file", str(bad_json),
                    "--out", str(tmp_path / "s.csv")) == 3
+    # a template for another attack than --attack, and one with a blank
+    # payload line
+    other = default_template(AttackKind.INVERTER_DOS).to_dict()
+    blank = {**_TEMPLATE, "payload": [*_TEMPLATE["payload"], " "]}
+    for i, doc in enumerate((other, blank)):
+        template = tmp_path / f"template{i}.json"
+        template.write_text(json.dumps(doc))
+        assert run_cli("mutate", "--base", str(base_asm), "--attack",
+                       "mppt_dos", "--template", str(template),
+                       "--out", str(tmp_path / "m.asm")) == 3, doc
+    # report on a directory without simulation CSVs
+    assert run_cli("report", "--bundle", str(tmp_path)) == 3
 
 
 @pytest.mark.parametrize("content", [
@@ -631,11 +661,16 @@ _TEMPLATE = default_template(AttackKind.MPPT_DOS).to_dict()
               b"f,0,0,99999999999999999999,benign,\n"),
     ("train", b"firmware_id,window_index,partial,a,label,attack_kind\n"
               b"f,0,0," + b"1" * 200000 + b",benign,\n"),
+    ("train", b"firmware_id,window_index,partial,a,b,a,label,attack_kind\n"
+              b"f,0,0,1,2,3,benign,\n"),
+    ("train", b"firmware_id,window_index,partial,a,label,attack_kind\n"
+              b"f,0,0,1.5,benign,\n"),
 ], ids=["template_deep_nesting", "scenario_deep_nesting",
         "model_deep_nesting", "model_list", "template_int_attack",
         "template_int_payload_line", "template_string_payload",
         "template_float_period", "dataset_count_overflow",
-        "dataset_field_over_csv_limit"])
+        "dataset_field_over_csv_limit", "dataset_repeated_column",
+        "dataset_float_count"])
 def test_malformed_input_exits_3_naming_file(tmp_path, capsys, base_asm,
                                              corpus_csv, command, content):
     path = tmp_path / "input.json"
@@ -790,6 +825,25 @@ def test_oversized_scenario_rejected_before_running(tmp_path, monkeypatch):
     {"irradiance": {"kind": "constant", "value": True}},
     {"pv": {"v_oc_v": 800.0, "i_sc_a": 437.0, "knee": 10.0,
             "p_rated_kw": True}},
+    # wrong shapes and unknown names
+    {"attack_schedule": [[0.0, 1.0, {}]]},
+    {"load_schedule": [[0.0]]},
+    {"load_schedule": 5},
+    {"pv": [1]},
+    {"pv": {"v_oc_v": 800.0, "i_sc_a": 437.0, "knee": 10.0,
+            "colour": 1.0}},
+    {"bogus": 1.0},
+    # order and range rules
+    {"load_schedule": [[1.0, 500.0], [0.0, 800.0]]},
+    {"attack_schedule": [[1.0, 2.0, {"kind": "mppt_off"}],
+                         [0.0, 0.5, {"kind": "mppt_off"}]]},
+    {"pv": {"v_oc_v": 800.0, "i_sc_a": 437.0, "knee": 1.0}},
+    {"attack_schedule": [[0.0, 1.0, {"kind": "sensor_perturb",
+                                     "amplitude": -0.1,
+                                     "frequency_hz": 5.0}]]},
+    {"attack_schedule": [[0.0, 1.0, {"kind": "sensor_perturb",
+                                     "amplitude": 0.1,
+                                     "frequency_hz": 0.0}]]},
 ])
 def test_invalid_scenario_exits_3(tmp_path, capsys, change):
     spec = {**mgsim.named_scenario("nominal").to_dict(), "duration_s": 2.0,
@@ -889,8 +943,12 @@ def test_eval_rejects_malformed_tree_exit_3(tmp_path, capsys, corpus_csv):
     float_threshold["threshold"][inner] = 2.7
     string_threshold = json.loads(model.read_text())
     string_threshold["threshold"][inner] = "3"
+    empty = {**good, "feature": [], "threshold": [], "left": [],
+             "right": [], "counts": []}
+    past_counters = json.loads(model.read_text())
+    past_counters["feature"][inner] = len(good["feature_names"])
     for i, obj in enumerate((bad_child, bad_counts, cycle, float_threshold,
-                             string_threshold)):
+                             string_threshold, empty, past_counters)):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(obj))
         assert run_cli("eval", "--model", str(path), "--data",
@@ -937,6 +995,10 @@ def test_eval_rejects_malformed_network_exit_3(tmp_path, capsys,
         "short_w2": {"w2": good["w2"][1:]},
         "string_w2": {"w2": [str(w) for w in good["w2"]]},
         "bool_b2": {"b2": True},
+        "string_final_loss": {"final_loss": "0.5"},
+        "bool_final_loss": {"final_loss": True},
+        "string_feature_names": {"feature_names": "abc"},
+        "list_params": {"params": []},
     }
     capsys.readouterr()
     for name, change in cases.items():
@@ -950,6 +1012,13 @@ def test_eval_rejects_malformed_network_exit_3(tmp_path, capsys,
         err = capsys.readouterr().err
         assert f"model {path}: " in err and "Traceback" not in err, name
         assert "Warning" not in err and caught == [], name
+    # a network trained for no epoch has a NaN final loss, and loads
+    untrained = ml.train_nn(hpc.read_dataset_csv(corpus_csv), hidden=4,
+                            epochs=0)
+    ml.save_model(untrained, model)
+    assert math.isnan(json.loads(model.read_text())["final_loss"])
+    assert run_cli("eval", "--model", str(model), "--data", str(corpus_csv),
+                   "--out", str(tmp_path / "r.json")) == 0
 
 
 def test_eval_report_is_strict_json(tmp_path, corpus_csv):

@@ -340,22 +340,59 @@ def test_trees_on_duplicated_and_distinct_rows_match_reference(duplicated):
     assert [_tree_columns(t) for t in forest.trees] == want_rf
 
 
-def test_row_groups_join_exactly_equal_rows():
-    # 40 columns of three or four values pack into two sort keys; copies
-    # changed in one column, or only in their label, form groups of their
-    # own
-    rng = np.random.default_rng(4)
-    X = rng.integers(0, 3, size=(12, 40))[rng.integers(0, 12, size=400)]
-    X[rng.integers(0, 400, size=30), rng.integers(0, 40, size=30)] += 1
-    y = rng.integers(0, 2, size=400)
-    codes, _, offsets = _kernels.rank_code(X.T)
-    bins = np.diff(offsets)
-    assert np.prod(bins.astype(float)) > 2.0**62
-    group, first = ml._row_groups(codes, bins, y)
-    keys = [(tuple(row), label) for row, label in zip(X.tolist(), y.tolist())]
-    assert len(first) == len(set(keys))
-    for i in range(400):
-        assert keys[first[group[i]]] == keys[i]
+# Bit patterns of 0.0, -0.0 and four NaNs (quiet and signalling payloads,
+# both signs), as the simulation CSV writer groups its float columns.
+_FLOAT_BITS = np.array([0, 1 << 63, 0x7FF8000000000000, 0x7FF8000000000001,
+                        0x7FF0000000000001, 0xFFF8000000000000],
+                       dtype=np.uint64).view(np.int64).tolist()
+
+# (values, dtype) of one key: small ints of both signs, ranges whose
+# products cross group_rows' 2^62 packing bound, the int64 extremes, float
+# bit patterns, unsigned ints past 2^63, and floats (no NaN: a float key
+# compares by value, and NaN equals nothing)
+_KEY_KINDS = st.sampled_from([
+    (st.integers(-3, 3), np.int64),
+    (st.integers(-2**31, 2**31), np.int64),
+    (st.sampled_from([-2**63, -2**63 + 1, -2**62, 0, 2**62 - 1, 2**62,
+                      2**63 - 1]), np.int64),
+    (st.integers(-2**63, 2**63 - 1), np.int64),
+    (st.sampled_from(_FLOAT_BITS), np.int64),
+    (st.integers(2**63 - 2, 2**64 - 1), np.uint64),
+    (st.sampled_from([0.0, -0.0, 1.5, -2.0, math.inf]), np.float64),
+])
+
+
+@st.composite
+def _keyed_samples(draw):
+    """Keys over 0-30 samples, each sample one of a few distinct rows so
+    that equal samples are common."""
+    n_rows = draw(st.integers(1, 5))
+    pick = np.array(draw(st.lists(st.integers(0, n_rows - 1), max_size=30)),
+                    dtype=np.int64)
+    keys = []
+    for values, dtype in draw(st.lists(_KEY_KINDS, min_size=1, max_size=6)):
+        rows = draw(st.lists(values, min_size=n_rows, max_size=n_rows))
+        keys.append(np.array(rows, dtype=dtype)[pick])
+    return keys
+
+
+@given(_keyed_samples())
+@settings(max_examples=300, deadline=None)
+def test_row_groups_join_exactly_equal_rows(keys):
+    # two samples share a group exactly when they are equal on every key,
+    # and the groups are numbered in lexsort order of the keys as given,
+    # each represented by its first sample
+    group, first = _kernels.group_rows(keys)
+    n = len(keys[0])
+    rows = list(zip(*(k.tolist() for k in keys)))
+    assert group.shape == (n,)
+    for i, j in itertools.combinations(range(n), 2):
+        assert (group[i] == group[j]) == (rows[i] == rows[j]), (i, j)
+    ranks = group[np.lexsort(keys)]
+    assert ranks.tolist() == sorted(ranks.tolist())
+    assert first.tolist() == [group.tolist().index(g)
+                              for g in range(len(first))]
+    assert set(group.tolist()) == set(range(len(first)))
 
 
 def _wide_values_dataset(seed, n=60):
